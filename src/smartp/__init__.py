@@ -3,7 +3,7 @@ correlated, skewed and non-randomly missing sub-unit outcomes."""
 
 __version__ = "0.1.0"
 
-from ._backend import active_backend, set_backend
+from ._backend import active_backend
 from .design import (
     Regime,
     SmartDesign,
@@ -18,7 +18,7 @@ from .design import (
     validate,
 )
 from .dists import SkewTParams, sample_st, st_kurtosis, st_mean, st_skewness, st_variance
-from .engine import compute_effect, compute_mc_power, compute_sample_size
+from .engine import compute_effect, compute_sample_size
 from .errors import (
     ConfigError,
     DegenerateMissingnessError,
@@ -37,6 +37,7 @@ from .missing import (
     solve_missingness,
 )
 from .moments import (
+    ModelMoments,
     OutcomeModel,
     PathMoments,
     estimate_path_moments,

@@ -1,118 +1,46 @@
-"""Numba-accelerated kernels with a pure-numpy fallback.
+"""The cluster-outcome kernel, vectorized in numpy.
 
-The backend is chosen once at import from the ``SMARTP_BACKEND`` environment
-variable ("numba" or "numpy"); default is numba when importable.  Both
-implementations perform the same floating-point operations in the same
-order, so their outputs are bit-identical; ``bench/bench_backends.py``
-compares their speed.
-
-The one hot kernel is the per-cluster outcome reduction: given standard
-normal draws for the latent spatial effect, the missingness residual and
-the pre-sampled outcome error, it computes the mean outcome over available
-sub-units for each cluster.
+Given standard normal draws for the latent spatial effect (``zq``, turned
+into ``q = zq @ chol.T``) and for the missingness residual (``e0``), and
+the pre-sampled outcome error (``e1``), a sub-unit is available when its
+probit index ``a0 + b0*q + sigma0*e0`` is at most ``cutoff``.  The trial
+simulator averages the outcome ``mu + q + e1`` over each cluster's
+available sub-units with ``ybar_and_count``; the moments pass takes the
+mask and the residual ``q + e1`` from ``_mask_and_residual`` and keeps the
+mean out of them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def _ybar_numpy(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
+def _mask_and_residual(zq, e0, e1, chol, a0, b0, sigma0, cutoff):
+    """(n, T) availability mask and outcome residual ``q + e1``.
+
+    With fewer columns than ``chol`` has, q covers the first T sub-units:
+    the leading block of a lower Cholesky factor is the factor of the
+    leading block of the covariance.
+    """
+    t_dim = zq.shape[1]
+    q = zq @ chol[:t_dim, :t_dim].T
+    return (a0 + b0 * q + sigma0 * e0) <= cutoff, q + e1
+
+
+def ybar_and_count(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
     """Mean outcome over available sub-units, one row per cluster.
 
     ``zq``/``e0``/``e1`` are (n, T) standard draws; ``chol`` is the lower
     Cholesky factor of the spatial covariance; ``mu`` is the (n, T) mean.
     Returns (ybar, n_avail); ybar is NaN where no sub-unit is available.
-
-    The per-column loops mirror the sequential arithmetic of the numba
-    kernel exactly (no pairwise summation) to keep backends bit-identical.
     """
-    n, t_dim = zq.shape
-    total = np.zeros(n)
-    n_avail = np.zeros(n, dtype=np.int64)
-    for t in range(t_dim):
-        q = zq[:, 0] * chol[t, 0]
-        for j in range(1, t + 1):
-            q = q + zq[:, j] * chol[t, j]
-        avail = (a0 + b0 * q + sigma0 * e0[:, t]) <= cutoff
-        total[avail] = total[avail] + (mu[avail, t] + q[avail] + e1[avail, t])
-        n_avail += avail
-    ybar = np.full(n, np.nan)
-    ok = n_avail > 0
-    ybar[ok] = total[ok] / n_avail[ok]
+    avail, resid = _mask_and_residual(zq, e0, e1, chol, a0, b0, sigma0, cutoff)
+    n_avail = avail.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        ybar = np.where(avail, mu + resid, 0.0).sum(axis=1) / n_avail
     return ybar, n_avail
-
-
-@njit(cache=True, nogil=True)
-def _ybar_numba(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):  # pragma: no cover - numba
-    n, t_dim = zq.shape
-    ybar = np.empty(n)
-    n_avail = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        total = 0.0
-        k = 0
-        for t in range(t_dim):
-            q = zq[i, 0] * chol[t, 0]
-            for j in range(1, t + 1):
-                q = q + zq[i, j] * chol[t, j]
-            if a0 + b0 * q + sigma0 * e0[i, t] <= cutoff:
-                total = total + (mu[i, t] + q + e1[i, t])
-                k += 1
-        n_avail[i] = k
-        ybar[i] = total / k if k > 0 else np.nan
-    return ybar, n_avail
-
-
-_env = os.environ.get("SMARTP_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"SMARTP_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-if _env == "numba" and not HAVE_NUMBA:
-    raise RuntimeError("SMARTP_BACKEND=numba but numba is not importable")
-_BACKEND = _env or ("numba" if HAVE_NUMBA else "numpy")
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch backend at runtime (used by tests and the benchmark)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-def ybar_and_count(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
-    """Dispatch the cluster-outcome kernel to the active backend."""
-    args = (
-        np.ascontiguousarray(zq),
-        np.ascontiguousarray(e0),
-        np.ascontiguousarray(e1),
-        np.ascontiguousarray(chol),
-        np.ascontiguousarray(mu),
-        float(a0),
-        float(b0),
-        float(sigma0),
-        float(cutoff),
-    )
-    if _BACKEND == "numba":
-        return _ybar_numba(*args)
-    return _ybar_numpy(*args)

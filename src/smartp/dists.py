@@ -110,16 +110,20 @@ def st_kurtosis(p: SkewTParams) -> float:
 def sample_st(p: SkewTParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n iid skew-t variates.
 
-    Draw order is fixed (Z0 block, Z1 block, then the chi-square block when
-    dof is finite) so results are reproducible given the generator state.
-    The chi-square draw uses the gamma sampler with shape dof/2, scale 2.
+    Draw order is fixed (Z0 block only when skew != 0, Z1 block, then the
+    chi-square block when dof is finite) so results are reproducible given
+    the generator state.  At skew 0, X is Z1 itself.  The chi-square draw
+    uses the gamma sampler with shape dof/2, scale 2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    kap = p.kappa
-    z0 = rng.standard_normal(n)
-    z1 = rng.standard_normal(n)
-    x = kap * np.abs(z0) + math.sqrt(1.0 - kap * kap) * z1
+    if p.skew != 0.0:
+        kap = p.kappa
+        z0 = rng.standard_normal(n)
+        z1 = rng.standard_normal(n)
+        x = kap * np.abs(z0) + math.sqrt(1.0 - kap * kap) * z1
+    else:
+        x = rng.standard_normal(n)
     if p.is_normal_limit:
         return p.location + p.scale * x
     v = rng.standard_gamma(p.dof / 2.0, n) * (2.0 / p.dof)

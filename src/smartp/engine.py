@@ -1,9 +1,9 @@
 """Orchestration: moments -> regime algebra -> sample size / power.
 
 ``compute_sample_size`` is the programmatic equivalent of the
-``smartp samplesize`` command: it estimates the path moments every
-referenced path needs, assembles the regime mean/variance/covariance, and
-applies the sample-size formula.
+``smartp samplesize`` command: it simulates the outcome model once, takes
+from that pass the moments of every referenced path, assembles the regime
+mean/variance/covariance, and applies the sample-size formula.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from .design import SmartDesign, path_tables, require_valid
 from .moments import (
+    ModelMoments,
     OutcomeModel,
     PathMoments,
     estimate_path_moments,
@@ -23,8 +24,7 @@ from .moments import (
     regime_pieces,
     regime_variance,
 )
-from .power import SampleSizeResult, TestKind, TestSpec, required_n
-from .simtrial import PowerEstimate, mc_power
+from .power import SampleSizeResult, TestKind, required_n
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,23 @@ def compute_effect(
     num: int,
     seed: int,
     workers: int = 1,
-    path_moments: dict[int, PathMoments] | None = None,
+    moments: ModelMoments | None = None,
 ) -> EffectSummary:
-    """Assemble delta and the N-scaled variance components for the test."""
+    """Assemble delta and the N-scaled variance components for the test.
+
+    ``moments`` is an ``estimate_path_moments`` result for ``model`` to reuse;
+    without it the model is simulated once at (num, seed).
+    """
     require_valid(design)
     if len(regime_ids) not in (1, 2):
         raise ValueError("regime list must have one or two entries")
     if len(regime_ids) == 2 and regime_ids[0] == regime_ids[1]:
         raise ValueError("cannot compare a regime against itself")
-    pm = dict(path_moments) if path_moments else {}
-    for pid in needed_paths(design, regime_ids):
-        if pid not in pm:
-            pm[pid] = estimate_path_moments(
-                np.asarray(design.paths[pid].mu), model, num, seed, path_id=pid, workers=workers
-            )
+    if moments is None:
+        moments = estimate_path_moments(model, num, seed, workers)
+    pm = {
+        pid: moments.for_path(design.paths[pid].mu, pid) for pid in needed_paths(design, regime_ids)
+    }
 
     r1 = design.regimes[regime_ids[0]]
     g1, pi1_1, p2r_1, p2nr_1, m1r, m1nr = regime_pieces(design, r1, pm)
@@ -125,9 +128,9 @@ def compute_sample_size(
     num: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    path_moments: dict[int, PathMoments] | None = None,
+    moments: ModelMoments | None = None,
 ) -> tuple[SampleSizeResult, EffectSummary]:
-    eff = compute_effect(design, model, regime_ids, num, seed, workers, path_moments)
+    eff = compute_effect(design, model, regime_ids, num, seed, workers, moments)
     n = required_n(eff.delta, eff.sigma_sq, alpha, beta)
     tables = path_tables(design)
     result = SampleSizeResult(
@@ -148,37 +151,3 @@ def compute_sample_size(
     )
     return result, eff
 
-
-def compute_mc_power(
-    design: SmartDesign,
-    model: OutcomeModel,
-    regime_ids: tuple[int, ...],
-    n_clusters: int,
-    alpha: float = 0.05,
-    beta: float = 0.2,
-    num: int = 1_000_000,
-    reps: int = 5000,
-    seed: int = 0,
-    workers: int = 1,
-    empirical_variance: bool = False,
-    sigma_sq: float | None = None,
-) -> tuple[PowerEstimate, EffectSummary | None]:
-    """MC power at the given N; the plug-in variance comes from the closed form."""
-    eff = None
-    if sigma_sq is None:
-        eff = compute_effect(design, model, regime_ids, num, seed, workers)
-        sigma_sq = eff.sigma_sq
-    test = TestSpec(test_kind_for(design, regime_ids), alpha, beta)
-    est = mc_power(
-        design,
-        model,
-        test,
-        regime_ids,
-        n_clusters,
-        sigma_sq,
-        reps=reps,
-        seed=seed,
-        workers=workers,
-        empirical_variance=empirical_variance,
-    )
-    return est, eff

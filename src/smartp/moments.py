@@ -1,12 +1,18 @@
 """Monte Carlo path moments and the closed-form regime mean/variance algebra.
 
-``estimate_path_moments`` simulates the cluster-level mean outcome for one
-treatment path: draw the latent spatial vector Q ~ N(0, Sigma), the
-missingness residuals, and skew-t outcome errors; average the outcome over
-available sub-units.  Replicates with every sub-unit missing are redrawn
-(and counted).  Work proceeds in fixed 65536-replicate chunks, each on its
-own RNG substream keyed by (seed, path, chunk), so the result is
-bit-identical for any worker count.
+Whether a sub-unit is observed depends on the latent spatial vector Q and
+the missingness residual, never on the path mean.  So with ``w = mask / k``
+the availability weights of one replicate (k sub-units available) and ``r``
+its mean residual ``Q + eps1`` over the available sub-units, a path with
+per-sub-unit mean ``mu`` has cluster mean ``ybar = w . mu + r``.
+``estimate_path_moments`` therefore simulates an outcome model once (common
+random numbers for every path): it draws Q ~ N(0, Sigma), the missingness
+residuals and skew-t outcome errors, and accumulates the mean and centred
+scatter of ``z = [w, r]``.  Each path's mean and variance are then exact
+quadratic forms in ``a = [mu, 1]``.  Replicates with every sub-unit missing
+are redrawn (and counted).  Work proceeds in fixed 65536-replicate chunks,
+each on its own RNG substream keyed by (seed, chunk, redraw round), so the
+result is bit-identical for any worker count.
 
 The regime algebra converts per-path moments into the mean, N-scaled
 variance and N-scaled covariance of inverse-probability-weighted regime
@@ -23,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._backend import ybar_and_count
+from ._backend import _mask_and_residual, ybar_and_count
 from .design import Regime, SmartDesign, stage1_probs, stage2_prob
 from .dists import SkewTParams, sample_st
 from .errors import DegenerateMissingnessError
@@ -64,31 +70,72 @@ class PathMoments:
         return math.sqrt(self.sigma2 / self.n_samples)
 
 
-def _merge(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2_b: float):
-    """Chan/Welford merge of (count, mean, sum of squared deviations)."""
+@dataclass(frozen=True, eq=False)
+class ModelMoments:
+    """Count, mean vector and centred scatter of ``z = [w, r]`` for one outcome model."""
+
+    n_samples: int
+    mean: np.ndarray
+    m2: np.ndarray
+    n_redrawn: int = 0
+
+    def for_path(self, path_mu: np.ndarray, path: int = 0) -> PathMoments:
+        """Mean and variance of ``ybar = w . mu + r`` for the per-sub-unit mean ``path_mu``."""
+        mu_vec = np.asarray(path_mu, dtype=float)
+        if mu_vec.shape != (self.mean.size - 1,):
+            raise ValueError(
+                f"path mean has shape {mu_vec.shape}, expected ({self.mean.size - 1},)"
+            )
+        a = np.append(mu_vec, 1.0)
+        sigma2 = float(a @ self.m2 @ a) / (self.n_samples - 1) if self.n_samples > 1 else 0.0
+        return PathMoments(path, float(a @ self.mean), sigma2, self.n_samples, self.n_redrawn)
+
+
+def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
+    """Chan/Welford merge of (count, mean vector, centred scatter matrix)."""
     n = n_a + n_b
     delta = mean_b - mean_a
     mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
+    m2 = m2_a + m2_b + np.multiply.outer(delta, delta) * (n_a * n_b / n)
     return n, mean, m2
 
 
+def _draws(model: OutcomeModel, shape: tuple[int, int], rng: np.random.Generator):
+    """(zq, e0, e1) of the given (n, T) shape; draw order: Q normals, eps0, outcome error."""
+    zq = rng.standard_normal(shape)
+    e0 = rng.standard_normal(shape)
+    e1 = sample_st(model.st, shape[0] * shape[1], rng).reshape(shape)
+    return zq, e0, e1
+
+
 def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
-    """One batch of cluster outcomes; draw order: Q normals, eps0, outcome error."""
-    n, t_dim = mu2d.shape
-    zq = rng.standard_normal((n, t_dim))
-    e0 = rng.standard_normal((n, t_dim))
-    e1 = sample_st(model.st, n * t_dim, rng).reshape(n, t_dim)
+    """One batch of cluster outcomes for the (n, T) means ``mu2d``."""
     mp = model.mp
     return ybar_and_count(
-        zq, e0, e1, model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff
+        *_draws(model, mu2d.shape, rng),
+        model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff,
     )
 
 
-def _chunk_moments(model: OutcomeModel, mu_vec: np.ndarray, seed: int, path_id: int, chunk: int, size: int):
-    mu2d = np.tile(mu_vec, (size, 1))
-    rng = substream(seed, MOMENTS, path_id, chunk, 0)
-    ybar, n_avail = _simulate_ybar(model, mu2d, rng)
+def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
+    """(n, T+1) rows ``[w, r]`` and the available counts k; rows with k = 0 are NaN."""
+    mp = model.mp
+    avail, resid = _mask_and_residual(
+        *_draws(model, (n, model.sigma.dim), rng),
+        model.sigma.chol, mp.intercept, mp.loading, mp.sigma0, mp.cutoff,
+    )
+    k = avail.sum(axis=1)
+    z = np.empty((n, avail.shape[1] + 1))
+    z[:, :-1] = avail
+    np.sum(resid, axis=1, where=avail, out=z[:, -1])
+    with np.errstate(invalid="ignore"):
+        z /= k[:, None]
+    return z, k
+
+
+def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
+    rng = substream(seed, MOMENTS, chunk, 0)
+    z, n_avail = _simulate_z(model, size, rng)
     n_redrawn = 0
     bad = np.flatnonzero(n_avail == 0)
     round_no = 1
@@ -99,43 +146,39 @@ def _chunk_moments(model: OutcomeModel, mu_vec: np.ndarray, seed: int, path_id: 
                 f"{n_redrawn} all-missing redraws in a {size}-replicate chunk; "
                 "the missingness model implies near-total loss"
             )
-        rng = substream(seed, MOMENTS, path_id, chunk, round_no)
-        yb, na = _simulate_ybar(model, mu2d[: bad.size], rng)
-        ybar[bad] = yb
+        rng = substream(seed, MOMENTS, chunk, round_no)
+        zb, na = _simulate_z(model, bad.size, rng)
+        z[bad] = zb
         n_avail[bad] = na
         bad = bad[na == 0]
         round_no += 1
-    mean = float(np.mean(ybar))
-    m2 = float(np.sum((ybar - mean) ** 2))
-    return size, mean, m2, n_redrawn
+    mean = z.mean(axis=0)
+    z -= mean
+    return size, mean, z.T @ z, n_redrawn
 
 
 def estimate_path_moments(
-    path_mu: np.ndarray,
     model: OutcomeModel,
     num: int,
     seed: int,
-    path_id: int = 0,
     workers: int = 1,
-) -> PathMoments:
-    """Monte Carlo mean/variance of the cluster mean outcome for one path.
+) -> ModelMoments:
+    """Monte Carlo moments from which every path's cluster-mean moments follow.
 
-    ``path_mu`` is the per-sub-unit mean vector; ``num`` the replicate
-    count; results are deterministic given (seed, path_id, num) and do not
-    depend on ``workers``.
+    One pass of ``num`` replicates serves all paths of the outcome model:
+    ``estimate_path_moments(model, num, seed).for_path(mu)`` gives a path's
+    mean and variance.  Results are deterministic given (seed, num) and do
+    not depend on ``workers``.
     """
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
     if num < 10_000:
         warnings.warn(f"num={num} is small; moment estimates will be noisy", stacklevel=2)
-    mu_vec = np.asarray(path_mu, dtype=float)
-    if mu_vec.shape != (model.sigma.dim,):
-        raise ValueError(f"path mean has shape {mu_vec.shape}, expected ({model.sigma.dim},)")
     chunks = [(idx, min(CHUNK, num - start)) for idx, start in enumerate(range(0, num, CHUNK))]
 
     def run(args):
         idx, size = args
-        return idx, _chunk_moments(model, mu_vec, seed, path_id, idx, size)
+        return idx, _chunk_moments(model, seed, idx, size)
 
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -153,16 +196,7 @@ def estimate_path_moments(
             f"{redrawn}/{num} replicates had every sub-unit missing; "
             "the missingness model implies near-total loss"
         )
-    sigma2 = m2 / (n_tot - 1) if n_tot > 1 else 0.0
-    return PathMoments(path_id, mean, sigma2, n_tot, redrawn)
-
-
-def welford_reference(values: np.ndarray) -> tuple[float, float]:
-    """Two-pass mean/sample-variance, used as the accumulation oracle."""
-    v = np.asarray(values, dtype=float)
-    mean = float(v.mean())
-    var = float(np.sum((v - mean) ** 2) / (v.size - 1))
-    return mean, var
+    return ModelMoments(n_tot, mean, m2, redrawn)
 
 
 # ---------------------------------------------------------------------------

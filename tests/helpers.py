@@ -1,4 +1,4 @@
-"""Shared test utilities: moment estimators with jackknife SEs and a normality test."""
+"""Shared test utilities: reference estimators and kernels, jackknife SEs and a normality test."""
 
 from __future__ import annotations
 
@@ -7,6 +7,36 @@ import math
 import numpy as np
 
 STATS = ("mean", "var", "skew", "kurt")
+
+
+def welford_reference(values: np.ndarray):
+    """Two-pass mean and sample (co)variance of the rows of ``values``; the accumulation oracle."""
+    v = np.asarray(values, dtype=float)
+    mean = v.mean(axis=0)
+    d = v - mean
+    return mean, d.T @ d / (v.shape[0] - 1)
+
+
+def ybar_loop_reference(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
+    """Column-at-a-time cluster kernel, the oracle for ``_backend.ybar_and_count``.
+
+    Forms q one sub-unit at a time with sequential sums, the arithmetic of
+    the per-cluster loop kernel the package used to ship.
+    """
+    n, t_dim = zq.shape
+    total = np.zeros(n)
+    n_avail = np.zeros(n, dtype=np.int64)
+    for t in range(t_dim):
+        q = zq[:, 0] * chol[t, 0]
+        for j in range(1, t + 1):
+            q = q + zq[:, j] * chol[t, j]
+        avail = (a0 + b0 * q + sigma0 * e0[:, t]) <= cutoff
+        total[avail] = total[avail] + (mu[avail, t] + q[avail] + e1[avail, t])
+        n_avail += avail
+    ybar = np.full(n, np.nan)
+    ok = n_avail > 0
+    ybar[ok] = total[ok] / n_avail[ok]
+    return ybar, n_avail
 
 
 def sample_moments(x: np.ndarray) -> dict[str, float]:

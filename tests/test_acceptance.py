@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a "criterion N" PASS/FAIL line (run with ``pytest -v -s``
-to see them).  Heavy Monte Carlo inputs (per-path moments at 1e6
-replicates) are computed once per session and shared across criteria.
+to see them).  Heavy Monte Carlo inputs (one moments pass per outcome
+model at 1e6 replicates) are computed once per session and shared across
+criteria.
 
 Criterion 1c checks the worked example's standardized effect against
 the README definition, Del_std = Del / sqrt(sig.e.sq / 2), and against the
@@ -80,17 +81,13 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def moment_cache():
-    """Path moments at NUM replicates, keyed (lam, nu, path_id, mu_const)."""
+    """Moments passes at NUM replicates, one per outcome model, keyed (lam, nu)."""
     cache = {}
 
-    def get(lam, nu, path_id, mu_const, n_units=28):
-        key = (lam, nu, path_id, mu_const)
-        if key not in cache:
-            model = make_model(lam=lam, nu=nu)
-            cache[key] = estimate_path_moments(
-                np.full(n_units, mu_const), model, NUM, SEED, path_id=path_id, workers=1
-            )
-        return cache[key]
+    def get(lam, nu):
+        if (lam, nu) not in cache:
+            cache[lam, nu] = estimate_path_moments(make_model(lam=lam, nu=nu), NUM, SEED, workers=1)
+        return cache[lam, nu]
 
     return get
 
@@ -99,12 +96,8 @@ def row_outputs(row, moment_cache):
     _, mu_by_path, regimes, gamma1, lam, nu, *_ = row
     design = make_design(mu_by_path, gamma1=gamma1)
     model = make_model(lam=lam, nu=nu)
-    pm = {}
-    for pid in needed_paths(design, regimes):
-        mu_const = float(design.paths[pid].mu[0])
-        pm[pid] = moment_cache(lam, nu, pid, mu_const)
     result, eff = compute_sample_size(
-        design, model, regimes, num=NUM, seed=SEED, path_moments=pm
+        design, model, regimes, num=NUM, seed=SEED, moments=moment_cache(lam, nu)
     )
     return result, eff
 
@@ -291,11 +284,9 @@ def test_criterion_6_algebra_oracle():
         )
 
         # formula side, with SE propagated from the path-moment uncertainty
+        mm = estimate_path_moments(model, NUM, SEED + 60 + k, workers=4)
         pm = {
-            pid: estimate_path_moments(
-                np.asarray(design.paths[pid].mu), model, NUM, SEED + 60 + k,
-                path_id=pid, workers=4,
-            )
+            pid: mm.for_path(design.paths[pid].mu, pid)
             for pid in needed_paths(design, (0, 1, n_nr1))
         }
         r1, r2, r3 = design.regimes[0], design.regimes[1], design.regimes[n_nr1]

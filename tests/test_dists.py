@@ -116,6 +116,20 @@ def test_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_zero_skew_draws_no_z0_block():
+    """At skew 0 the variate is location + scale * Z1 (/ sqrt(V)), Z1 the first block drawn."""
+    n = 1000
+    twin = np.random.default_rng(7)
+    z1 = twin.standard_normal(n)
+    got = sample_st(SkewTParams(1.5, 0.95, 0.0, INF), n, np.random.default_rng(7))
+    assert np.array_equal(got, 1.5 + 0.95 * z1)
+    v = twin.standard_gamma(3.0, n) * (2.0 / 6.0)
+    rng = np.random.default_rng(7)
+    got_t = sample_st(SkewTParams(1.5, 0.95, 0.0, 6.0), n, rng)
+    assert np.array_equal(got_t, 1.5 + 0.95 * z1 / np.sqrt(v))
+    assert rng.random() == twin.random()  # both generators consumed the same draws
+
+
 def test_sampler_rejects_empty():
     with pytest.raises(ValueError):
         sample_st(SkewTParams(), 0, np.random.default_rng(0))

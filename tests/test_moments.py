@@ -14,10 +14,13 @@ from smartp import (
     regime_covariance,
     regime_mean,
     regime_variance,
+    sample_st,
 )
-from smartp._backend import HAVE_NUMBA, active_backend, set_backend
-from smartp.moments import _merge, welford_reference
+from smartp._backend import ybar_and_count
+from smartp.moments import _merge, _simulate_ybar
+from smartp.rngs import MOMENTS, substream
 from conftest import make_model
+from helpers import welford_reference, ybar_loop_reference
 
 INF = math.inf
 
@@ -58,7 +61,7 @@ def test_iid_limit():
         SkewTParams(0.0, 0.95, 0.0, INF),
         MissingnessParams(-30.0, 0.0),
     )
-    pm = estimate_path_moments(np.zeros(28), model, 200_000, seed=3)
+    pm = estimate_path_moments(model, 200_000, seed=3).for_path(np.zeros(28))
     want_var = 0.95**2 / 28
     assert abs(pm.mu) < 3 * pm.se_mu + 1e-9
     se_var = want_var * math.sqrt(2 / (pm.n_samples - 1))
@@ -66,36 +69,75 @@ def test_iid_limit():
     assert pm.n_redrawn == 0
 
 
-def test_determinism_and_worker_independence(normal_model):
-    mu = np.full(28, 2.0)
-    a = estimate_path_moments(mu, normal_model, 150_000, seed=11, path_id=3, workers=1)
-    b = estimate_path_moments(mu, normal_model, 150_000, seed=11, path_id=3, workers=1)
-    c = estimate_path_moments(mu, normal_model, 150_000, seed=11, path_id=3, workers=4)
-    assert (a.mu, a.sigma2, a.n_samples) == (b.mu, b.sigma2, b.n_samples)
-    assert (a.mu, a.sigma2, a.n_samples) == (c.mu, c.sigma2, c.n_samples)
-    d = estimate_path_moments(mu, normal_model, 150_000, seed=12, path_id=3)
-    assert d.mu != a.mu
+def test_determinism_and_worker_independence():
+    """Bit-identical across runs and worker counts, redraw rounds included."""
+    for a0 in (-1.0, 0.5):  # no redraws; redraws in most chunks
+        model = make_model(a0=a0, b0=1.0)
+        a = estimate_path_moments(model, 150_000, seed=11, workers=1)
+        b = estimate_path_moments(model, 150_000, seed=11, workers=1)
+        c = estimate_path_moments(model, 150_000, seed=11, workers=4)
+        for other in (b, c):
+            assert (other.n_samples, other.n_redrawn) == (a.n_samples, a.n_redrawn)
+            assert np.array_equal(other.mean, a.mean)
+            assert np.array_equal(other.m2, a.m2)
+        assert (a.n_redrawn > 0) == (a0 > 0)
+        d = estimate_path_moments(model, 150_000, seed=12)
+        assert not np.array_equal(d.mean, a.mean)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_bit_identical(normal_model):
-    mu = np.full(28, 0.5)
-    current = active_backend()
-    try:
-        set_backend("numba")
-        a = estimate_path_moments(mu, normal_model, 80_000, seed=4)
-        set_backend("numpy")
-        b = estimate_path_moments(mu, normal_model, 80_000, seed=4)
-    finally:
-        set_backend(current)
-    assert a.mu == b.mu
-    assert a.sigma2 == b.sigma2
+def per_path_chunk(model, mu_vec, seed, size):
+    """One moments chunk's draws through the trial kernel with the path's tiled mean."""
+    mu2d = np.tile(mu_vec, (size, 1))
+    ybar, n_avail = _simulate_ybar(model, mu2d, substream(seed, MOMENTS, 0, 0))
+    bad = np.flatnonzero(n_avail == 0)
+    redrawn, round_no = 0, 1
+    while bad.size:
+        redrawn += bad.size
+        yb, na = _simulate_ybar(model, mu2d[: bad.size], substream(seed, MOMENTS, 0, round_no))
+        ybar[bad] = yb
+        n_avail[bad] = na
+        bad = bad[na == 0]
+        round_no += 1
+    return ybar, redrawn
+
+
+def test_crn_moments_match_per_path_kernel():
+    """Each path's quadratic-form moments equal the per-path kernel's on the same draws."""
+    model = make_model(lam=2.0, nu=8.0, a0=0.5, b0=1.0)
+    size, seed = 40_000, 5
+    mm = estimate_path_moments(model, size, seed)
+    assert mm.n_redrawn > 0
+    rng = np.random.default_rng(1)
+    for mu_vec in (np.full(28, 2.0), np.full(28, 5.0), rng.uniform(-1.0, 5.0, 28)):
+        ybar, redrawn = per_path_chunk(model, mu_vec, seed, size)
+        want_mean, want_var = welford_reference(ybar)
+        pm = mm.for_path(mu_vec)
+        assert (pm.n_samples, pm.n_redrawn) == (ybar.size, redrawn)
+        assert pm.mu == pytest.approx(want_mean, rel=1e-12)
+        assert pm.sigma2 == pytest.approx(want_var, rel=1e-12)
+
+
+def test_vectorized_kernel_matches_loop_oracle(normal_model):
+    rng = np.random.default_rng(17)
+    n, t_dim = 4000, 28
+    zq = rng.standard_normal((n, t_dim))
+    e0 = rng.standard_normal((n, t_dim))
+    e1 = sample_st(SkewTParams(0.0, 0.95, 2.0, 8.0), n * t_dim, rng).reshape(n, t_dim)
+    mu = rng.uniform(-1.0, 5.0, (n, t_dim))
+    for a0 in (-1.0, 1.5):  # mostly available; about one cluster in ten all-missing
+        args = (zq, e0, e1, normal_model.sigma.chol, mu, a0, 0.5, 1.0, 0.0)
+        got, n_avail = ybar_and_count(*args)
+        want, want_n = ybar_loop_reference(*args)
+        assert np.array_equal(n_avail, want_n)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-12
+    assert (n_avail == 0).any()
 
 
 def test_dual_implementation_cross_check(normal_model):
     """Informative missingness biases the path mean; two independent samplers agree."""
     mu = np.full(28, 2.0)
-    pm = estimate_path_moments(mu, normal_model, 300_000, seed=21, path_id=1)
+    pm = estimate_path_moments(normal_model, 300_000, seed=21).for_path(mu)
     ref_mean, ref_var, ref_n = reference_path_moments(normal_model, 2.0, 300_000, seed=987)
     joint_se = math.sqrt(pm.sigma2 / pm.n_samples + ref_var / ref_n)
     assert abs(pm.mu - ref_mean) < 4 * joint_se
@@ -105,30 +147,31 @@ def test_dual_implementation_cross_check(normal_model):
 
 def test_welford_merge_matches_two_pass():
     rng = np.random.default_rng(0)
-    x = rng.normal(3.0, 2.0, 1000)
+    x = rng.normal(3.0, 2.0, (1000, 3))
     n, mean, m2 = 0, 0.0, 0.0
     for chunk in np.array_split(x, 7):
-        cm = chunk.mean()
-        n, mean, m2 = _merge(n, mean, m2, chunk.size, cm, float(np.sum((chunk - cm) ** 2)))
-    ref_mean, ref_var = welford_reference(x)
-    assert mean == pytest.approx(ref_mean, rel=1e-12)
-    assert m2 / (n - 1) == pytest.approx(ref_var, rel=1e-10)
+        cm = chunk.mean(axis=0)
+        d = chunk - cm
+        n, mean, m2 = _merge(n, mean, m2, chunk.shape[0], cm, d.T @ d)
+    ref_mean, ref_cov = welford_reference(x)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_allclose(m2 / (n - 1), ref_cov, rtol=1e-10, atol=1e-12)
 
 
 def test_estimate_warns_below_floor(normal_model):
     with pytest.warns(UserWarning, match="small"):
-        estimate_path_moments(np.zeros(28), normal_model, 2_000, seed=1)
+        estimate_path_moments(normal_model, 2_000, seed=1)
 
 
 def test_degenerate_missingness_raises():
     model = make_model(a0=6.0, b0=0.0)  # availability ~ 1e-9 per tooth
     with pytest.raises(DegenerateMissingnessError):
-        estimate_path_moments(np.zeros(28), model, 20_000, seed=1)
+        estimate_path_moments(model, 20_000, seed=1)
 
 
 def test_se_scales_with_num(normal_model):
-    small = estimate_path_moments(np.zeros(28), normal_model, 50_000, seed=8)
-    big = estimate_path_moments(np.zeros(28), normal_model, 200_000, seed=8)
+    small = estimate_path_moments(normal_model, 50_000, seed=8).for_path(np.zeros(28))
+    big = estimate_path_moments(normal_model, 200_000, seed=8).for_path(np.zeros(28))
     assert big.se_mu / small.se_mu == pytest.approx(0.5, abs=0.05)
 
 
