@@ -21,14 +21,8 @@ def active_backend() -> str:
 
 
 def _mask_and_residual(zq, e0, e1, chol, a0, b0, sigma0, cutoff):
-    """(n, T) availability mask and outcome residual ``q + e1``.
-
-    With fewer columns than ``chol`` has, q covers the first T sub-units:
-    the leading block of a lower Cholesky factor is the factor of the
-    leading block of the covariance.
-    """
-    t_dim = zq.shape[1]
-    q = zq @ chol[:t_dim, :t_dim].T
+    """(n, T) availability mask and outcome residual ``q + e1``."""
+    q = zq @ chol.T
     return (a0 + b0 * q + sigma0 * e0) <= cutoff, q + e1
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,7 @@ from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
 from .power import TestSpec, required_n
-from .rngs import POWER
-from .simtrial import mc_power, simulate_trial
+from .simtrial import mc_power
 from .spatial import CarModel, car_covariance, default_car_model, load_edge_list
 
 SCHEMA_VERSION = 1
@@ -311,6 +311,36 @@ def _write_sigma_csv(path: str, sigma: np.ndarray) -> None:
             writer.writerow([repr(float(x)) for x in row])
 
 
+def _trial_writer(fh, design: SmartDesign, n: int):
+    """``mc_power`` chunk callback writing one CSV row per simulated cluster.
+
+    The rows are byte-identical to ``csv.writer`` output with ``repr`` for
+    Ybar.  The ``arm,R,path,`` field of a row is looked up by its
+    (arm, responder, path) code and the ``,i,`` field by cluster number.
+    """
+    fh.write("rep,i,arm,R,path,Ybar,n_teeth\r\n")
+    n_paths = len(design.paths)
+    middles = [
+        f"{a + 1},{r},{p + 1},"
+        for a in range(len(design.arms))
+        for r in (0, 1)
+        for p in range(n_paths)
+    ]
+    clusters = [f",{i}," for i in range(1, n + 1)]
+
+    def write(first_rep: int, ds) -> None:
+        codes = ((2 * ds.arm + ds.responder) * n_paths + ds.path).tolist()
+        ybar, n_units = ds.ybar.tolist(), ds.n_units.tolist()
+        lines, j = [], 0
+        for rep in range(first_rep + 1, first_rep + 1 + ds.n_clusters // n):
+            for i in clusters:
+                lines.append(f"{rep}{i}{middles[codes[j]]}{ybar[j]!r},{n_units[j]}\r\n")
+                j += 1
+        fh.write("".join(lines))
+
+    return write
+
+
 def _print_path_table(design: SmartDesign, out) -> None:
     tables = path_tables(design)
     print("path  p_st1     p_st2     res  ga        initr", file=out)
@@ -411,18 +441,20 @@ def cmd_power(args) -> int:
     eff = compute_effect(design, model, regime_ids, num, seed, workers)
     n = int(args.n) if args.n is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
     test = TestSpec(test_kind_for(design, regime_ids), alpha, beta)
-    est = mc_power(
-        design,
-        model,
-        test,
-        regime_ids,
-        n,
-        eff.sigma_sq,
-        reps=reps,
-        seed=seed,
-        workers=workers,
-        empirical_variance=args.empirical_variance,
-    )
+    with open(args.dump_trials, "w", newline="") if args.dump_trials else nullcontext() as fh:
+        est = mc_power(
+            design,
+            model,
+            test,
+            regime_ids,
+            n,
+            eff.sigma_sq,
+            reps=reps,
+            seed=seed,
+            workers=workers,
+            empirical_variance=args.empirical_variance,
+            on_chunk=_trial_writer(fh, design, n) if fh else None,
+        )
     out = sys.stdout
     print(f"N            {n}", file=out)
     print(f"power        {_fmt(est.power)}", file=out)
@@ -431,24 +463,6 @@ def cmd_power(args) -> int:
     print(f"MCSD         {_fmt(est.mcsd)}", file=out)
     print(f"sigma_sq     {_fmt(eff.sigma_sq)}", file=out)
 
-    if args.dump_trials:
-        with open(args.dump_trials, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "i", "arm", "R", "path", "Ybar", "n_teeth"])
-            for rep in range(reps):
-                ds = simulate_trial(design, model, n, seed, _key=(POWER, rep))
-                for i in range(ds.n_clusters):
-                    writer.writerow(
-                        [
-                            rep + 1,
-                            i + 1,
-                            int(ds.arm[i]) + 1,
-                            int(ds.responder[i]),
-                            int(ds.path[i]) + 1,
-                            repr(float(ds.ybar[i])),
-                            int(ds.n_units[i]),
-                        ]
-                    )
     if args.json:
         _write_json(
             args.json,

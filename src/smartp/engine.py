@@ -23,6 +23,7 @@ from .moments import (
     regime_pair_is_shared,
     regime_pieces,
     regime_variance,
+    require_same_units,
 )
 from .power import SampleSizeResult, TestKind, required_n
 
@@ -89,6 +90,7 @@ def compute_effect(
     without it the model is simulated once at (num, seed).
     """
     require_valid(design)
+    require_same_units(design, model)
     if len(regime_ids) not in (1, 2):
         raise ValueError("regime list must have one or two entries")
     if len(regime_ids) == 2 and regime_ids[0] == regime_ids[1]:

@@ -91,6 +91,15 @@ class ModelMoments:
         return PathMoments(path, float(a @ self.mean), sigma2, self.n_samples, self.n_redrawn)
 
 
+def require_same_units(design: SmartDesign, model: OutcomeModel) -> None:
+    """Raise ValueError unless the design and the outcome model count the same sub-units."""
+    if design.n_units != model.sigma.dim:
+        raise ValueError(
+            f"the design has {design.n_units} sub-units per cluster "
+            f"but the outcome model has {model.sigma.dim}"
+        )
+
+
 def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     """Chan/Welford merge of (count, mean vector, centred scatter matrix)."""
     n = n_a + n_b

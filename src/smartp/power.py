@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .missing import normal_cdf, normal_quantile
 
 
@@ -76,12 +78,13 @@ def analytic_power(delta: float, sigma_sq: float, n: int, alpha: float) -> float
     return normal_cdf(abs(delta) * math.sqrt(n / (2.0 * sigma_sq)) - z_a)
 
 
-def wald_z(delta_hat: float, sigma_sq: float, n: int) -> float:
-    """Z = delta_hat / sqrt(2 sigma^2 / N)."""
-    if not sigma_sq > 0.0:
-        raise ValueError(f"sigma^2 must be > 0, got {sigma_sq}")
-    return delta_hat / math.sqrt(2.0 * sigma_sq / n)
+def wald_z(delta_hat, sigma_sq, n: int):
+    """Z = delta_hat / sqrt(2 sigma^2 / N), elementwise over arrays of estimates and variances."""
+    if not np.all(np.greater(sigma_sq, 0.0)):
+        raise ValueError(f"sigma^2 must be > 0, got {np.min(sigma_sq)}")
+    return delta_hat / np.sqrt(2.0 * sigma_sq / n)
 
 
-def reject(z: float, alpha: float) -> bool:
-    return abs(z) > normal_quantile(1.0 - alpha / 2.0)
+def reject(z, alpha: float):
+    """Two-sided rejection at level alpha, elementwise over arrays."""
+    return np.abs(z) > normal_quantile(1.0 - alpha / 2.0)

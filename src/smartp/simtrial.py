@@ -6,17 +6,23 @@ observed response status), and then the sub-unit outcomes/missingness with
 the path's mean vector.  Clusters whose sub-units are all missing are
 redrawn at that level.
 
-Monte Carlo power replays the trial ``reps`` times; each replicate lives
-on its own RNG substream keyed by (seed, domain, replicate), so results do
-not depend on the worker count.  The Wald statistic uses the design-stage
-closed-form variance by default; ``empirical_variance=True`` switches to
-the per-dataset plug-in variant.
+A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
+on the regime's two paths and 0 elsewhere, so weights are per-path tables
+indexed by each cluster's path.
+
+Monte Carlo power simulates the ``reps`` trials in fixed chunks of whole
+reps (about ``TRIAL_ROWS`` clusters each); each chunk lives on its own RNG
+substream keyed by (seed, TRIAL, POWER, chunk), so results do not depend
+on the worker count.  The Wald statistic uses the design-stage closed-form
+variance by default; ``empirical_variance=True`` switches to the
+per-dataset plug-in variant.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,11 +30,15 @@ import numpy as np
 
 from .design import Regime, SmartDesign, stage1_probs, stage2_prob
 from .errors import DegenerateMissingnessError
-from .moments import MAX_REDRAW_FRACTION, OutcomeModel, _simulate_ybar
+from .moments import MAX_REDRAW_FRACTION, OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
 from .rngs import POWER, TRIAL, substream
 
 MAX_REDRAW_ROUNDS = 64
+
+#: cluster rows per power chunk, rounded down to whole reps (at least one);
+#: fixed, not tunable: results must not depend on it at runtime
+TRIAL_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -59,40 +69,40 @@ class PowerEstimate:
         return math.sqrt(self.power * (1.0 - self.power) / self.reps)
 
 
-def simulate_trial(
-    design: SmartDesign,
-    model: OutcomeModel,
-    n_clusters: int,
-    seed: int,
-    _key: tuple[int, ...] = (),
-) -> TrialDataset:
-    """Simulate one trial of ``n_clusters`` clusters.
+def _pick_paths(
+    design: SmartDesign, arm: np.ndarray, responder: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Stage-2 path per cluster: option ``min(int(u * len), len - 1)`` of its (arm, responder) list.
 
-    Draw order per trial: arm uniforms, response uniforms, stage-2
-    uniforms, then the sub-unit blocks (redraw rounds append).
+    Each (arm, responder) pair lists its paths in index order; the lists
+    are padded to one table with a per-pair length.
     """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    rng = substream(seed, TRIAL, *_key)
+    opts = [
+        [p.index for p in design.paths if p.arm == a.index and p.responder == resp]
+        for a in design.arms
+        for resp in (False, True)
+    ]
+    width = max(len(o) for o in opts)
+    table = np.array([o + o[-1:] * (width - len(o)) for o in opts])
+    n_opts = np.array([len(o) for o in opts])
+    pair = 2 * arm + responder
+    return table[pair, np.minimum((u * n_opts[pair]).astype(np.int64), n_opts[pair] - 1)]
+
+
+def _simulate_clusters(
+    design: SmartDesign, model: OutcomeModel, n_rows: int, rng: np.random.Generator
+) -> TrialDataset:
+    """Simulate ``n_rows`` independent clusters from one generator.
+
+    Draw order: arm uniforms, response uniforms, stage-2 uniforms, then the
+    sub-unit blocks (redraw rounds append).
+    """
     pi1 = stage1_probs(design)
-    arm = np.searchsorted(np.cumsum(pi1), rng.random(n_clusters), side="right")
+    arm = np.searchsorted(np.cumsum(pi1), rng.random(n_rows), side="right")
     arm = np.minimum(arm, len(design.arms) - 1)
     gammas = np.array([a.response_rate for a in design.arms])
-    responder = rng.random(n_clusters) < gammas[arm]
-
-    resp_paths = [
-        [p.index for p in design.paths if p.arm == a.index and p.responder]
-        for a in design.arms
-    ]
-    nr_paths = [
-        [p.index for p in design.paths if p.arm == a.index and not p.responder]
-        for a in design.arms
-    ]
-    u = rng.random(n_clusters)
-    path = np.empty(n_clusters, dtype=np.int64)
-    for i in range(n_clusters):
-        opts = resp_paths[arm[i]] if responder[i] else nr_paths[arm[i]]
-        path[i] = opts[min(int(u[i] * len(opts)), len(opts) - 1)]
+    responder = rng.random(n_rows) < gammas[arm]
+    path = _pick_paths(design, arm, responder, rng.random(n_rows))
 
     mu_matrix = np.array([p.mu for p in design.paths])
     ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
@@ -104,25 +114,45 @@ def simulate_trial(
         if rounds > MAX_REDRAW_ROUNDS:
             raise DegenerateMissingnessError("cluster redraw did not terminate")
         n_redrawn += bad.size
+        if n_redrawn > MAX_REDRAW_FRACTION * n_rows + 50:
+            raise DegenerateMissingnessError(
+                f"{n_redrawn} all-missing redraws for {n_rows} clusters; "
+                "the missingness model implies near-total loss"
+            )
         yb, na = _simulate_ybar(model, mu_matrix[path[bad]], rng)
         ybar[bad] = yb
         n_avail[bad] = na
         bad = bad[na == 0]
-    if n_redrawn > MAX_REDRAW_FRACTION * n_clusters:
-        raise DegenerateMissingnessError(
-            f"{n_redrawn} redraws for {n_clusters} clusters; missingness is degenerate"
-        )
     return TrialDataset(arm, responder, path, ybar, n_avail, n_redrawn)
+
+
+def simulate_trial(
+    design: SmartDesign,
+    model: OutcomeModel,
+    n_clusters: int,
+    seed: int,
+    _key: tuple[int, ...] = (),
+) -> TrialDataset:
+    """Simulate one trial of ``n_clusters`` clusters on substream (seed, TRIAL, *_key)."""
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    require_same_units(design, model)
+    return _simulate_clusters(design, model, n_clusters, substream(seed, TRIAL, *_key))
+
+
+def ipw_path_weights(design: SmartDesign, regime: Regime) -> np.ndarray:
+    """Per-path IPW weight of one regime: ``1/(pi1 pi2)`` on its two paths, 0 elsewhere."""
+    pi1 = stage1_probs(design)[regime.arm]
+    w = np.zeros(len(design.paths))
+    for p in (regime.responder_path, regime.nonresp_path):
+        w[p] = 1.0 / (pi1 * stage2_prob(design, p))
+    return w
 
 
 def ipw_weights(ds: TrialDataset, design: SmartDesign, regime: Regime) -> np.ndarray:
     """Per-cluster IPW weight for one regime (zero when inconsistent)."""
-    pi1 = stage1_probs(design)
-    target_path = np.where(ds.responder, regime.responder_path, regime.nonresp_path)
-    consistent = (ds.arm == regime.arm) & (ds.path == target_path)
-    pi2_obs = np.array([stage2_prob(design, p) for p in ds.path])
-    w = consistent / (pi1[ds.arm] * pi2_obs)
-    if not consistent.any():
+    w = ipw_path_weights(design, regime)[ds.path]
+    if not w.any():
         warnings.warn(
             f"no cluster is consistent with regime {regime.index + 1}; estimate degenerates to 0",
             stacklevel=2,
@@ -139,13 +169,33 @@ def ipw_estimate(ds: TrialDataset, design: SmartDesign, regime_ids: tuple[int, .
     return est
 
 
-def _empirical_sigma_sq(ds: TrialDataset, design: SmartDesign, regime_ids: tuple[int, ...]) -> float:
-    """Per-dataset estimate of sigma^2 = N Var(delta_hat) / 2 from the weighted contrasts."""
-    contrast = np.zeros(ds.n_clusters)
-    for sign, rid in zip((1.0, -1.0), regime_ids):
-        w = ipw_weights(ds, design, design.regimes[rid])
-        contrast += sign * w * ds.ybar
-    return float(np.var(contrast, ddof=1)) / 2.0
+def _contrast_weights(design: SmartDesign, regime_ids: tuple[int, ...]) -> np.ndarray:
+    """Per-path weight of the estimated regime mean (one id) or difference (two ids)."""
+    return sum(
+        sign * ipw_path_weights(design, design.regimes[rid])
+        for sign, rid in zip((1.0, -1.0), regime_ids)
+    )
+
+
+def _power_chunk(
+    design: SmartDesign,
+    model: OutcomeModel,
+    contrast: np.ndarray,
+    n_clusters: int,
+    reps: int,
+    seed: int,
+    chunk: int,
+    empirical_variance: bool,
+) -> tuple[TrialDataset, np.ndarray, np.ndarray | None]:
+    """Simulate ``reps`` trials as one block: (trials, per-rep estimate, per-rep plug-in sigma^2).
+
+    The plug-in sigma^2, half the per-rep variance of the weighted
+    contrasts, is computed only for ``empirical_variance``.
+    """
+    rng = substream(seed, TRIAL, POWER, chunk)
+    ds = _simulate_clusters(design, model, reps * n_clusters, rng)
+    x = (contrast[ds.path] * ds.ybar).reshape(reps, n_clusters)
+    return ds, x.mean(axis=1), x.var(axis=1, ddof=1) / 2.0 if empirical_variance else None
 
 
 def mc_power(
@@ -159,31 +209,50 @@ def mc_power(
     seed: int = 0,
     workers: int = 1,
     empirical_variance: bool = False,
+    on_chunk: Callable[[int, TrialDataset], None] | None = None,
 ) -> PowerEstimate:
     """Monte Carlo power of the Wald test at the given N.
 
     ``sigma_sq`` is the design-stage closed-form variance (N x Var / 2)
     used in the test statistic unless ``empirical_variance`` is set.
+    ``on_chunk(first_rep, ds)`` receives each chunk's trials in rep order;
+    ``ds`` holds whole reps of ``n_clusters`` rows each, starting at rep
+    ``first_rep`` (0-based).
     """
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    require_same_units(design, model)
     if reps < 100:
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)
+    contrast = _contrast_weights(design, regime_ids)
+    per_chunk = max(1, TRIAL_ROWS // n_clusters)
+    starts = range(0, reps, per_chunk)
 
-    def one_rep(rep: int) -> tuple[float, bool]:
-        ds = simulate_trial(design, model, n_clusters, seed, _key=(POWER, rep))
-        d_hat = ipw_estimate(ds, design, regime_ids)
-        s_sq = _empirical_sigma_sq(ds, design, regime_ids) if empirical_variance else sigma_sq
-        z = wald_z(d_hat, s_sq, n_clusters)
-        return d_hat, reject(z, test.alpha)
+    def run(chunk: int):
+        size = min(per_chunk, reps - starts[chunk])
+        return _power_chunk(
+            design, model, contrast, n_clusters, size, seed, chunk, empirical_variance
+        )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-    else:
-        results = [one_rep(r) for r in range(reps)]
-    deltas = np.array([d for d, _ in results])
-    rejected = np.array([r for _, r in results])
+    deltas, s_sqs, n_redrawn = [], [], 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # chunks reach on_chunk in rep order while the pool simulates later ones
+        chunks = range(len(starts))
+        results = pool.map(run, chunks) if workers > 1 else map(run, chunks)
+        for first_rep, (ds, d_hat, s_sq) in zip(starts, results):
+            if on_chunk is not None:
+                on_chunk(first_rep, ds)
+            deltas.append(d_hat)
+            s_sqs.append(s_sq)
+            n_redrawn += ds.n_redrawn
+    if n_redrawn > MAX_REDRAW_FRACTION * reps * n_clusters:
+        raise DegenerateMissingnessError(
+            f"{n_redrawn} redraws for {reps} x {n_clusters} clusters; missingness is degenerate"
+        )
+    deltas = np.concatenate(deltas)
+    z = wald_z(deltas, np.concatenate(s_sqs) if empirical_variance else sigma_sq, n_clusters)
     return PowerEstimate(
-        power=float(np.mean(rejected)),
+        power=float(np.mean(reject(z, test.alpha))),
         reps=reps,
         mean_abs_delta=float(np.mean(np.abs(deltas))),
         mcsd=float(np.std(deltas, ddof=1)),

@@ -132,3 +132,72 @@ def anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
     else:
         p = 1.0 - math.exp(-13.436 + 101.14 * a2_star - 223.73 * a2_star**2)
     return float(a2_star), float(min(max(p, 0.0), 1.0))
+
+
+def pick_paths_reference(design, arm, responder, u):
+    """Per-cluster path picker, the oracle for ``simtrial._pick_paths``.
+
+    Option ``min(int(u * len), len - 1)`` of the cluster's (arm, responder)
+    list of paths in index order, one cluster at a time.
+    """
+    resp_paths = [
+        [p.index for p in design.paths if p.arm == a.index and p.responder]
+        for a in design.arms
+    ]
+    nr_paths = [
+        [p.index for p in design.paths if p.arm == a.index and not p.responder]
+        for a in design.arms
+    ]
+    path = np.empty(len(arm), dtype=np.int64)
+    for i in range(len(arm)):
+        opts = resp_paths[arm[i]] if responder[i] else nr_paths[arm[i]]
+        path[i] = opts[min(int(u[i] * len(opts)), len(opts) - 1)]
+    return path
+
+
+def ipw_weights_reference(ds, design, regime):
+    """Per-cluster IPW weight ``consistent / (pi1[arm] * pi2_obs)``, one stage-2 probability per cluster."""
+    from smartp.design import stage1_probs, stage2_prob
+
+    pi1 = stage1_probs(design)
+    target_path = np.where(ds.responder, regime.responder_path, regime.nonresp_path)
+    consistent = (ds.arm == regime.arm) & (ds.path == target_path)
+    pi2_obs = np.array([stage2_prob(design, p) for p in ds.path])
+    return consistent / (pi1[ds.arm] * pi2_obs)
+
+
+def empirical_sigma_sq_reference(ds, design, regime_ids):
+    """Per-dataset sigma^2 = N Var(delta_hat) / 2 from the weighted contrasts of one trial."""
+    contrast = np.zeros(ds.n_clusters)
+    for sign, rid in zip((1.0, -1.0), regime_ids):
+        contrast += sign * ipw_weights_reference(ds, design, design.regimes[rid]) * ds.ybar
+    return float(np.var(contrast, ddof=1)) / 2.0
+
+
+def simulate_trial_reference(design, model, n_clusters, seed, key=()):
+    """One trial drawn cluster by cluster in the path step, the oracle for ``simulate_trial``.
+
+    Same substream and draw order: arm, response and stage-2 uniforms,
+    then the sub-unit blocks, redraw rounds appended.
+    """
+    from smartp.design import stage1_probs
+    from smartp.moments import _simulate_ybar
+    from smartp.rngs import TRIAL, substream
+
+    rng = substream(seed, TRIAL, *key)
+    arm = np.searchsorted(np.cumsum(stage1_probs(design)), rng.random(n_clusters), side="right")
+    arm = np.minimum(arm, len(design.arms) - 1)
+    gammas = np.array([a.response_rate for a in design.arms])
+    responder = rng.random(n_clusters) < gammas[arm]
+    path = pick_paths_reference(design, arm, responder, rng.random(n_clusters))
+    mu_matrix = np.array([p.mu for p in design.paths])
+    ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
+    bad = np.flatnonzero(n_avail == 0)
+    n_redrawn = 0
+    while bad.size:
+        n_redrawn += bad.size
+        yb, na = _simulate_ybar(model, mu_matrix[path[bad]], rng)
+        ybar[bad] = yb
+        n_avail[bad] = na
+        bad = bad[na == 0]
+    return arm, responder, path, ybar, n_avail, n_redrawn

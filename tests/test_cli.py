@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from smartp import car_covariance, default_car_model
+from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
+from smartp.simtrial import TrialDataset
 
 BASE_ARGS = [sys.executable, "-m", "smartp.cli"]
 WORKED = [
@@ -18,13 +19,13 @@ WORKED = [
 ]
 
 
-def run_cli(*args, env_extra=None, check=True):
+def run_cli(*args, env_extra=None, check=True, timeout=None):
     env = dict(os.environ)
     env.pop("SMARTP_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        BASE_ARGS + list(args), capture_output=True, text=True, env=env
+        BASE_ARGS + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stdout}\n{proc.stderr}")
@@ -166,6 +167,62 @@ def test_power_command_and_dump(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["rep", "i", "arm", "R", "path", "Ybar", "n_teeth"]
     assert len(rows) == 1 + 40 * 50
+
+
+def test_dump_reproduces_power_from_the_same_draws(tmp_path):
+    """Per-rep IPW estimates recomputed from the dump give the JSON's mean |delta| and MCSD."""
+    reps, n = 150, 120  # two chunks, the second one short
+    args = [
+        "power", *WORKED, "--num", "20000", "--reps", str(reps), "--n", str(n), "--seed", "13",
+    ]
+    for workers in ("1", "2"):
+        run_cli(*args, "--workers", workers, "--json", str(tmp_path / f"p{workers}.json"),
+                "--dump-trials", str(tmp_path / f"t{workers}.csv"))
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+    assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+    raw = (tmp_path / "t1.csv").read_bytes()
+    assert raw.count(b"\r\n") == 1 + reps * n
+
+    with open(tmp_path / "t1.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cols = np.array([[float(x) for x in row] for row in rows])
+    assert np.array_equal(cols[:, 0], np.repeat(np.arange(1, reps + 1), n))
+    assert np.array_equal(cols[:, 1], np.tile(np.arange(1, n + 1), reps))
+    mu = np.tile(np.array([0, 0.5, 0, 2, 0, 0, 5, 0, 0, 0.0])[:, None], (1, 28))
+    design = periodontitis_default(mu=mu)
+    path_arm_r = np.array([[p.arm + 1, int(p.responder)] for p in design.paths])
+    assert np.array_equal(cols[:, 2:4], path_arm_r[cols[:, 4].astype(int) - 1])
+    deltas = []
+    for r in range(reps):
+        c = cols[r * n:(r + 1) * n]
+        ds = TrialDataset(
+            c[:, 2].astype(int) - 1, c[:, 3].astype(bool), c[:, 4].astype(int) - 1, c[:, 5],
+            c[:, 6].astype(int),
+        )
+        deltas.append(ipw_estimate(ds, design, (0, 4)))
+    result = json.loads((tmp_path / "p1.json").read_text())["result"]
+    assert result["mean_abs_delta"] == pytest.approx(np.mean(np.abs(deltas)), rel=1e-12)
+    assert result["MCSD"] == pytest.approx(np.std(deltas, ddof=1), rel=1e-12)
+
+
+def test_power_small_n_with_a_few_redraws_succeeds():
+    """About 0.09% of clusters are redrawn: a handful per run, more than 1% of one 40-cluster trial."""
+    proc = run_cli(
+        "power", "--regime", "1,3", "--lambda", "10", "--nu", "5", "--p-i", "0.3", "--c-i", "0.4",
+        "--mu-scalar", "0,0.5,0,2,0,0,0,0,0,0", "--num", "65536", "--reps", "2000", "--n", "40",
+        "--seed", "3", check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == ["N", "40"]
+
+
+def test_power_near_total_missingness_exits_3():
+    proc = run_cli(
+        "power", "--regime", "1", "--a0", "6", "--b0", "0", "--num", "20000", "--reps", "200",
+        "--n", "40", "--seed", "3", check=False, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "near-total" in proc.stderr
 
 
 def test_power_reps_seed_reproducible(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,25 @@ from smartp import (
     simulate_trial,
     stage1_probs,
 )
-from smartp.simtrial import TrialDataset, ipw_weights
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smartp import DegenerateMissingnessError, reject, wald_z
+from smartp.simtrial import (
+    TRIAL_ROWS,
+    TrialDataset,
+    _contrast_weights,
+    _pick_paths,
+    _power_chunk,
+    ipw_weights,
+)
 from conftest import make_design, make_model
+from helpers import (
+    empirical_sigma_sq_reference,
+    ipw_weights_reference,
+    pick_paths_reference,
+    simulate_trial_reference,
+)
 
 
 def test_all_responders_when_gamma_one():
@@ -70,7 +88,7 @@ def test_ipw_reduces_to_sample_mean_without_weighting():
     mu = np.full((2, 6), 0.0)
     mu[1] = 1.5
     design = design_from_matrices(mu, [[1, 1, 0.5]], [[1, 1, 2, 1]])
-    model = make_model()
+    model = make_model(n_units=6)
     ds = simulate_trial(design, model, 4000, seed=6)
     assert ipw_estimate(ds, design, (0,)) == pytest.approx(float(ds.ybar.mean()))
 
@@ -116,8 +134,9 @@ def test_mc_power_deterministic_across_workers():
     design = make_design({2: 2.0})
     model = make_model()
     spec = TestSpec(TestKind.SINGLE_REGIME)
+    # 1000 reps of 60 clusters span four chunks
     runs = [
-        mc_power(design, model, spec, (0,), 60, 8.0, reps=200, seed=9, workers=w)
+        mc_power(design, model, spec, (0,), 60, 8.0, reps=1000, seed=9, workers=w)
         for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
@@ -152,3 +171,162 @@ def test_empirical_variance_variant_runs():
         design, model, spec, (0,), 78, 8.0, reps=200, seed=13, empirical_variance=True
     )
     assert 0.0 <= est.power <= 1.0
+
+
+@st.composite
+def designs(draw):
+    """Random valid designs: 1-3 arms, 1-3 responder and 1-4 non-responder options, shuffled path ids."""
+    n_arms = draw(st.integers(1, 3))
+    st1 = [
+        [draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.floats(0.0, 1.0))]
+        for _ in range(n_arms)
+    ]
+    n_paths = sum(r + nr for r, nr, _ in st1)
+    ids = iter(draw(st.permutations(range(1, n_paths + 1))))
+    pairs = []  # (responder path, non-responder path, arm), 1-based
+    for a, (n_r, n_nr, _) in enumerate(st1):
+        resp, nonresp = [next(ids) for _ in range(n_r)], [next(ids) for _ in range(n_nr)]
+        pairs += [(r, nr, a + 1) for r in resp for nr in nonresp]
+    dtr = [[i + 1, *pair] for i, pair in enumerate(pairs)]
+    return design_from_matrices(np.zeros((n_paths, 2)), st1, dtr)
+
+
+# u at and next to every option boundary k/m (m <= 4 options), and the largest uniform below 1
+BOUNDARY_U = sorted(
+    {float(x) for m in range(1, 5) for k in range(m + 1)
+     for x in (k / m, np.nextafter(k / m, 0.0), np.nextafter(k / m, 1.0)) if 0.0 <= x < 1.0}
+    | {1.0 - 2.0**-53}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_vectorized_path_picker_matches_per_cluster_loop(data):
+    design = data.draw(designs())
+    n = data.draw(st.integers(1, 60))
+    arm = np.array(data.draw(st.lists(st.integers(0, len(design.arms) - 1), min_size=n, max_size=n)))
+    responder = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    u_value = st.sampled_from(BOUNDARY_U) | st.floats(0.0, 1.0, exclude_max=True)
+    u = np.array(data.draw(st.lists(u_value, min_size=n, max_size=n)))
+    got = _pick_paths(design, arm, responder, u)
+    assert np.array_equal(got, pick_paths_reference(design, arm, responder, u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_per_path_ipw_table_matches_per_cluster_formula(data):
+    design = data.draw(designs())
+    n = data.draw(st.integers(1, 60))
+    path = np.array(data.draw(st.lists(st.integers(0, len(design.paths) - 1), min_size=n, max_size=n)))
+    ds = TrialDataset(
+        arm=np.array([design.paths[p].arm for p in path]),
+        responder=np.array([design.paths[p].responder for p in path]),
+        path=path,
+        ybar=np.ones(n),
+        n_units=np.ones(n, dtype=np.int64),
+    )
+    for regime in design.regimes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = ipw_weights(ds, design, regime)
+        assert np.array_equal(got, ipw_weights_reference(ds, design, regime))
+
+
+def test_simulate_trial_matches_per_cluster_reference():
+    """Same substream, same draws: the batched simulator reproduces the per-cluster one bit for bit."""
+    design = make_design({2: 0.5, 4: 2.0, 7: 5.0})
+    for model, n, seed, key in (
+        (make_model(), 197, 5, ()),
+        (make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9), 3000, 7, (103, 4)),  # with redraws
+    ):
+        ds = simulate_trial(design, model, n, seed, _key=key)
+        arm, responder, path, ybar, n_avail, n_redrawn = simulate_trial_reference(
+            design, model, n, seed, key
+        )
+        assert np.array_equal(ds.arm, arm) and np.array_equal(ds.responder, responder)
+        assert np.array_equal(ds.path, path) and np.array_equal(ds.n_units, n_avail)
+        assert np.array_equal(ds.ybar, ybar) and ds.n_redrawn == n_redrawn
+    assert n_redrawn > 0
+
+
+@pytest.mark.parametrize("empirical", [False, True], ids=["design-var", "empirical-var"])
+@pytest.mark.parametrize("regime_ids", [(0,), (0, 2), (0, 4)], ids=["single", "shared", "distinct"])
+def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
+    """One chunk: per-rep IPW estimate, plug-in variance and Wald decision against the per-rep code."""
+    design = make_design({2: 0.5, 4: 2.0, 7: 1.0})
+    model = make_model(lam=2.0, nu=8.0, a0=0.0, b0=0.7)
+    n, sigma_sq, alpha = 60, 20.0, 0.05
+    reps = TRIAL_ROWS // n
+    contrast = _contrast_weights(design, regime_ids)
+    ds, d_hat, s_sq = _power_chunk(design, model, contrast, n, reps, 21, 0, empirical)
+    assert ds.n_clusters == reps * n and d_hat.shape == (reps,)
+    assert (s_sq is not None) == empirical
+    trials = [
+        TrialDataset(ds.arm[sl], ds.responder[sl], ds.path[sl], ds.ybar[sl], ds.n_units[sl])
+        for sl in (slice(r * n, (r + 1) * n) for r in range(reps))
+    ]
+    old_d = [ipw_estimate(t, design, regime_ids) for t in trials]
+    old_s = [empirical_sigma_sq_reference(t, design, regime_ids) if empirical else sigma_sq for t in trials]
+    old_reject = [bool(reject(wald_z(d, s, n), alpha)) for d, s in zip(old_d, old_s)]
+    np.testing.assert_allclose(d_hat, old_d, rtol=0, atol=1e-12)
+    if empirical:
+        np.testing.assert_allclose(s_sq, old_s, rtol=1e-12)
+    new_reject = reject(wald_z(d_hat, s_sq if empirical else sigma_sq, n), alpha)
+    assert new_reject.tolist() == old_reject
+    # mc_power over exactly this chunk reports the same draws
+    est = mc_power(
+        design, model, TestSpec(TestKind.SINGLE_REGIME, alpha), regime_ids, n, sigma_sq,
+        reps=reps, seed=21, empirical_variance=empirical,
+    )
+    assert est.power == np.mean(old_reject)
+    assert est.mean_abs_delta == pytest.approx(np.mean(np.abs(old_d)), rel=1e-12)
+    assert est.mcsd == pytest.approx(np.std(old_d, ddof=1), rel=1e-12)
+
+
+def test_mc_power_chunks_and_callback_cover_every_rep():
+    design = make_design({2: 2.0})
+    model = make_model()
+    seen = []
+    reps, n = 250, 100  # 163 reps per chunk: one full chunk and one short one
+
+    def record(first_rep, ds):
+        seen.append((first_rep, ds.n_clusters))
+
+    mc_power(design, model, TestSpec(TestKind.SINGLE_REGIME), (0,), n, 8.0,
+             reps=reps, seed=4, workers=2, on_chunk=record)
+    per_chunk = TRIAL_ROWS // n
+    assert seen == [(0, per_chunk * n), (per_chunk, (reps - per_chunk) * n)]
+
+
+def test_unit_count_mismatch_raises_everywhere():
+    design = make_design({}, n_units=6)
+    model = make_model()  # 28 sub-units
+    spec = TestSpec(TestKind.SINGLE_REGIME)
+    for call in (
+        lambda: simulate_trial(design, model, 10, seed=1),
+        lambda: mc_power(design, model, spec, (0,), 10, 1.0, reps=100, seed=1),
+        lambda: compute_effect(design, model, (0,), num=20_000, seed=1),
+    ):
+        with pytest.raises(ValueError, match=r"6 sub-units.*28"):
+            call()
+
+
+def test_few_redraws_at_small_n_are_accepted():
+    """One all-missing redraw among 40 clusters is not degenerate missingness."""
+    design = make_design({2: 0.5, 4: 2.0})
+    model = make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9)  # about 0.1% of clusters redrawn
+    est = mc_power(design, model, TestSpec(TestKind.SHARED_PAIR), (0, 2), 40, 20.0, reps=400, seed=3)
+    assert 0.0 <= est.power <= 1.0
+    ds = simulate_trial(design, model, 40, seed=3, _key=(12,))
+    assert ds.n_redrawn >= 1  # above the old 1%-of-clusters limit (0.4 here)
+
+
+@pytest.mark.parametrize("runner", ["simulate_trial", "mc_power"])
+def test_near_total_missingness_raises(runner):
+    design = make_design({})
+    model = make_model(a0=6.0, b0=0.0)  # P(available) = Phi(-6) per sub-unit
+    with pytest.raises(DegenerateMissingnessError, match="near-total"):
+        if runner == "simulate_trial":
+            simulate_trial(design, model, 40, seed=1)
+        else:
+            mc_power(design, model, TestSpec(TestKind.SINGLE_REGIME), (0,), 40, 1.0, reps=200, seed=1)
