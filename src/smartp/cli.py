@@ -120,14 +120,6 @@ def _merge_scalar(args, cfg_block: dict, name: str, flag_value, default):
 
 
 def _resolve_mu(args, design_cfg: dict, n_paths: int, n_units: int) -> np.ndarray:
-    sources = [
-        args.mu_csv is not None,
-        args.mu_scalar is not None,
-        "mu" in design_cfg,
-        "mu_scalar_per_path" in design_cfg,
-    ]
-    if sum(sources) > 1 and not (args.mu_csv or args.mu_scalar):
-        raise ConfigError("give the path means once: mu matrix or mu_scalar_per_path")
     if args.mu_csv is not None:
         with open(args.mu_csv, newline="") as fh:
             rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
@@ -135,6 +127,8 @@ def _resolve_mu(args, design_cfg: dict, n_paths: int, n_units: int) -> np.ndarra
     elif args.mu_scalar is not None:
         scalars = [float(x) for x in args.mu_scalar.split(",")]
         mu = np.tile(np.array(scalars)[:, None], (1, n_units))
+    elif "mu" in design_cfg and "mu_scalar_per_path" in design_cfg:
+        raise ConfigError("give the path means once: mu matrix or mu_scalar_per_path")
     elif "mu" in design_cfg:
         mu = np.array(design_cfg["mu"], dtype=float)
     elif "mu_scalar_per_path" in design_cfg:
@@ -256,14 +250,20 @@ def _build_model(args, cfg: dict, n_units: int) -> tuple[OutcomeModel, dict]:
     return model, resolved
 
 
-def _regime_ids(args, cfg: dict) -> tuple[int, ...]:
+def _regime_ids(args, cfg: dict, design: SmartDesign) -> tuple[int, ...]:
     test_cfg = cfg.get("test", {})
     raw = args.regime if args.regime is not None else test_cfg.get("regime", [1])
     if isinstance(raw, str):
-        raw = [int(x) for x in raw.split(",")]
-    ids = tuple(int(x) - 1 for x in raw)
-    if len(ids) not in (1, 2):
-        raise ConfigError("regime must list one or two regime numbers")
+        raw = raw.split(",")
+    n_regimes = len(design.regimes)
+    try:
+        ids = tuple(int(x) - 1 for x in raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"regime must list one or two regime numbers, got {raw!r}") from exc
+    if len(ids) not in (1, 2) or not all(0 <= i < n_regimes for i in ids):
+        raise ConfigError(f"regime must list one or two regime numbers in 1..{n_regimes}")
+    if len(ids) == 2 and ids[0] == ids[1]:
+        raise ConfigError("cannot compare a regime against itself")
     return ids
 
 
@@ -295,13 +295,20 @@ def _mc_params(args, cfg: dict) -> tuple[int, int, int, int]:
     seed_default = int(seed_env) if seed_env is not None else 0
     seed = int(_merge_scalar(args, mc_cfg, "seed", args.seed, seed_default))
     workers = int(_merge_scalar(args, mc_cfg, "workers", args.workers, DEFAULTS["workers"]))
-    if num < 1 or reps < 1 or workers < 1:
-        raise ConfigError("num, reps and workers must be positive")
+    if min(num, reps, workers) < 1 or (args.n is not None and args.n < 1):
+        raise ConfigError("num, reps, workers and n must be positive")
     return num, reps, seed, workers
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
+def _report(args, command: str, inputs: dict, result: dict) -> None:
+    """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to --json."""
+    scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
+    width = max(map(len, scalars)) + 1
+    for key, value in scalars.items():
+        print(f"{key:<{width}} {_fmt(value)}")
+    if args.json:
+        payload = {"schema": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result}
+        Path(args.json).write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _write_sigma_csv(path: str, sigma: np.ndarray) -> None:
@@ -341,10 +348,9 @@ def _trial_writer(fh, design: SmartDesign, n: int):
     return write
 
 
-def _print_path_table(design: SmartDesign, out) -> None:
-    tables = path_tables(design)
+def _print_path_table(tables: dict[str, np.ndarray], out) -> None:
     print("path  p_st1     p_st2     res  ga        initr", file=out)
-    for i in range(len(design.paths)):
+    for i in range(len(tables["res"])):
         print(
             f"{i + 1:>4}  {tables['p_st1'][i]:<8.6g}  {tables['p_st2'][i]:<8.6g}  "
             f"{tables['res'][i]:<3}  {tables['ga'][i]:<8.6g}  {tables['initr'][i]}",
@@ -357,74 +363,42 @@ def cmd_samplesize(args) -> int:
     design = _build_design(args, cfg)
     alpha, beta = _alpha_beta(args, cfg)
     num, _, seed, workers = _mc_params(args, cfg)
-    out = sys.stdout
 
     if args.delta_std is not None:
-        n = required_n(float(args.delta_std), 1.0, alpha, beta)
-        print(f"N        {n}", file=out)
-        print(f"Del_std  {_fmt(float(args.delta_std))}", file=out)
-        if args.json:
-            _write_json(
-                args.json,
-                {
-                    "schema": SCHEMA_VERSION,
-                    "command": "samplesize",
-                    "inputs": {"delta_std": float(args.delta_std), "alpha": alpha, "beta": beta},
-                    "result": {"N": n},
-                },
-            )
+        delta_std = float(args.delta_std)
+        inputs = {"delta_std": delta_std, "alpha": alpha, "beta": beta}
+        _report(args, "samplesize", inputs, {"N": required_n(delta_std, 1.0, alpha, beta),
+                                             "Del_std": delta_std})
         return 0
 
     model, resolved = _build_model(args, cfg, design.n_units)
-    regime_ids = _regime_ids(args, cfg)
-    result, eff = compute_sample_size(
+    regime_ids = _regime_ids(args, cfg, design)
+    size, eff = compute_sample_size(
         design, model, regime_ids, alpha, beta, num=num, seed=seed, workers=workers
     )
-    rows = [
-        ("N", result.n),
-        ("Del", result.delta),
-        ("Del_std", result.delta_std),
-        ("ybard1", result.ybard1),
-        ("ybard2", result.ybard2),
-        ("sig.d1.sq", result.sig_d1_sq),
-        ("sig.d2.sq", result.sig_d2_sq),
-        ("sig.d1d2", result.sig_d1d2),
-        ("sig.e.sq", result.sig_e_sq),
-    ]
-    for k, v in rows:
-        print(f"{k:<10} {_fmt(v)}", file=out)
-    _print_path_table(design, out)
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "samplesize",
-        "inputs": {
-            "model": resolved,
-            "regime": [i + 1 for i in regime_ids],
-            "alpha": alpha,
-            "beta": beta,
-            "num": num,
-            "seed": seed,
-        },
-        "result": {
-            "N": result.n,
-            "Del": result.delta,
-            "Del_std": result.delta_std,
-            "ybard1": result.ybard1,
-            "ybard2": result.ybard2,
-            "sig.d1.sq": result.sig_d1_sq,
-            "sig.d2.sq": result.sig_d2_sq,
-            "sig.d1d2": result.sig_d1d2,
-            "sig.e.sq": result.sig_e_sq,
-            "p_st1": list(result.p_st1),
-            "p_st2": list(result.p_st2),
-            "res": list(result.res),
-            "ga": list(result.ga),
-            "initr": list(result.initr),
-        },
+    tables = path_tables(design)
+    inputs = {
+        "model": resolved,
+        "regime": [i + 1 for i in regime_ids],
+        "alpha": alpha,
+        "beta": beta,
+        "num": num,
+        "seed": seed,
     }
-    if args.json:
-        _write_json(args.json, payload)
+    result = {
+        "N": size.n,
+        "Del": size.delta,
+        "Del_std": size.delta_std,
+        "ybard1": eff.ybard1,
+        "ybard2": eff.ybard2,
+        "sig.d1.sq": eff.sig_d1_sq,
+        "sig.d2.sq": eff.sig_d2_sq,
+        "sig.d1d2": eff.sig_d1d2,
+        "sig.e.sq": eff.sig_e_sq,
+        **{name: column.tolist() for name, column in tables.items()},
+    }
+    _report(args, "samplesize", inputs, result)
+    _print_path_table(tables, sys.stdout)
     if args.sigma_csv:
         _write_sigma_csv(args.sigma_csv, model.sigma.matrix)
     return 0
@@ -436,7 +410,7 @@ def cmd_power(args) -> int:
     model, resolved = _build_model(args, cfg, design.n_units)
     alpha, beta = _alpha_beta(args, cfg)
     num, reps, seed, workers = _mc_params(args, cfg)
-    regime_ids = _regime_ids(args, cfg)
+    regime_ids = _regime_ids(args, cfg, design)
 
     eff = compute_effect(design, model, regime_ids, num, seed, workers)
     n = int(args.n) if args.n is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
@@ -455,41 +429,26 @@ def cmd_power(args) -> int:
             empirical_variance=args.empirical_variance,
             on_chunk=_trial_writer(fh, design, n) if fh else None,
         )
-    out = sys.stdout
-    print(f"N            {n}", file=out)
-    print(f"power        {_fmt(est.power)}", file=out)
-    print(f"se_power     {_fmt(est.se_power)}", file=out)
-    print(f"mean_abs_del {_fmt(est.mean_abs_delta)}", file=out)
-    print(f"MCSD         {_fmt(est.mcsd)}", file=out)
-    print(f"sigma_sq     {_fmt(eff.sigma_sq)}", file=out)
-
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "power",
-                "inputs": {
-                    "model": resolved,
-                    "regime": [i + 1 for i in regime_ids],
-                    "alpha": alpha,
-                    "beta": beta,
-                    "N": n,
-                    "num": num,
-                    "reps": reps,
-                    "seed": seed,
-                    "empirical_variance": bool(args.empirical_variance),
-                },
-                "result": {
-                    "power": est.power,
-                    "se_power": est.se_power,
-                    "mean_abs_delta": est.mean_abs_delta,
-                    "MCSD": est.mcsd,
-                    "sigma_sq": eff.sigma_sq,
-                    "Del": eff.delta,
-                },
-            },
-        )
+    inputs = {
+        "model": resolved,
+        "regime": [i + 1 for i in regime_ids],
+        "alpha": alpha,
+        "beta": beta,
+        "num": num,
+        "reps": reps,
+        "seed": seed,
+        "empirical_variance": bool(args.empirical_variance),
+    }
+    result = {
+        "N": n,
+        "power": est.power,
+        "se_power": est.se_power,
+        "mean_abs_delta": est.mean_abs_delta,
+        "MCSD": est.mcsd,
+        "sigma_sq": eff.sigma_sq,
+        "Del": eff.delta,
+    }
+    _report(args, "power", inputs, result)
     return 0
 
 
@@ -502,30 +461,14 @@ def cmd_solve_missing(args) -> int:
     cfg.setdefault("model", {}).pop("a0", None)
     cfg["model"].pop("b0", None)
     design_units = int(cfg.get("design", {}).get("n_units", 28))
-    model, resolved = _build_model(args, cfg, design_units)
-    sigma = model.sigma
-    p = prob_available(model.mp, sigma)
-    c = corr_y_m(model.mp, sigma, model.st)
-    out = sys.stdout
-    print(f"a0  {_fmt(model.mp.intercept)}", file=out)
-    print(f"b0  {_fmt(model.mp.loading)}", file=out)
-    print(f"p_i {_fmt(p)}", file=out)
-    print(f"c_i {_fmt(c)}", file=out)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "solve-missing",
-                "inputs": {"p_i": float(args.p_i), "c_i": float(args.c_i)},
-                "result": {
-                    "a0": model.mp.intercept,
-                    "b0": model.mp.loading,
-                    "p_i": p,
-                    "c_i": c,
-                },
-            },
-        )
+    model, _ = _build_model(args, cfg, design_units)
+    result = {
+        "a0": model.mp.intercept,
+        "b0": model.mp.loading,
+        "p_i": prob_available(model.mp, model.sigma),
+        "c_i": corr_y_m(model.mp, model.sigma, model.st),
+    }
+    _report(args, "solve-missing", {"p_i": float(args.p_i), "c_i": float(args.c_i)}, result)
     return 0
 
 
@@ -561,7 +504,7 @@ def cmd_describe_design(args) -> int:
             f"non-responder->path {r.nonresp_path + 1}",
             file=out,
         )
-    _print_path_table(design, out)
+    _print_path_table(path_tables(design), out)
     if issues:
         print("violations:", file=out)
         for v in issues:
@@ -578,8 +521,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pi1-literal", action="store_true", dest="pi1_literal",
                    help="printed-form stage-1 weights (compatibility quirk)")
     p.add_argument("--gamma", help="comma list of per-arm response rates")
-    p.add_argument("--mu-scalar", dest="mu_scalar", help="comma list: one constant mean per path")
-    p.add_argument("--mu-csv", dest="mu_csv", help="CSV of per-path mean vectors (rows=paths)")
+    mu = p.add_mutually_exclusive_group()
+    mu.add_argument("--mu-scalar", dest="mu_scalar", help="comma list: one constant mean per path")
+    mu.add_argument("--mu-csv", dest="mu_csv", help="CSV of per-path mean vectors (rows=paths)")
     p.add_argument("--graph", help="edge-list file overriding the tooth neighborhood")
     adj = p.add_mutually_exclusive_group()
     adj.add_argument("--self-adjacent", dest="self_adjacent", action="store_true", default=None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SmartDesign, path_tables, require_valid
+from .design import SmartDesign, require_valid
 from .moments import (
     ModelMoments,
     OutcomeModel,
@@ -134,22 +134,5 @@ def compute_sample_size(
 ) -> tuple[SampleSizeResult, EffectSummary]:
     eff = compute_effect(design, model, regime_ids, num, seed, workers, moments)
     n = required_n(eff.delta, eff.sigma_sq, alpha, beta)
-    tables = path_tables(design)
-    result = SampleSizeResult(
-        n=n,
-        delta=eff.delta,
-        delta_std=eff.delta_std,
-        ybard1=eff.ybard1,
-        ybard2=eff.ybard2,
-        sig_d1_sq=eff.sig_d1_sq,
-        sig_d2_sq=eff.sig_d2_sq,
-        sig_d1d2=eff.sig_d1d2,
-        sig_e_sq=eff.sig_e_sq,
-        p_st1=tuple(float(x) for x in tables["p_st1"]),
-        p_st2=tuple(float(x) for x in tables["p_st2"]),
-        res=tuple(int(x) for x in tables["res"]),
-        ga=tuple(float(x) for x in tables["ga"]),
-        initr=tuple(int(x) for x in tables["initr"]),
-    )
-    return result, eff
+    return SampleSizeResult(n, eff.delta, eff.delta_std), eff
 

@@ -10,7 +10,7 @@ A sub-unit is missing when ``a0 + b0*Q + eps0 > cutoff`` with
 
 ``solve_missingness`` inverts the pair (p, c) for (a0, b0): c depends on b0
 only and is monotone on b0 >= 0, then p is monotone in a0, so two bracketed
-1-D root finds suffice.
+bisections suffice.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dists import SkewTParams, st_variance
 from .errors import InfeasibleTargetError
@@ -77,6 +76,25 @@ def max_corr(sigma: SpdMatrix, st: SkewTParams) -> float:
     return float(np.mean(np.sqrt(diag / (diag + var1))))
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) and f(hi) have opposite signs.
+
+    Returns the midpoint of a bracket no wider than ``1e-13 + 1e-15 |x|``.
+    """
+    lo_positive = f(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-13 + 1e-15 * abs(mid) or mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def solve_missingness(
     p_target: float,
     c_target: float,
@@ -109,7 +127,7 @@ def solve_missingness(
             hi *= 2.0
         else:
             raise InfeasibleTargetError(f"could not bracket the loading for c={c_target}")
-        b0 = brentq(lambda b: corr_at(b) - c_abs, 0.0, hi, xtol=1e-13, rtol=1e-15)
+        b0 = _bisect(lambda b: corr_at(b) - c_abs, 0.0, hi)
         if c_target < 0:
             b0 = -b0
 
@@ -122,5 +140,5 @@ def solve_missingness(
         if p_at(lo) > p_target > p_at(hi):
             break
         lo, hi = lo * 2 - cutoff, hi * 2 - cutoff
-    a0 = brentq(lambda a: p_at(a) - p_target, lo, hi, xtol=1e-13, rtol=1e-15)
+    a0 = _bisect(lambda a: p_at(a) - p_target, lo, hi)
     return MissingnessParams(a0, b0, sigma0, cutoff)

@@ -42,22 +42,11 @@ class TestSpec:
 
 @dataclass(frozen=True)
 class SampleSizeResult:
-    """Everything the sample-size command reports (variances on the N x Var scale)."""
+    """Required N and the effect it is sized for; the variance components are in ``EffectSummary``."""
 
     n: int
     delta: float  # |effect size|
     delta_std: float  # |effect| / sqrt(sig_e_sq / 2)
-    ybard1: float
-    ybard2: float
-    sig_d1_sq: float
-    sig_d2_sq: float
-    sig_d1d2: float
-    sig_e_sq: float
-    p_st1: tuple[float, ...]
-    p_st2: tuple[float, ...]
-    res: tuple[int, ...]
-    ga: tuple[float, ...]
-    initr: tuple[int, ...]
 
 
 def required_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> int:

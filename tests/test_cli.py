@@ -163,6 +163,7 @@ def test_power_command_and_dump(tmp_path):
     assert proc.stdout.splitlines()[0].split() == ["N", "50"]
     payload = json.loads(j.read_text())
     assert 0.0 <= payload["result"]["power"] <= 1.0
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == list(payload["result"])
     with open(dump, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["rep", "i", "arm", "R", "path", "Ybar", "n_teeth"]
@@ -277,8 +278,51 @@ def test_pi1_literal_flag_in_describe():
 
 def test_identical_regimes_rejected():
     proc = run_cli("samplesize", "--regime", "1,1", "--num", "20000", check=False)
-    assert proc.returncode == 3
+    assert proc.returncode == 2
     assert "itself" in proc.stderr
+
+
+@pytest.mark.parametrize("regime", ["0,5", "9", "1,1", "1,2,3", "a"])
+def test_regime_out_of_range_exit_2(regime):
+    proc = run_cli("samplesize", "--regime", regime, "--num", "20000", check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stdout == ""
+
+
+def test_power_n_zero_exit_2():
+    proc = run_cli("power", "--regime", "1", "--n", "0", "--num", "20000", check=False)
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr
+
+
+def test_mu_csv_and_mu_scalar_together_exit_2(tmp_path):
+    f = tmp_path / "mu.csv"
+    f.write_text("\n".join(",".join(["0"] * 28) for _ in range(10)) + "\n")
+    proc = run_cli(
+        "samplesize", "--regime", "1", "--mu-csv", str(f), "--mu-scalar", "0,1,0,0,0,0,0,0,0,0",
+        "--num", "20000", check=False,
+    )
+    assert proc.returncode == 2
+    assert "not allowed with argument" in proc.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, smartp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["samplesize", "--delta-std", "0.45"],
+    ["solve-missing", "--p-i", "0.3", "--c-i", "0.4", "--lambda", "10", "--nu", "5"],
+])
+def test_printed_lines_are_the_json_result(tmp_path, args):
+    j = tmp_path / "r.json"
+    out = run_cli(*args, "--json", str(j)).stdout
+    printed = dict(line.split() for line in out.splitlines())
+    result = json.loads(j.read_text())["result"]
+    assert list(printed) == list(result)
+    assert all(float(printed[k]) == pytest.approx(v, rel=1e-5) for k, v in result.items())
 
 
 def test_full_config_file_with_flag_override(tmp_path):
@@ -314,7 +358,7 @@ def test_power_without_n_uses_computed_sample_size(tmp_path):
         "--num", "60000", "--reps", "30", "--seed", "2", "--json", str(j),
     )
     payload = json.loads(j.read_text())
-    assert 74 <= payload["inputs"]["N"] <= 82  # computed N for this effect is ~78
+    assert 74 <= payload["result"]["N"] <= 82  # computed N for this effect is ~78
 
 
 def test_finite_nu_through_cli():
