@@ -1,6 +1,11 @@
 """Design engine for two-stage SMART studies with clustered, spatially
 correlated, skewed and non-randomly missing sub-unit outcomes."""
 
+import os
+
+# set before numpy loads: OpenBLAS would start one thread per core; --workers is the thread knob
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from ._backend import active_backend

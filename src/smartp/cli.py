@@ -46,6 +46,9 @@ from .simtrial import mc_power
 from .spatial import CarModel, car_covariance, default_car_model, load_edge_list
 
 SCHEMA_VERSION = 1
+#: argparse dests of the flags that need the outcome model; --delta-std refuses them
+MODEL_FLAGS = ("tau", "rho", "sigma1", "lambda_", "nu", "sigma0", "cutoff", "a0", "b0", "p_i",
+               "c_i", "graph", "self_adjacent", "sigma_csv")
 DEFAULTS = {
     "tau": 0.85,
     "rho": 0.975,
@@ -194,44 +197,33 @@ def _build_model(args, cfg: dict, n_units: int) -> tuple[OutcomeModel, dict]:
     cutoff = float(get("cutoff", args.cutoff))
 
     graph_path = args.graph or model_cfg.get("graph")
-    if graph_path:
-        graph = load_edge_list(graph_path)
-        self_adj = model_cfg.get("self_adjacent", False)
-    else:
-        graph = None
-        self_adj = model_cfg.get("self_adjacent", True)
+    graph = load_edge_list(graph_path) if graph_path else None
+    self_adj = model_cfg.get("self_adjacent", graph is None)
     if args.self_adjacent is not None:
         self_adj = args.self_adjacent
     try:
         if graph is None:
-            car = CarModel(default_car_model(tau, rho, n_units).graph, tau, rho, self_adj)
-        else:
-            car = CarModel(graph, tau, rho, self_adj)
+            graph = default_car_model(tau, rho, n_units).graph
+        car = CarModel(graph, tau, rho, self_adj)
+        st = SkewTParams(0.0, sigma1, lam, nu)
+        mp = MissingnessParams(float(get("a0", args.a0)), float(get("b0", args.b0)), sigma0, cutoff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    st = SkewTParams(0.0, sigma1, lam, nu)
 
-    direct = [v for v in (args.a0, args.b0) if v is not None] or [
-        k for k in ("a0", "b0") if k in model_cfg
-    ]
-    targets = [v for v in (args.p_i, args.c_i) if v is not None] or [
-        k for k in ("p_i", "c_i") if k in model_cfg
-    ]
+    given = lambda *names: any(getattr(args, n) is not None or n in model_cfg for n in names)
+    direct, targets = given("a0", "b0"), given("p_i", "c_i")
     if direct and targets:
         raise ConfigError("give either (a0, b0) or (p_i, c_i), not both")
     solved = {}
     if targets:
-        p_i = float(_merge_scalar(args, model_cfg, "p_i", args.p_i, None) or 0)
-        c_i = _merge_scalar(args, model_cfg, "c_i", args.c_i, None)
-        if _merge_scalar(args, model_cfg, "p_i", args.p_i, None) is None or c_i is None:
+        p_i, c_i = get("p_i", args.p_i), get("c_i", args.c_i)
+        if p_i is None or c_i is None:
             raise ConfigError("the target form needs both p_i and c_i")
-        sigma = car_covariance(car)
-        mp = solve_missingness(p_i, float(c_i), sigma, st, sigma0, cutoff)
-        solved = {"a0": mp.intercept, "b0": mp.loading, "p_i": p_i, "c_i": float(c_i)}
-    else:
-        a0 = float(get("a0", args.a0))
-        b0 = float(get("b0", args.b0))
-        mp = MissingnessParams(a0, b0, sigma0, cutoff)
+        p_i, c_i = float(p_i), float(c_i)
+        if not 0.0 < p_i < 1.0:
+            raise ConfigError(f"p_i must be in (0,1), got {p_i}")
+        mp = solve_missingness(p_i, c_i, car_covariance(car), st, sigma0, cutoff)
+        solved = {"a0": mp.intercept, "b0": mp.loading, "p_i": p_i, "c_i": c_i}
     model = OutcomeModel(car, st, mp)
     resolved = {
         "tau": tau,
@@ -348,14 +340,11 @@ def _trial_writer(fh, design: SmartDesign, n: int):
     return write
 
 
-def _print_path_table(tables: dict[str, np.ndarray], out) -> None:
-    print("path  p_st1     p_st2     res  ga        initr", file=out)
+def _print_path_table(tables: dict[str, np.ndarray]) -> None:
+    print("path  p_st1     p_st2     res  ga        initr")
     for i in range(len(tables["res"])):
-        print(
-            f"{i + 1:>4}  {tables['p_st1'][i]:<8.6g}  {tables['p_st2'][i]:<8.6g}  "
-            f"{tables['res'][i]:<3}  {tables['ga'][i]:<8.6g}  {tables['initr'][i]}",
-            file=out,
-        )
+        print(f"{i + 1:>4}  {tables['p_st1'][i]:<8.6g}  {tables['p_st2'][i]:<8.6g}  "
+              f"{tables['res'][i]:<3}  {tables['ga'][i]:<8.6g}  {tables['initr'][i]}")
 
 
 def cmd_samplesize(args) -> int:
@@ -365,6 +354,10 @@ def cmd_samplesize(args) -> int:
     num, _, seed, workers = _mc_params(args, cfg)
 
     if args.delta_std is not None:
+        ignored = [d for d in MODEL_FLAGS if getattr(args, d) is not None]
+        if ignored:
+            flags = ", ".join("--" + d.rstrip("_").replace("_", "-") for d in ignored)
+            raise ConfigError(f"{flags} ignored with --delta-std")
         delta_std = float(args.delta_std)
         inputs = {"delta_std": delta_std, "alpha": alpha, "beta": beta}
         _report(args, "samplesize", inputs, {"N": required_n(delta_std, 1.0, alpha, beta),
@@ -398,7 +391,7 @@ def cmd_samplesize(args) -> int:
         **{name: column.tolist() for name, column in tables.items()},
     }
     _report(args, "samplesize", inputs, result)
-    _print_path_table(tables, sys.stdout)
+    _print_path_table(tables)
     if args.sigma_csv:
         _write_sigma_csv(args.sigma_csv, model.sigma.matrix)
     return 0
@@ -475,42 +468,32 @@ def cmd_solve_missing(args) -> int:
 def cmd_describe_design(args) -> int:
     cfg = _load_config(args.config)
     design = _build_design(args, cfg)
-    out = sys.stdout
     issues = validate(design)
-    print(f"sub-units per cluster: {design.n_units}", file=out)
-    print(f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}", file=out)
-    print(f"stage1 mode: {design.stage1_mode.value}"
-          + (" (literal pi1)" if design.pi1_literal else ""), file=out)
+    print(f"sub-units per cluster: {design.n_units}")
+    print(f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}")
+    literal = " (literal pi1)" if design.pi1_literal else ""
+    print(f"stage1 mode: {design.stage1_mode.value}{literal}")
     graph_path = args.graph or cfg.get("model", {}).get("graph")
     if graph_path:
-        print(f"graph: {graph_path}", file=out)
+        print(f"graph: {graph_path}")
     pi1 = stage1_probs(design)
     for arm in design.arms:
-        print(
-            f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
-            f"options R/NR = {arm.n_resp_options}/{arm.n_nonresp_options}",
-            file=out,
-        )
+        print(f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
+              f"options R/NR = {arm.n_resp_options}/{arm.n_nonresp_options}")
     for p in design.paths:
         mu = np.asarray(p.mu)
         mu_desc = f"{mu[0]:.6g}" if np.all(mu == mu[0]) else f"[{mu.min():.6g}..{mu.max():.6g}]"
-        print(
-            f"path {p.index + 1}: arm {p.arm + 1} {'R ' if p.responder else 'NR'} mu={mu_desc}",
-            file=out,
-        )
+        print(f"path {p.index + 1}: arm {p.arm + 1} {'R ' if p.responder else 'NR'} mu={mu_desc}")
     for r in design.regimes:
-        print(
-            f"regime {r.index + 1}: arm {r.arm + 1} responder->path {r.responder_path + 1} "
-            f"non-responder->path {r.nonresp_path + 1}",
-            file=out,
-        )
-    _print_path_table(path_tables(design), out)
+        print(f"regime {r.index + 1}: arm {r.arm + 1} responder->path {r.responder_path + 1} "
+              f"non-responder->path {r.nonresp_path + 1}")
+    _print_path_table(path_tables(design))
     if issues:
-        print("violations:", file=out)
+        print("violations:")
         for v in issues:
-            print(f"  [{v.kind}] {v.detail}", file=out)
+            print(f"  [{v.kind}] {v.detail}")
         return 2
-    print("design ok", file=out)
+    print("design ok")
     return 0
 
 

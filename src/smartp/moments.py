@@ -1,18 +1,21 @@
 """Monte Carlo path moments and the closed-form regime mean/variance algebra.
 
 Whether a sub-unit is observed depends on the latent spatial vector Q and
-the missingness residual, never on the path mean.  So with ``w = mask / k``
-the availability weights of one replicate (k sub-units available) and ``r``
-its mean residual ``Q + eps1`` over the available sub-units, a path with
-per-sub-unit mean ``mu`` has cluster mean ``ybar = w . mu + r``.
-``estimate_path_moments`` therefore simulates an outcome model once (common
-random numbers for every path): it draws Q ~ N(0, Sigma), the missingness
-residuals and skew-t outcome errors, and accumulates the mean and centred
-scatter of ``z = [w, r]``.  Each path's mean and variance are then exact
-quadratic forms in ``a = [mu, 1]``.  Replicates with every sub-unit missing
-are redrawn (and counted).  Work proceeds in fixed 65536-replicate chunks,
-each on its own RNG substream keyed by (seed, chunk, redraw round), so the
-result is bit-identical for any worker count.
+the missingness residual, never on the path mean or the outcome error.  So
+with ``w = mask / k`` the availability weights of one replicate (k
+sub-units available) and ``r`` its mean of ``Q + eps1`` over the available
+sub-units, a path with per-sub-unit mean ``mu`` has cluster mean
+``ybar = w . mu + r``.  ``estimate_path_moments`` therefore simulates an
+outcome model once (common random numbers for every path): it draws
+Q ~ N(0, Sigma) and the missingness residuals and accumulates the mean and
+centred scatter of ``z = [w, mean_avail(Q)]``.  The skew-t error eps1 is
+integrated out (conditional Monte Carlo): given Q and the mask, ``r`` has
+mean ``mean_avail(Q) + st_mean`` and variance ``st_variance / k``, so dof
+must exceed 2.  Each path's moments are exact quadratic forms in
+``a = [mu, 1]``.  Replicates with every sub-unit missing are redrawn (and
+counted).  Work proceeds in fixed 65536-replicate chunks, each on its own
+RNG substream keyed by (seed, chunk, redraw round), so the result is
+bit-identical for any worker count.
 
 The regime algebra converts per-path moments into the mean, N-scaled
 variance and N-scaled covariance of inverse-probability-weighted regime
@@ -29,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._backend import _mask_and_residual, ybar_and_count
+from ._backend import _mask_and_q, ybar_and_count
 from .design import Regime, SmartDesign, stage1_probs, stage2_prob
-from .dists import SkewTParams, sample_st
+from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .errors import DegenerateMissingnessError
 from .missing import MissingnessParams
 from .rngs import CHUNK, MOMENTS, substream
@@ -67,12 +70,19 @@ class PathMoments:
 
     @property
     def se_mu(self) -> float:
+        """``sqrt(sigma2 / n)``; overstates mu's Monte Carlo SE, as e1 is integrated out."""
         return math.sqrt(self.sigma2 / self.n_samples)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelMoments:
-    """Count, mean vector and centred scatter of ``z = [w, r]`` for one outcome model."""
+    """Count, mean vector and centred scatter of ``z = [w, r]`` for one outcome model.
+
+    ``m2[-1, -1]`` is the scatter of the conditional means ``mean_avail(Q)``
+    plus the outcome error's share ``st_variance * sum(1/k)``.  ``for_path``
+    divides by n - 1, so that share enters as ``st_variance * mean(1/k) *
+    n / (n - 1)``, an O(1/n) relative bias.
+    """
 
     n_samples: int
     mean: np.ndarray
@@ -109,40 +119,33 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     return n, mean, m2
 
 
-def _draws(model: OutcomeModel, shape: tuple[int, int], rng: np.random.Generator):
-    """(zq, e0, e1) of the given (n, T) shape; draw order: Q normals, eps0, outcome error."""
-    zq = rng.standard_normal(shape)
-    e0 = rng.standard_normal(shape)
-    e1 = sample_st(model.st, shape[0] * shape[1], rng).reshape(shape)
-    return zq, e0, e1
-
-
 def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
-    """One batch of cluster outcomes for the (n, T) means ``mu2d``."""
+    """One batch of cluster outcomes for the (n, T) means ``mu2d``; draws Q normals, eps0, e1."""
     mp = model.mp
+    zq, e0 = rng.standard_normal(mu2d.shape), rng.standard_normal(mu2d.shape)
+    e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
     return ybar_and_count(
-        *_draws(model, mu2d.shape, rng),
-        model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff,
+        zq, e0, e1, model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff
     )
 
 
 def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
-    """(n, T+1) rows ``[w, r]`` and the available counts k; rows with k = 0 are NaN."""
+    """(n, T+1) rows ``[w, mean_avail(q)]`` and the counts k (NaN rows at k = 0); draws Q, eps0."""
     mp = model.mp
-    avail, resid = _mask_and_residual(
-        *_draws(model, (n, model.sigma.dim), rng),
-        model.sigma.chol, mp.intercept, mp.loading, mp.sigma0, mp.cutoff,
-    )
+    shape = (n, model.sigma.dim)
+    zq, e0 = rng.standard_normal(shape), rng.standard_normal(shape)
+    avail, q = _mask_and_q(zq, e0, model.sigma.chol, mp.intercept, mp.loading, mp.sigma0, mp.cutoff)
     k = avail.sum(axis=1)
-    z = np.empty((n, avail.shape[1] + 1))
+    z = np.empty((n, shape[1] + 1))
     z[:, :-1] = avail
-    np.sum(resid, axis=1, where=avail, out=z[:, -1])
+    np.sum(q, axis=1, where=avail, out=z[:, -1])
     with np.errstate(invalid="ignore"):
         z /= k[:, None]
     return z, k
 
 
-def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
+def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, e1_var):
+    """(size, mean, scatter, redraws) of ``z = [w, r]`` over one chunk, with e1 integrated out."""
     rng = substream(seed, MOMENTS, chunk, 0)
     z, n_avail = _simulate_z(model, size, rng)
     n_redrawn = 0
@@ -163,7 +166,10 @@ def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
         round_no += 1
     mean = z.mean(axis=0)
     z -= mean
-    return size, mean, z.T @ z, n_redrawn
+    m2 = z.T @ z
+    mean[-1] += e1_mean
+    m2[-1, -1] += e1_var * np.sum(1.0 / n_avail)
+    return size, mean, m2, n_redrawn
 
 
 def estimate_path_moments(
@@ -177,29 +183,26 @@ def estimate_path_moments(
     One pass of ``num`` replicates serves all paths of the outcome model:
     ``estimate_path_moments(model, num, seed).for_path(mu)`` gives a path's
     mean and variance.  Results are deterministic given (seed, num) and do
-    not depend on ``workers``.
+    not depend on ``workers``.  Raises UndefinedMomentError unless the
+    outcome error has a finite variance (dof > 2).
     """
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
     if num < 10_000:
         warnings.warn(f"num={num} is small; moment estimates will be noisy", stacklevel=2)
+    e1_var = st_variance(model.st)  # first: dof <= 2 fails here, before any draw
+    e1_mean = st_mean(model.st)
     chunks = [(idx, min(CHUNK, num - start)) for idx, start in enumerate(range(0, num, CHUNK))]
 
     def run(args):
-        idx, size = args
-        return idx, _chunk_moments(model, seed, idx, size)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run, chunks))
-    else:
-        results = dict(map(run, chunks))
+        return _chunk_moments(model, seed, *args, e1_mean, e1_var)
 
     n_tot, mean, m2, redrawn = 0, 0.0, 0.0, 0
-    for idx, _ in chunks:
-        n_c, mean_c, m2_c, red_c = results[idx]
-        n_tot, mean, m2 = _merge(n_tot, mean, m2, n_c, mean_c, m2_c)
-        redrawn += red_c
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # merged in chunk order whatever order the pool finishes them in
+        for n_c, mean_c, m2_c, red_c in (pool.map if workers > 1 else map)(run, chunks):
+            n_tot, mean, m2 = _merge(n_tot, mean, m2, n_c, mean_c, m2_c)
+            redrawn += red_c
     if redrawn > MAX_REDRAW_FRACTION * num:
         raise DegenerateMissingnessError(
             f"{redrawn}/{num} replicates had every sub-unit missing; "

@@ -135,11 +135,13 @@ def test_infeasible_target_exit_3():
 
 def test_sigma_csv_matches_library(tmp_path):
     f = tmp_path / "sigma.csv"
-    run_cli(
+    proc = run_cli(
         "samplesize", "--delta-std", "0.45", "--sigma-csv", str(f),
         "--num", "1000", check=False,
     )
-    # --delta-std skips the model; request sigma through a real run instead
+    # --delta-std skips the model, so it refuses model-only flags
+    assert proc.returncode == 2
+    assert "--sigma-csv ignored with --delta-std" in proc.stderr and not f.exists()
     run_cli(
         "samplesize", "--regime", "1", "--mu-scalar", "0,1,0,0,0,0,0,0,0,0",
         "--num", "20000", "--sigma-csv", str(f),
@@ -289,6 +291,29 @@ def test_regime_out_of_range_exit_2(regime):
     assert proc.stderr.startswith("config error:") and proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tau", "0"], ["--rho", "1"], ["--sigma1", "0"], ["--sigma0", "0"],
+    ["--p-i", "1", "--c-i", "0.4"], ["--sigma0", "0", "--p-i", "0.5", "--c-i", "0.3"],
+], ids=["tau", "rho", "sigma1", "sigma0", "p-i", "sigma0-targets"])
+def test_model_scalar_out_of_range_exit_2(flags):
+    proc = run_cli("samplesize", "--regime", "1", *flags, "--num", "20000", check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command,nu", [
+    ("samplesize", "2"), ("samplesize", "1"), ("samplesize", "0.5"), ("power", "2"),
+])
+def test_infinite_error_variance_exit_3(command, nu):
+    """At nu <= 2 the outcome error has no variance, so there is no N to report."""
+    proc = run_cli(
+        command, "--regime", "1,5", "--mu-scalar", "0,0.5,0,2,0,0,5,0,0,0", "--nu", nu,
+        check=False, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "variance requires dof > 2" in proc.stderr and proc.stdout == ""
+
+
 def test_power_n_zero_exit_2():
     proc = run_cli("power", "--regime", "1", "--n", "0", "--num", "20000", check=False)
     assert proc.returncode == 2
@@ -310,6 +335,17 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, smartp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_starts_one_thread():
+    """OpenBLAS is pinned to one thread before numpy loads; --workers is the thread knob."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    code = "import os, smartp.cli; print(len(os.listdir('/proc/self/task')))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=env)
+    assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("args", [

@@ -15,18 +15,24 @@ from smartp import (
     regime_mean,
     regime_variance,
     sample_st,
+    solve_missingness,
+    st_kurtosis,
+    st_mean,
+    st_variance,
 )
 from smartp._backend import ybar_and_count
-from smartp.moments import _merge, _simulate_ybar
-from smartp.rngs import MOMENTS, substream
+from smartp.moments import _merge, _simulate_z
 from conftest import make_model
-from helpers import welford_reference, ybar_loop_reference
+from helpers import block_jackknife_se, welford_reference, ybar_loop_reference
 
 INF = math.inf
 
 
-def reference_path_moments(model, mu_vec, num, seed):
-    """Independent estimator: legacy MT19937 generator, plain vectorized numpy."""
+def reference_ybar(model, mu_vec, num, seed):
+    """Independent sampler of the cluster mean: legacy MT19937 generator, plain vectorized numpy.
+
+    Clusters with every sub-unit missing are dropped, which conditions on k > 0 as redraws do.
+    """
     rs = np.random.RandomState(seed)
     t_dim = model.sigma.dim
     chol = model.sigma.chol
@@ -50,8 +56,7 @@ def reference_path_moments(model, mu_vec, num, seed):
         keep = n_avail > 0
         ybar = ((mu_vec + q + e1) * avail).sum(axis=1)[keep] / n_avail[keep]
         vals.append(ybar)
-    y = np.concatenate(vals)
-    return y.mean(), y.var(ddof=1), y.size
+    return np.concatenate(vals)
 
 
 def test_iid_limit():
@@ -85,36 +90,50 @@ def test_determinism_and_worker_independence():
         assert not np.array_equal(d.mean, a.mean)
 
 
-def per_path_chunk(model, mu_vec, seed, size):
-    """One moments chunk's draws through the trial kernel with the path's tiled mean."""
-    mu2d = np.tile(mu_vec, (size, 1))
-    ybar, n_avail = _simulate_ybar(model, mu2d, substream(seed, MOMENTS, 0, 0))
-    bad = np.flatnonzero(n_avail == 0)
-    redrawn, round_no = 0, 1
-    while bad.size:
-        redrawn += bad.size
-        yb, na = _simulate_ybar(model, mu2d[: bad.size], substream(seed, MOMENTS, 0, round_no))
-        ybar[bad] = yb
-        n_avail[bad] = na
-        bad = bad[na == 0]
-        round_no += 1
-    return ybar, redrawn
+def test_full_availability_closed_form():
+    """No sub-unit is ever missing, so k = 28 and Var(ybar) = 1'Sigma 1 / 784 + st_variance / 28."""
+    st = SkewTParams(0.0, 0.95, 10.0, 5.0)
+    model = OutcomeModel(default_car_model(), st, MissingnessParams(-30.0, 0.0))
+    pm = estimate_path_moments(model, 200_000, seed=4).for_path(np.zeros(28))
+    var_q = float(model.sigma.matrix.sum()) / 28**2
+    n = pm.n_samples
+    assert pm.n_redrawn == 0
+    # the spatial mean, Gaussian with variance var_q, is all that is left to sample
+    assert abs(pm.mu - st_mean(st)) < 4 * math.sqrt(var_q / n)
+    assert abs(pm.sigma2 - (var_q + st_variance(st) / 28)) < 4 * var_q * math.sqrt(2 / (n - 1))
 
 
-def test_crn_moments_match_per_path_kernel():
-    """Each path's quadratic-form moments equal the per-path kernel's on the same draws."""
-    model = make_model(lam=2.0, nu=8.0, a0=0.5, b0=1.0)
-    size, seed = 40_000, 5
-    mm = estimate_path_moments(model, size, seed)
-    assert mm.n_redrawn > 0
-    rng = np.random.default_rng(1)
-    for mu_vec in (np.full(28, 2.0), np.full(28, 5.0), rng.uniform(-1.0, 5.0, 28)):
-        ybar, redrawn = per_path_chunk(model, mu_vec, seed, size)
-        want_mean, want_var = welford_reference(ybar)
-        pm = mm.for_path(mu_vec)
-        assert (pm.n_samples, pm.n_redrawn) == (ybar.size, redrawn)
-        assert pm.mu == pytest.approx(want_mean, rel=1e-12)
-        assert pm.sigma2 == pytest.approx(want_var, rel=1e-12)
+def test_conditional_moments_match_kernel_over_outcome_error():
+    """On one fixed (zq, e0) block, the trial kernel averaged over fresh outcome errors
+    has the pass's conditional moments: mean a . z + st_mean and variance st_variance / k."""
+    model = make_model(lam=10.0, nu=5.0, a0=0.0, b0=1.0)
+    st, mp, chol = model.st, model.mp, model.sigma.chol
+    rows, batch, batches = 6, 5_000, 4
+    mu_vec = np.random.default_rng(3).uniform(-1.0, 5.0, 28)
+    # one block of the pass and the same draws (Q normals, then eps0)
+    z, k = _simulate_z(model, rows, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    zq, e0 = rng.standard_normal((rows, 28)), rng.standard_normal((rows, 28))
+    params = (mp.intercept, mp.loading, mp.sigma0, mp.cutoff)
+    base, k_ref = ybar_loop_reference(zq, e0, np.zeros((rows, 28)), chol,
+                                      np.tile(mu_vec, (rows, 1)), *params)
+    assert np.array_equal(k, k_ref) and (k > 0).all() and len(set(k)) > 1
+    np.testing.assert_allclose(z @ np.append(mu_vec, 1.0), base, rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(8)
+    tiled = (np.tile(zq, (batch, 1)), np.tile(e0, (batch, 1)))
+    ybar = []
+    for _ in range(batches):
+        e1 = sample_st(st, batch * rows * 28, rng).reshape(batch * rows, 28)
+        y, _ = ybar_and_count(*tiled, e1, chol, np.tile(mu_vec, (batch * rows, 1)), *params)
+        ybar.append(y.reshape(batch, rows))
+    ybar = np.concatenate(ybar)
+    draws = ybar.shape[0]
+    want_var = st_variance(st) / k
+    assert np.all(np.abs(ybar.mean(axis=0) - (base + st_mean(st))) < 4 * np.sqrt(want_var / draws))
+    # Var(sample variance) = var^2 (2/(n-1) + excess kurtosis / n); a k-mean divides the kurtosis by k
+    se_var = want_var * np.sqrt(2 / (draws - 1) + st_kurtosis(st) / k / draws)
+    assert np.all(np.abs(ybar.var(axis=0, ddof=1) - want_var) < 4 * se_var)
 
 
 def test_vectorized_kernel_matches_loop_oracle(normal_model):
@@ -135,14 +154,23 @@ def test_vectorized_kernel_matches_loop_oracle(normal_model):
 
 
 def test_dual_implementation_cross_check(normal_model):
-    """Informative missingness biases the path mean; two independent samplers agree."""
-    mu = np.full(28, 2.0)
-    pm = estimate_path_moments(normal_model, 300_000, seed=21).for_path(mu)
-    ref_mean, ref_var, ref_n = reference_path_moments(normal_model, 2.0, 300_000, seed=987)
-    joint_se = math.sqrt(pm.sigma2 / pm.n_samples + ref_var / ref_n)
-    assert abs(pm.mu - ref_mean) < 4 * joint_se
-    # the bias term is clearly negative: availability favours low spatial effects
-    assert pm.mu < 2.0 - 0.1
+    """Informative missingness biases the path mean; two independent samplers agree.
+
+    Normal errors at 80% availability, and skew-t errors (lambda 10, nu 5) at 30%.
+    """
+    st = SkewTParams(0.0, 0.95, 10.0, 5.0)
+    mp = solve_missingness(0.3, 0.4, normal_model.sigma, st)
+    sparse = OutcomeModel(default_car_model(), st, mp)
+    for model in (normal_model, sparse):
+        pm = estimate_path_moments(model, 300_000, seed=21).for_path(np.full(28, 2.0))
+        y = reference_ybar(model, 2.0, 300_000, seed=987)
+        joint_se = math.sqrt(pm.sigma2 / pm.n_samples + y.var(ddof=1) / y.size)
+        assert abs(pm.mu - y.mean()) < 4 * joint_se
+        var_se = block_jackknife_se(y, lambda v: np.var(v, ddof=1))
+        var_tol = 4 * math.hypot(var_se, pm.sigma2 * math.sqrt(2 / (pm.n_samples - 1)))
+        assert abs(pm.sigma2 - y.var(ddof=1)) < var_tol
+        # the bias term is clearly negative: availability favours low spatial effects
+        assert pm.mu < 2.0 + st_mean(model.st) - 0.1
 
 
 def test_welford_merge_matches_two_pass():
