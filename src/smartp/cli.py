@@ -41,14 +41,16 @@ from .engine import compute_effect, compute_sample_size, test_kind_for
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
-from .power import TestSpec, required_n
+from .power import TestSpec, exact_n, required_n
 from .simtrial import mc_power
 from .spatial import CarModel, car_covariance, default_car_model, load_edge_list
 
 SCHEMA_VERSION = 1
-#: argparse dests of the flags that need the outcome model; --delta-std refuses them
+#: dests of the model-only flags, then of the design and Monte Carlo flags; --delta-std refuses both
 MODEL_FLAGS = ("tau", "rho", "sigma1", "lambda_", "nu", "sigma0", "cutoff", "a0", "b0", "p_i",
                "c_i", "graph", "self_adjacent", "sigma_csv")
+DESIGN_MC_FLAGS = ("design", "stage1_mode", "pi1_literal", "gamma", "mu_scalar", "mu_csv",
+                   "regime", "num", "seed", "workers")
 DEFAULTS = {
     "tau": 0.85,
     "rho": 0.975,
@@ -282,12 +284,13 @@ def _alpha_beta(args, cfg: dict) -> tuple[float, float]:
 def _mc_params(args, cfg: dict) -> tuple[int, int, int, int]:
     mc_cfg = cfg.get("mc", {})
     num = int(_merge_scalar(args, mc_cfg, "num", args.num, DEFAULTS["num"]))
-    reps = int(_merge_scalar(args, mc_cfg, "reps", args.reps, DEFAULTS["reps"]))
+    reps = int(_merge_scalar(args, mc_cfg, "reps", getattr(args, "reps", None), DEFAULTS["reps"]))
     seed_env = os.environ.get("SMARTP_SEED")
     seed_default = int(seed_env) if seed_env is not None else 0
     seed = int(_merge_scalar(args, mc_cfg, "seed", args.seed, seed_default))
     workers = int(_merge_scalar(args, mc_cfg, "workers", args.workers, DEFAULTS["workers"]))
-    if min(num, reps, workers) < 1 or (args.n is not None and args.n < 1):
+    n = getattr(args, "n", None)
+    if min(num, reps, workers) < 1 or (n is not None and n < 1):
         raise ConfigError("num, reps, workers and n must be positive")
     return num, reps, seed, workers
 
@@ -349,21 +352,23 @@ def _print_path_table(tables: dict[str, np.ndarray]) -> None:
 
 def cmd_samplesize(args) -> int:
     cfg = _load_config(args.config)
-    design = _build_design(args, cfg)
     alpha, beta = _alpha_beta(args, cfg)
-    num, _, seed, workers = _mc_params(args, cfg)
-
     if args.delta_std is not None:
-        ignored = [d for d in MODEL_FLAGS if getattr(args, d) is not None]
-        if ignored:
-            flags = ", ".join("--" + d.rstrip("_").replace("_", "-") for d in ignored)
-            raise ConfigError(f"{flags} ignored with --delta-std")
+        for group in (MODEL_FLAGS, DESIGN_MC_FLAGS):
+            ignored = [d for d in group if getattr(args, d) is not None]
+            if ignored:
+                flags = ", ".join("--" + d.rstrip("_").replace("_", "-") for d in ignored)
+                raise ConfigError(f"{flags} ignored with --delta-std")
         delta_std = float(args.delta_std)
-        inputs = {"delta_std": delta_std, "alpha": alpha, "beta": beta}
-        _report(args, "samplesize", inputs, {"N": required_n(delta_std, 1.0, alpha, beta),
-                                             "Del_std": delta_std})
+        if not 0.0 < delta_std < math.inf:
+            raise ConfigError(f"--delta-std must be a positive number, got {args.delta_std}")
+        sizing = (delta_std, 1.0, alpha, beta)
+        result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": delta_std}
+        _report(args, "samplesize", {"delta_std": delta_std, "alpha": alpha, "beta": beta}, result)
         return 0
 
+    design = _build_design(args, cfg)
+    num, _, seed, workers = _mc_params(args, cfg)
     model, resolved = _build_model(args, cfg, design.n_units)
     regime_ids = _regime_ids(args, cfg, design)
     size, eff = compute_sample_size(
@@ -380,6 +385,7 @@ def cmd_samplesize(args) -> int:
     }
     result = {
         "N": size.n,
+        "N_exact": size.n_exact,
         "Del": size.delta,
         "Del_std": size.delta_std,
         "ybard1": eff.ybard1,
@@ -501,7 +507,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (schema 1)")
     p.add_argument("--design", help="built-in design name (periodontitis-default)")
     p.add_argument("--stage1-mode", choices=[m.value for m in Stage1Mode], dest="stage1_mode")
-    p.add_argument("--pi1-literal", action="store_true", dest="pi1_literal",
+    p.add_argument("--pi1-literal", action="store_true", default=None, dest="pi1_literal",
                    help="printed-form stage-1 weights (compatibility quirk)")
     p.add_argument("--gamma", help="comma list of per-arm response rates")
     mu = p.add_mutually_exclusive_group()
@@ -515,18 +521,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         ("--tau", None), ("--rho", None), ("--sigma1", None), ("--lambda", "lambda_"),
         ("--sigma0", None), ("--cutoff", None), ("--a0", None), ("--b0", None),
         ("--p-i", "p_i"), ("--c-i", "c_i"), ("--alpha", None), ("--beta", None),
-        ("--power", None), ("--delta-std", "delta_std"),
+        ("--power", None),
     ]:
         p.add_argument(flag, type=float, dest=dest)
     p.add_argument("--nu", help="degrees of freedom, a number or Inf")
     p.add_argument("--regime", help="one or two regime numbers, e.g. 1,5")
-    for flag in ("--num", "--reps", "--seed", "--workers", "--n"):
+    for flag in ("--num", "--seed", "--workers"):
         p.add_argument(flag, type=int)
     p.add_argument("--json", help="write the result as JSON to this file")
-    p.add_argument("--sigma-csv", dest="sigma_csv", help="write the CAR covariance as CSV")
-    p.add_argument("--dump-trials", dest="dump_trials", help="per-replicate CSV dump (power)")
-    p.add_argument("--empirical-variance", action="store_true", dest="empirical_variance",
-                   help="studentize with the per-dataset variance instead of the design value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,6 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(func=fn)
+    samplesize, power = sub.choices["samplesize"], sub.choices["power"]
+    samplesize.add_argument("--delta-std", type=float, dest="delta_std")
+    samplesize.add_argument("--sigma-csv", dest="sigma_csv", help="write the CAR covariance as CSV")
+    for flag in ("--reps", "--n"):
+        power.add_argument(flag, type=int)
+    power.add_argument("--dump-trials", dest="dump_trials", help="per-replicate CSV dump")
+    power.add_argument("--empirical-variance", action="store_true", dest="empirical_variance",
+                       help="studentize with the per-dataset variance instead of the design value")
     return parser
 
 

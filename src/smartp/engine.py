@@ -25,7 +25,7 @@ from .moments import (
     regime_variance,
     require_same_units,
 )
-from .power import SampleSizeResult, TestKind, required_n
+from .power import SampleSizeResult, TestKind, exact_n, required_n
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,6 @@ def compute_sample_size(
     moments: ModelMoments | None = None,
 ) -> tuple[SampleSizeResult, EffectSummary]:
     eff = compute_effect(design, model, regime_ids, num, seed, workers, moments)
-    n = required_n(eff.delta, eff.sigma_sq, alpha, beta)
-    return SampleSizeResult(n, eff.delta, eff.delta_std), eff
+    sizing = (eff.delta, eff.sigma_sq, alpha, beta)
+    return SampleSizeResult(required_n(*sizing), eff.delta, eff.delta_std, exact_n(*sizing)), eff
 

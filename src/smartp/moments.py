@@ -1,21 +1,19 @@
 """Monte Carlo path moments and the closed-form regime mean/variance algebra.
 
-Whether a sub-unit is observed depends on the latent spatial vector Q and
-the missingness residual, never on the path mean or the outcome error.  So
-with ``w = mask / k`` the availability weights of one replicate (k
-sub-units available) and ``r`` its mean of ``Q + eps1`` over the available
-sub-units, a path with per-sub-unit mean ``mu`` has cluster mean
-``ybar = w . mu + r``.  ``estimate_path_moments`` therefore simulates an
-outcome model once (common random numbers for every path): it draws
-Q ~ N(0, Sigma) and the missingness residuals and accumulates the mean and
-centred scatter of ``z = [w, mean_avail(Q)]``.  The skew-t error eps1 is
-integrated out (conditional Monte Carlo): given Q and the mask, ``r`` has
-mean ``mean_avail(Q) + st_mean`` and variance ``st_variance / k``, so dof
-must exceed 2.  Each path's moments are exact quadratic forms in
-``a = [mu, 1]``.  Replicates with every sub-unit missing are redrawn (and
-counted).  Work proceeds in fixed 65536-replicate chunks, each on its own
-RNG substream keyed by (seed, chunk, redraw round), so the result is
-bit-identical for any worker count.
+A sub-unit is observed when its missingness index ``v = b0*Q + sigma0*eps0``
+is at most the cutoff.  With ``w = mask / k`` the availability weights of
+one replicate (k sub-units available), a path with per-sub-unit mean ``mu``
+has cluster mean ``ybar = w . (mu + Q + eps1)``.  ``estimate_path_moments``
+simulates an outcome model once for every path (common random numbers) and
+draws only the index, ``v = L_v zeta`` with ``zeta ~ N(0, I_T)`` (T normals
+per replicate) and ``L_v L_v' = Sigma_v = b0^2 Sigma + sigma0^2 I``.  The
+rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
+sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
+variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
+quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
+All-missing replicates are redrawn (and counted).  Work proceeds in fixed
+65536-replicate chunks, each on its own RNG substream keyed by (seed, chunk,
+redraw round), so the result is bit-identical for any worker count.
 
 The regime algebra converts per-path moments into the mean, N-scaled
 variance and N-scaled covariance of inverse-probability-weighted regime
@@ -32,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._backend import _mask_and_q, ybar_and_count
+from ._backend import ybar_and_count
 from .design import Regime, SmartDesign, stage1_probs, stage2_prob
 from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .errors import DegenerateMissingnessError
@@ -59,6 +57,18 @@ class OutcomeModel:
     def sigma(self) -> SpdMatrix:
         return car_covariance(self.car)
 
+    @cached_property
+    def index_projection(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, Cov(Q|v))``: for ``zeta ~ N(0, I)``, ``zeta @ P`` is ``[v, E[Q|v]]``.
+
+        ``P = [L_v' | (b0 K L_v)']``; ``Cov(Q|v) = sigma0^2 K`` keeps the positive
+        definiteness that ``Sigma - b0^2 Sigma Sigma_v^-1 Sigma`` can lose to rounding."""
+        mp, sig = self.mp, self.sigma.matrix
+        sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(sig.shape[0])
+        chol_v = np.linalg.cholesky(sigma_v)
+        k = np.linalg.solve(sigma_v, sig)  # symmetric: Sigma and Sigma_v commute
+        return np.hstack([chol_v.T, (mp.loading * k @ chol_v).T]), mp.sigma0**2 * k
+
 
 @dataclass(frozen=True)
 class PathMoments:
@@ -70,7 +80,7 @@ class PathMoments:
 
     @property
     def se_mu(self) -> float:
-        """``sqrt(sigma2 / n)``; overstates mu's Monte Carlo SE, as e1 is integrated out."""
+        """``sqrt(sigma2 / n)``; overstates mu's Monte Carlo SE: Q|v and e1 are integrated out."""
         return math.sqrt(self.sigma2 / self.n_samples)
 
 
@@ -78,10 +88,10 @@ class PathMoments:
 class ModelMoments:
     """Count, mean vector and centred scatter of ``z = [w, r]`` for one outcome model.
 
-    ``m2[-1, -1]`` is the scatter of the conditional means ``mean_avail(Q)``
-    plus the outcome error's share ``st_variance * sum(1/k)``.  ``for_path``
-    divides by n - 1, so that share enters as ``st_variance * mean(1/k) *
-    n / (n - 1)``, an O(1/n) relative bias.
+    ``r = w . E[Q|v] + st_mean`` is the conditional mean of ``w . (Q + eps1)``.
+    ``m2[-1, -1]`` is the scatter of r plus the conditional variances
+    ``sum_i w_i' (Cov(Q|v) + st_variance I) w_i``.  ``for_path`` divides by
+    n - 1, so that share enters with a factor n / (n - 1), an O(1/n) bias.
     """
 
     n_samples: int
@@ -130,22 +140,22 @@ def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generat
 
 
 def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
-    """(n, T+1) rows ``[w, mean_avail(q)]`` and the counts k (NaN rows at k = 0); draws Q, eps0."""
+    """(n, T+1) rows ``[w, w . E[Q|v]]`` and the counts k (NaN rows at k = 0); draws zeta."""
     mp = model.mp
-    shape = (n, model.sigma.dim)
-    zq, e0 = rng.standard_normal(shape), rng.standard_normal(shape)
-    avail, q = _mask_and_q(zq, e0, model.sigma.chol, mp.intercept, mp.loading, mp.sigma0, mp.cutoff)
+    t_dim = model.sigma.dim
+    v_and_q = rng.standard_normal((n, t_dim)) @ model.index_projection[0]
+    avail = mp.intercept + v_and_q[:, :t_dim] <= mp.cutoff
     k = avail.sum(axis=1)
-    z = np.empty((n, shape[1] + 1))
+    z = np.empty((n, t_dim + 1))
     z[:, :-1] = avail
-    np.sum(q, axis=1, where=avail, out=z[:, -1])
+    np.sum(v_and_q[:, t_dim:], axis=1, where=avail, out=z[:, -1])
     with np.errstate(invalid="ignore"):
         z /= k[:, None]
     return z, k
 
 
-def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, e1_var):
-    """(size, mean, scatter, redraws) of ``z = [w, r]`` over one chunk, with e1 integrated out."""
+def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
+    """(size, mean, scatter, redraws) of z = [w, r] over one chunk; cond_cov is Cov(Q + e1 | v)."""
     rng = substream(seed, MOMENTS, chunk, 0)
     z, n_avail = _simulate_z(model, size, rng)
     n_redrawn = 0
@@ -167,8 +177,9 @@ def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mea
     mean = z.mean(axis=0)
     z -= mean
     m2 = z.T @ z
+    # sum_i w_i' cond_cov w_i, with sum_i w_i w_i' the uncentred w-block of the scatter
+    m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + size * np.outer(mean[:-1], mean[:-1])))
     mean[-1] += e1_mean
-    m2[-1, -1] += e1_var * np.sum(1.0 / n_avail)
     return size, mean, m2, n_redrawn
 
 
@@ -192,10 +203,11 @@ def estimate_path_moments(
         warnings.warn(f"num={num} is small; moment estimates will be noisy", stacklevel=2)
     e1_var = st_variance(model.st)  # first: dof <= 2 fails here, before any draw
     e1_mean = st_mean(model.st)
+    cond_cov = model.index_projection[1] + e1_var * np.eye(model.sigma.dim)
     chunks = [(idx, min(CHUNK, num - start)) for idx, start in enumerate(range(0, num, CHUNK))]
 
     def run(args):
-        return _chunk_moments(model, seed, *args, e1_mean, e1_var)
+        return _chunk_moments(model, seed, *args, e1_mean, cond_cov)
 
     n_tot, mean, m2, redrawn = 0, 0.0, 0.0, 0
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -47,18 +47,23 @@ class SampleSizeResult:
     n: int
     delta: float  # |effect size|
     delta_std: float  # |effect| / sqrt(sig_e_sq / 2)
+    n_exact: float  # N before rounding up
 
 
-def required_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> int:
-    """Smallest integer N achieving the target power."""
+def exact_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> float:
+    """Unrounded N* = 2 (z_{1-alpha/2} - z_beta)^2 sigma^2 / delta^2."""
     if delta == 0.0:
         raise ValueError("effect size must be nonzero")
     if not sigma_sq > 0.0:
         raise ValueError(f"sigma^2 must be > 0, got {sigma_sq}")
     z_a = normal_quantile(1.0 - alpha / 2.0)
     z_b = normal_quantile(beta)
-    n = 2.0 * (z_a - z_b) ** 2 * sigma_sq / delta**2
-    return max(1, math.ceil(n - 1e-12))
+    return 2.0 * (z_a - z_b) ** 2 * sigma_sq / delta**2
+
+
+def required_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> int:
+    """Smallest integer N achieving the target power: ``exact_n`` rounded up, at least 1."""
+    return max(1, math.ceil(exact_n(delta, sigma_sq, alpha, beta) - 1e-12))
 
 
 def analytic_power(delta: float, sigma_sq: float, n: int, alpha: float) -> float:

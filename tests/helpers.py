@@ -201,3 +201,38 @@ def simulate_trial_reference(design, model, n_clusters, seed, key=()):
         n_avail[bad] = na
         bad = bad[na == 0]
     return arm, responder, path, ybar, n_avail, n_redrawn
+
+
+def qe0_model_moments(model, num, seed):
+    """The moments pass drawing Q and eps0 separately, the oracle for the index-conditioned pass.
+
+    Same chunking, substream keys and redraw rule as ``estimate_path_moments``.
+    Each replicate draws (zq, e0) and forms ``q = zq @ chol.T``; the row is
+    ``[w, w . q]`` and only the outcome error is integrated out, adding
+    ``st_mean`` and ``st_variance / k``.  Returns a ``ModelMoments``.
+    """
+    from smartp import ModelMoments, st_mean, st_variance
+    from smartp.rngs import CHUNK, MOMENTS, substream
+
+    mp, chol = model.mp, model.sigma.chol
+    rows, inv_k = [], []
+    for chunk, start in enumerate(range(0, num, CHUNK)):
+        size, round_no = min(CHUNK, num - start), 0
+        while size:
+            rng = substream(seed, MOMENTS, chunk, round_no)
+            zq, e0 = rng.standard_normal((size, chol.shape[0])), rng.standard_normal((size, chol.shape[0]))
+            q = zq @ chol.T
+            avail = (mp.intercept + mp.loading * q + mp.sigma0 * e0) <= mp.cutoff
+            k = avail.sum(axis=1)
+            keep = k > 0
+            w = avail[keep] / k[keep, None]
+            rows.append(np.column_stack([w, (w * q[keep]).sum(axis=1)]))
+            inv_k.append(1.0 / k[keep])
+            size, round_no = size - int(keep.sum()), round_no + 1
+    z = np.concatenate(rows)
+    mean = z.mean(axis=0)
+    d = z - mean
+    m2 = d.T @ d
+    m2[-1, -1] += st_variance(model.st) * np.concatenate(inv_k).sum()
+    mean[-1] += st_mean(model.st)
+    return ModelMoments(z.shape[0], mean, m2)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,6 +360,50 @@ def test_printed_lines_are_the_json_result(tmp_path, args):
     result = json.loads(j.read_text())["result"]
     assert list(printed) == list(result)
     assert all(float(printed[k]) == pytest.approx(v, rel=1e-5) for k, v in result.items())
+
+
+@pytest.mark.parametrize("args", [
+    ["--delta-std", "0.45"], [*WORKED, "--num", "20000", "--seed", "7"],
+], ids=["delta-std", "simulated"])
+def test_samplesize_reports_unrounded_n(tmp_path, args):
+    j = tmp_path / "r.json"
+    out = run_cli("samplesize", *args, "--json", str(j)).stdout.splitlines()
+    result = json.loads(j.read_text())["result"]
+    assert list(result)[:2] == ["N", "N_exact"]
+    assert result["N"] == math.ceil(result["N_exact"] - 1e-12)
+    scalars = [k for k, v in result.items() if not isinstance(v, list)]
+    assert [line.split()[0] for line in out[:len(scalars)]] == scalars
+
+
+SIZED = ["--regime", "1", "--mu-scalar", "0,2,0,0,0,0,0,0,0,0", "--num", "20000"]
+
+
+@pytest.mark.parametrize("args", [
+    ["power", *SIZED, "--reps", "40", "--n", "50", "--sigma-csv", "OUT"],
+    ["power", *SIZED, "--reps", "40", "--delta-std", "0.3"],
+    ["samplesize", *SIZED, "--dump-trials", "OUT"],
+    ["samplesize", *SIZED, "--reps", "7"],
+    ["samplesize", *SIZED, "--n", "3"],
+    ["samplesize", *SIZED, "--empirical-variance"],
+    ["samplesize", "--delta-std", "0.45", "--regime", "1,99"],
+    ["samplesize", "--delta-std", "0.45", "--num", "5"],
+    ["samplesize", "--delta-std", "0.45", "--seed", "3"],
+    ["samplesize", "--delta-std", "0.45", "--workers", "2"],
+    ["samplesize", "--delta-std", "0.45", "--mu-scalar", "0,1,0,0,0,0,0,0,0,0"],
+    ["samplesize", "--delta-std", "0.45", "--gamma", "0.3,0.5"],
+    ["samplesize", "--delta-std", "0.45", "--pi1-literal"],
+    ["samplesize", "--delta-std", "0"],
+    ["samplesize", "--delta-std", "-0.45"],
+    ["samplesize", "--delta-std", "inf"],
+], ids=["power-sigma-csv", "power-delta-std", "ss-dump-trials", "ss-reps", "ss-n",
+        "ss-empirical-variance", "ds-regime", "ds-num", "ds-seed", "ds-workers", "ds-mu", "ds-gamma",
+        "ds-pi1-literal", "ds-zero", "ds-negative", "ds-inf"])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, args):
+    """Each command refuses a flag it would ignore; --delta-std sizes from alpha and beta alone."""
+    out = tmp_path / "out.csv"
+    proc = run_cli(*[str(out) if a == "OUT" else a for a in args], check=False, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and not out.exists()
 
 
 def test_full_config_file_with_flag_override(tmp_path):

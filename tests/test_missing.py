@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from smartp import (
     InfeasibleTargetError,
@@ -110,6 +112,21 @@ def test_solve_infeasible_target(default_cov):
         solve_missingness(0.8, bound + 0.01, default_cov, NORMAL_ST)
     with pytest.raises(InfeasibleTargetError):
         solve_missingness(1.0, 0.2, default_cov, NORMAL_ST)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=hst.floats(0.2, 0.95), frac=hst.floats(0.0, 0.9), negative=hst.booleans(),
+       skewed=hst.booleans(), excess=hst.floats(0.0, 0.5))
+def test_solve_inverts_targets_property(default_cov, p, frac, negative, skewed, excess):
+    """solve_missingness inverts (prob_available, corr_y_m) below max_corr and refuses |c| >= it."""
+    st = SkewTParams(0.0, 0.95, 10.0, 5.0) if skewed else NORMAL_ST
+    bound = max_corr(default_cov, st)
+    sign = -1.0 if negative else 1.0
+    mp = solve_missingness(p, sign * frac * bound, default_cov, st)
+    assert abs(prob_available(mp, default_cov) - p) <= 1e-6
+    assert abs(corr_y_m(mp, default_cov, st) - sign * frac * bound) <= 1e-6
+    with pytest.raises(InfeasibleTargetError):
+        solve_missingness(p, sign * (bound + excess), default_cov, st)
 
 
 def test_mc_validation(default_cov, default_mp):
