@@ -7,10 +7,11 @@ Subcommands::
     smartp solve-missing   recover (a0, b0) from targets (p_i, c_i)
     smartp describe-design print the paths/regimes/probability tables
 
-Runs are configured by a JSON document (``--config``) with blocks
-``design``, ``model``, ``test``, ``mc``; every scalar is also a flag and
-flags win.  Exit codes: 0 success, 2 configuration error, 3 numeric or
-infeasibility error.
+Each parameter is a flag of the commands that read it and a key of one
+block (``design``, ``model``, ``test``, ``mc``) of the JSON document given
+by ``--config``; flags win.  A command takes only the flags it reads.
+Exit codes: 0 success, 2 configuration error, 3 numeric or infeasibility
+error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,41 +45,113 @@ from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingn
 from .moments import OutcomeModel
 from .power import TestSpec, exact_n, required_n
 from .simtrial import mc_power
-from .spatial import CarModel, car_covariance, default_car_model, load_edge_list
+from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
 
 SCHEMA_VERSION = 1
-#: dests of the model-only flags, then of the design and Monte Carlo flags; --delta-std refuses both
-MODEL_FLAGS = ("tau", "rho", "sigma1", "lambda_", "nu", "sigma0", "cutoff", "a0", "b0", "p_i",
-               "c_i", "graph", "self_adjacent", "sigma_csv")
-DESIGN_MC_FLAGS = ("design", "stage1_mode", "pi1_literal", "gamma", "mu_scalar", "mu_csv",
-                   "regime", "num", "seed", "workers")
-DEFAULTS = {
-    "tau": 0.85,
-    "rho": 0.975,
-    "sigma1": 0.95,
-    "lambda": 0.0,
-    "nu": math.inf,
-    "sigma0": 1.0,
-    "cutoff": 0.0,
-    "a0": -1.0,
-    "b0": 0.5,
-    "alpha": 0.05,
-    "beta": 0.2,
-    "num": 1_000_000,
-    "reps": 5000,
-    "workers": 1,
-    "gamma1": 0.25,
-    "gamma2": 0.5,
-}
+SAMPLESIZE, POWER, SOLVE, DESCRIBE = "samplesize", "power", "solve-missing", "describe-design"
+#: the form ``samplesize --delta-std D``: it reads only the rows that list it and refuses the others
+DELTA_STD = "samplesize --delta-std"
+DESIGNED = {SAMPLESIZE, POWER, DESCRIBE}
+MODELLED = {SAMPLESIZE, POWER, SOLVE}
+SIMULATED = {SAMPLESIZE, POWER}
+SIZED = {SAMPLESIZE, POWER, DELTA_STD}
+
+#: range checks, each a predicate on the parsed value and what it requires; NaN fails them all
+FINITE = (lambda x: bool(np.isfinite(x).all()), "finite")
+POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+UNIT = (lambda x: 0 < x < 1, "in (0, 1)")
+COUNT = (lambda n: n >= 1, "positive")
 
 
-def _parse_nu(value) -> float:
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    nu = float(value)
-    if not nu > 0:
-        raise ConfigError(f"nu must be > 0 or Inf, got {value!r}")
-    return nu
+def _items(raw) -> list:
+    """A comma list given as a flag, or a JSON list from the config."""
+    return raw.split(",") if isinstance(raw, str) else raw
+
+
+def _floats(raw) -> np.ndarray:
+    return np.array([float(x) for x in _items(raw)])
+
+
+def _ints(raw) -> tuple[int, ...]:
+    return tuple(int(x) for x in _items(raw))
+
+
+def _matrix(raw) -> np.ndarray:
+    m = np.array(raw, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("not a matrix")
+    return m
+
+
+def _csv_rows(path: str) -> list[list[str]]:
+    """``--mu-csv`` names a CSV file of path rows; the ``mu`` row parses them as it does the config
+    matrix."""
+    try:
+        with open(path, newline="") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+class Row(NamedTuple):
+    name: str  # config key, argparse dest and inputs key
+    flag: str | None
+    block: str | None  # config block; None for a flag-only row
+    parse: Callable  # raw flag string or JSON value -> value; bool makes a store_true flag
+    default: object
+    check: tuple[Callable, str] | None
+    commands: set[str]  # the commands that read the row
+
+
+#: every parameter of the CLI, named once: its flag, config key, default, range check and the
+#: commands that read it; the flags, the merge, the checks and the ``inputs`` echo come from here
+TABLE = (
+    Row("name", "--design", "design", str, "periodontitis-default", None, DESIGNED),
+    Row("n_units", None, "design", int, 28, COUNT, DESIGNED | {SOLVE}),
+    Row("st1", None, "design", _matrix, None,
+        (lambda m: m.shape[1] >= 3 and FINITE[0](m), "finite, 3 columns per arm"), DESIGNED),
+    Row("dtr", None, "design", _matrix, None,
+        (lambda m: m.shape[1] >= 4 and FINITE[0](m), "finite, 4 columns per regime"), DESIGNED),
+    Row("gamma", "--gamma", "design", _floats, None,
+        (lambda g: bool(((g >= 0) & (g <= 1)).all()), "rates in [0, 1]"), DESIGNED),
+    Row("mu", "--mu-csv", "design", _matrix, None, FINITE, DESIGNED),
+    Row("mu_scalar_per_path", "--mu-scalar", "design", _floats, None, FINITE, DESIGNED),
+    Row("stage1_mode", "--stage1-mode", "design", Stage1Mode, Stage1Mode.BALANCED, None, DESIGNED),
+    Row("pi1_literal", "--pi1-literal", "design", bool, False, None, DESIGNED),
+    Row("tau", "--tau", "model", float, 0.85, POSITIVE, MODELLED),
+    Row("rho", "--rho", "model", float, 0.975, (lambda x: 0 <= x < 1, "in [0, 1)"), MODELLED),
+    Row("sigma1", "--sigma1", "model", float, 0.95, POSITIVE, MODELLED),
+    Row("lambda", "--lambda", "model", float, 0.0, FINITE, MODELLED),
+    # float reads "Inf", the normal-error limit; nu alone may be infinite
+    Row("nu", "--nu", "model", float, math.inf, (lambda x: x > 0, "positive or Inf"), MODELLED),
+    Row("sigma0", "--sigma0", "model", float, 1.0, POSITIVE, MODELLED),
+    Row("cutoff", "--cutoff", "model", float, 0.0, FINITE, MODELLED),
+    Row("a0", "--a0", "model", float, -1.0, FINITE, SIMULATED),
+    Row("b0", "--b0", "model", float, 0.5, FINITE, SIMULATED),
+    Row("p_i", "--p-i", "model", float, None, UNIT, MODELLED),
+    Row("c_i", "--c-i", "model", float, None, FINITE, MODELLED),
+    Row("graph", "--graph", "model", str, None, None, MODELLED | {DESCRIBE}),
+    # by default the built-in chain counts each tooth as its own neighbour; an edge list does not
+    Row("self_adjacent", "--self-adjacent", "model", bool, None, None, MODELLED),
+    Row("delta_std", "--delta-std", None, float, None, POSITIVE, {DELTA_STD}),
+    Row("regime", "--regime", "test", _ints, (1,), None, SIMULATED),
+    Row("alpha", "--alpha", "test", float, 0.05, UNIT, SIZED),
+    Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
+    Row("power", "--power", "test", float, None, UNIT, SIZED),
+    Row("num", "--num", "mc", int, 1_000_000, COUNT, SIMULATED),
+    Row("reps", "--reps", "mc", int, 5000, COUNT, {POWER}),
+    Row("seed", "--seed", "mc", int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
+    Row("workers", "--workers", "mc", int, 1, COUNT, SIMULATED),
+    Row("n", "--n", None, int, None, COUNT, {POWER}),
+    Row("empirical_variance", "--empirical-variance", None, bool, False, None, {POWER}),
+    Row("sigma_csv", "--sigma-csv", None, str, None, None, {SAMPLESIZE}),
+    Row("dump_trials", "--dump-trials", None, str, None, None, {POWER}),
+)
+#: rows whose flags exclude each other: two ways to give one quantity, or one row with two flags
+EXCLUSIVE = (("beta", "power"), ("mu", "mu_scalar_per_path"), ("self_adjacent",))
+#: rows the ``inputs`` echo leaves out besides the design: workers does not change the result,
+#: power is echoed as beta, n is reported as N, and the rest name output files
+NOT_ECHOED = {"workers", "power", "n", "sigma_csv", "dump_trials"}
 
 
 def _fmt(x) -> str:
@@ -110,189 +184,147 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    schema = cfg.get("schema", SCHEMA_VERSION)
+    schema = cfg.pop("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema {schema}; this build reads schema 1")
+    for block, keys in cfg.items():
+        known = {row.name for row in TABLE if row.block == block}
+        if not known:
+            raise ConfigError(f"unknown config block {block!r}")
+        if not isinstance(keys, dict):
+            raise ConfigError(f"config block {block!r} must be a JSON object")
+        unknown = sorted(set(keys) - known)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in config block {block!r}: {', '.join(unknown)}")
     return cfg
 
 
-def _merge_scalar(args, cfg_block: dict, name: str, flag_value, default):
-    if flag_value is not None:
-        return flag_value
-    if name in cfg_block:
-        return cfg_block[name]
-    return default
+def _lookup(args, cfg: dict, row: Row) -> tuple:
+    """A row's raw value and its source: the flag, else the config key, else (None, None)."""
+    if getattr(args, row.name, None) is not None:
+        return getattr(args, row.name), row.flag
+    if row.block and cfg.get(row.block, {}).get(row.name) is not None:
+        return cfg[row.block][row.name], f"config {row.block}.{row.name}"
+    return None, None
 
 
-def _resolve_mu(args, design_cfg: dict, n_paths: int, n_units: int) -> np.ndarray:
-    if args.mu_csv is not None:
-        with open(args.mu_csv, newline="") as fh:
-            rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-        mu = np.array(rows)
-    elif args.mu_scalar is not None:
-        scalars = [float(x) for x in args.mu_scalar.split(",")]
-        mu = np.tile(np.array(scalars)[:, None], (1, n_units))
-    elif "mu" in design_cfg and "mu_scalar_per_path" in design_cfg:
-        raise ConfigError("give the path means once: mu matrix or mu_scalar_per_path")
-    elif "mu" in design_cfg:
-        mu = np.array(design_cfg["mu"], dtype=float)
-    elif "mu_scalar_per_path" in design_cfg:
-        mu = np.tile(np.array(design_cfg["mu_scalar_per_path"], dtype=float)[:, None], (1, n_units))
-    else:
-        mu = np.zeros((n_paths, n_units))
+def _pick(given: dict, a: str, b: str) -> str | None:
+    """Which of two rows that give one quantity to use.
+
+    A flag beats the config; both in the config is an error.
+    """
+    both = [name for name in (a, b) if name in given]
+    if len(both) < 2:
+        return both[0] if both else None
+    flagged = [name for name in both if given[name].startswith("--")]
+    if len(flagged) != 1:
+        raise ConfigError(f"give {given[a]} or {given[b]}, not both")
+    return flagged[0]
+
+
+def _resolve(args, cfg: dict, command: str) -> tuple[dict, dict]:
+    """Every row ``command`` reads: its flag, else its config key, else its default.
+
+    A given value is parsed and checked here, so a malformed or out-of-range
+    one is a configuration error that names its parameter.  Returns the
+    values and, for each given row, where it came from.
+    """
+    values, given = {}, {}
+    for row in TABLE:
+        if command not in row.commands:
+            continue
+        raw, where = _lookup(args, cfg, row)
+        if raw is None and row.name == "seed" and "SMARTP_SEED" in os.environ:
+            raw, where = os.environ["SMARTP_SEED"], "SMARTP_SEED"
+        if raw is None:
+            values[row.name] = row.default
+            continue
+        try:
+            value = row.parse(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{row.name} ({where}): cannot read {raw!r}") from None
+        if row.check and not row.check[0](value):
+            raise ConfigError(f"{row.name} ({where}) must be {row.check[1]}, got {raw}")
+        values[row.name], given[row.name] = value, where
+    if _pick(given, "beta", "power") == "power":
+        values["beta"] = 1.0 - values["power"]
+    if _pick(given, "mu", "mu_scalar_per_path") == "mu_scalar_per_path":
+        values["mu"] = np.tile(values["mu_scalar_per_path"][:, None], (1, values["n_units"]))
+    return values, given
+
+
+def _inputs(values: dict, model: dict | None = None) -> dict:
+    """The ``inputs`` echo: the model, then the rows read outside the design, in table order."""
+    rest = {row.name: values[row.name] for row in TABLE if row.name in values
+            and row.block not in ("design", "model") and row.name not in NOT_ECHOED}
+    return {"model": model, **rest} if model else rest
+
+
+def _build_design(v: dict) -> SmartDesign:
+    st1, dtr, gamma, n_units = v["st1"], v["dtr"], v["gamma"], v["n_units"]
+    if (st1 is None) != (dtr is None):
+        raise ConfigError("custom designs need both st1 and dtr")
+    if st1 is None and v["name"] != "periodontitis-default":
+        raise ConfigError(f"unknown design {v['name']!r}; built-ins: periodontitis-default")
+    n_arms = 2 if st1 is None else st1.shape[0]
+    if gamma is not None and len(gamma) != n_arms:
+        raise ConfigError(f"gamma needs {n_arms} rates")
+    n_paths = 10 if st1 is None else int(dtr[:, 1:3].max())
+    mu = np.zeros((n_paths, n_units)) if v["mu"] is None else v["mu"]
     if mu.shape[0] != n_paths:
         raise ConfigError(f"mu has {mu.shape[0]} rows but the design has {n_paths} paths")
     if mu.shape[1] != n_units:
         raise ConfigError(f"mu has {mu.shape[1]} columns but the design has {n_units} sub-units")
-    return mu
-
-
-def _build_design(args, cfg: dict) -> SmartDesign:
-    design_cfg = cfg.get("design", {})
-    name = args.design or design_cfg.get("name", "periodontitis-default")
-    mode = args.stage1_mode or design_cfg.get("stage1_mode", "balanced")
-    literal = args.pi1_literal or bool(design_cfg.get("pi1_literal", False))
-    n_units = int(design_cfg.get("n_units", 28))
-
-    if "st1" in design_cfg or "dtr" in design_cfg:
-        if "st1" not in design_cfg or "dtr" not in design_cfg:
-            raise ConfigError("custom designs need both st1 and dtr")
-        st1 = np.array(design_cfg["st1"], dtype=float)
-        dtr = np.array(design_cfg["dtr"], dtype=float)
-        if args.gamma is not None:
-            rates = [float(x) for x in args.gamma.split(",")]
-            if len(rates) != st1.shape[0]:
-                raise ConfigError(f"--gamma needs {st1.shape[0]} rates")
-            st1[:, 2] = rates
-        n_paths = int(max(dtr[:, 1].max(), dtr[:, 2].max()))
-        mu = _resolve_mu(args, design_cfg, n_paths, n_units)
-        try:
-            return design_from_matrices(mu, st1, dtr, mode, literal)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if name != "periodontitis-default":
-        raise ConfigError(f"unknown design {name!r}; built-ins: periodontitis-default")
-    g1, g2 = DEFAULTS["gamma1"], DEFAULTS["gamma2"]
-    if args.gamma is not None:
-        rates = [float(x) for x in args.gamma.split(",")]
-        if len(rates) != 2:
-            raise ConfigError("--gamma needs 2 rates for the built-in design")
-        g1, g2 = rates
-    elif "gamma" in design_cfg:
-        g1, g2 = (float(x) for x in design_cfg["gamma"])
-    mu = _resolve_mu(args, design_cfg, 10, n_units)
     try:
-        return periodontitis_default(g1, g2, mu, n_units, mode, literal)
+        if st1 is None:
+            rates = () if gamma is None else gamma
+            return periodontitis_default(*rates, mu=mu, n_units=n_units,
+                                         stage1_mode=v["stage1_mode"], pi1_literal=v["pi1_literal"])
+        if gamma is not None:
+            st1[:, 2] = gamma
+        return design_from_matrices(mu, st1, dtr, v["stage1_mode"], v["pi1_literal"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_model(args, cfg: dict, n_units: int) -> tuple[OutcomeModel, dict]:
-    model_cfg = cfg.get("model", {})
-    get = lambda name, flag: _merge_scalar(args, model_cfg, name, flag, DEFAULTS.get(name))
-    tau = float(get("tau", args.tau))
-    rho = float(get("rho", args.rho))
-    sigma1 = float(get("sigma1", args.sigma1))
-    lam = float(get("lambda", args.lambda_))
-    nu = _parse_nu(get("nu", args.nu))
-    sigma0 = float(get("sigma0", args.sigma0))
-    cutoff = float(get("cutoff", args.cutoff))
-
-    graph_path = args.graph or model_cfg.get("graph")
-    graph = load_edge_list(graph_path) if graph_path else None
-    self_adj = model_cfg.get("self_adjacent", graph is None)
-    if args.self_adjacent is not None:
-        self_adj = args.self_adjacent
+def _build_model(v: dict, given: dict) -> tuple[OutcomeModel, dict]:
+    """The outcome model and its echo: the model rows, with (a0, b0) as solved from any targets."""
+    self_adj = v["graph"] is None if v["self_adjacent"] is None else v["self_adjacent"]
     try:
-        if graph is None:
-            graph = default_car_model(tau, rho, n_units).graph
-        car = CarModel(graph, tau, rho, self_adj)
-        st = SkewTParams(0.0, sigma1, lam, nu)
-        mp = MissingnessParams(float(get("a0", args.a0)), float(get("b0", args.b0)), sigma0, cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    given = lambda *names: any(getattr(args, n) is not None or n in model_cfg for n in names)
-    direct, targets = given("a0", "b0"), given("p_i", "c_i")
+        graph = load_edge_list(v["graph"]) if v["graph"] else tooth_chain(v["n_units"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"graph ({v['graph']}): {exc}") from exc
+    car = CarModel(graph, v["tau"], v["rho"], self_adj)
+    st = SkewTParams(0.0, v["sigma1"], v["lambda"], v["nu"])
+    direct, targets = {"a0", "b0"} & given.keys(), {"p_i", "c_i"} & given.keys()
     if direct and targets:
         raise ConfigError("give either (a0, b0) or (p_i, c_i), not both")
-    solved = {}
     if targets:
-        p_i, c_i = get("p_i", args.p_i), get("c_i", args.c_i)
-        if p_i is None or c_i is None:
+        if len(targets) < 2:
             raise ConfigError("the target form needs both p_i and c_i")
-        p_i, c_i = float(p_i), float(c_i)
-        if not 0.0 < p_i < 1.0:
-            raise ConfigError(f"p_i must be in (0,1), got {p_i}")
-        mp = solve_missingness(p_i, c_i, car_covariance(car), st, sigma0, cutoff)
-        solved = {"a0": mp.intercept, "b0": mp.loading, "p_i": p_i, "c_i": c_i}
-    model = OutcomeModel(car, st, mp)
-    resolved = {
-        "tau": tau,
-        "rho": rho,
-        "sigma1": sigma1,
-        "lambda": lam,
-        "nu": nu,
-        "sigma0": sigma0,
-        "cutoff": cutoff,
-        "a0": mp.intercept,
-        "b0": mp.loading,
-        "graph": graph_path,
-        "self_adjacent": self_adj,
-        **({"solved_from": solved} if solved else {}),
-    }
-    return model, resolved
+        mp = solve_missingness(
+            v["p_i"], v["c_i"], car_covariance(car), st, v["sigma0"], v["cutoff"]
+        )
+    else:
+        mp = MissingnessParams(v["a0"], v["b0"], v["sigma0"], v["cutoff"])
+    resolved = {**v, "a0": mp.intercept, "b0": mp.loading, "self_adjacent": self_adj}
+    echo = {row.name: resolved[row.name] for row in TABLE
+            if row.block == "model" and row.name not in ("p_i", "c_i")}
+    if targets:
+        echo["solved_from"] = {
+            "a0": mp.intercept, "b0": mp.loading, "p_i": v["p_i"], "c_i": v["c_i"]
+        }
+    return OutcomeModel(car, st, mp), echo
 
 
-def _regime_ids(args, cfg: dict, design: SmartDesign) -> tuple[int, ...]:
-    test_cfg = cfg.get("test", {})
-    raw = args.regime if args.regime is not None else test_cfg.get("regime", [1])
-    if isinstance(raw, str):
-        raw = raw.split(",")
+def _regime_ids(regime: tuple[int, ...], design: SmartDesign) -> tuple[int, ...]:
     n_regimes = len(design.regimes)
-    try:
-        ids = tuple(int(x) - 1 for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"regime must list one or two regime numbers, got {raw!r}") from exc
+    ids = tuple(r - 1 for r in regime)
     if len(ids) not in (1, 2) or not all(0 <= i < n_regimes for i in ids):
         raise ConfigError(f"regime must list one or two regime numbers in 1..{n_regimes}")
     if len(ids) == 2 and ids[0] == ids[1]:
         raise ConfigError("cannot compare a regime against itself")
     return ids
-
-
-def _alpha_beta(args, cfg: dict) -> tuple[float, float]:
-    test_cfg = cfg.get("test", {})
-    alpha = float(_merge_scalar(args, test_cfg, "alpha", args.alpha, DEFAULTS["alpha"]))
-    if args.power is not None and args.beta is not None:
-        raise ConfigError("give --power or --beta, not both")
-    if args.power is not None:
-        beta = 1.0 - float(args.power)
-    elif args.beta is not None:
-        beta = float(args.beta)
-    elif "beta" in test_cfg:
-        beta = float(test_cfg["beta"])
-    elif "power" in test_cfg:
-        beta = 1.0 - float(test_cfg["power"])
-    else:
-        beta = DEFAULTS["beta"]
-    if not (0 < alpha < 1 and 0 < beta < 1):
-        raise ConfigError(f"alpha and beta must be in (0,1); got alpha={alpha}, beta={beta}")
-    return alpha, beta
-
-
-def _mc_params(args, cfg: dict) -> tuple[int, int, int, int]:
-    mc_cfg = cfg.get("mc", {})
-    num = int(_merge_scalar(args, mc_cfg, "num", args.num, DEFAULTS["num"]))
-    reps = int(_merge_scalar(args, mc_cfg, "reps", getattr(args, "reps", None), DEFAULTS["reps"]))
-    seed_env = os.environ.get("SMARTP_SEED")
-    seed_default = int(seed_env) if seed_env is not None else 0
-    seed = int(_merge_scalar(args, mc_cfg, "seed", args.seed, seed_default))
-    workers = int(_merge_scalar(args, mc_cfg, "workers", args.workers, DEFAULTS["workers"]))
-    n = getattr(args, "n", None)
-    if min(num, reps, workers) < 1 or (n is not None and n < 1):
-        raise ConfigError("num, reps, workers and n must be positive")
-    return num, reps, seed, workers
 
 
 def _report(args, command: str, inputs: dict, result: dict) -> None:
@@ -352,37 +384,27 @@ def _print_path_table(tables: dict[str, np.ndarray]) -> None:
 
 def cmd_samplesize(args) -> int:
     cfg = _load_config(args.config)
-    alpha, beta = _alpha_beta(args, cfg)
     if args.delta_std is not None:
-        for group in (MODEL_FLAGS, DESIGN_MC_FLAGS):
-            ignored = [d for d in group if getattr(args, d) is not None]
-            if ignored:
-                flags = ", ".join("--" + d.rstrip("_").replace("_", "-") for d in ignored)
-                raise ConfigError(f"{flags} ignored with --delta-std")
-        delta_std = float(args.delta_std)
-        if not 0.0 < delta_std < math.inf:
-            raise ConfigError(f"--delta-std must be a positive number, got {args.delta_std}")
-        sizing = (delta_std, 1.0, alpha, beta)
-        result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": delta_std}
-        _report(args, "samplesize", {"delta_std": delta_std, "alpha": alpha, "beta": beta}, result)
+        refused = [_lookup(args, cfg, row)[1] for row in TABLE
+                   if SAMPLESIZE in row.commands and DELTA_STD not in row.commands]
+        ignored = [where for where in refused if where]
+        if ignored:
+            raise ConfigError(f"{', '.join(ignored)} ignored with --delta-std")
+        v, _ = _resolve(args, cfg, DELTA_STD)
+        sizing = (v["delta_std"], 1.0, v["alpha"], v["beta"])
+        result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": v["delta_std"]}
+        _report(args, "samplesize", _inputs(v), result)
         return 0
 
-    design = _build_design(args, cfg)
-    num, _, seed, workers = _mc_params(args, cfg)
-    model, resolved = _build_model(args, cfg, design.n_units)
-    regime_ids = _regime_ids(args, cfg, design)
+    v, given = _resolve(args, cfg, SAMPLESIZE)
+    design = _build_design(v)
+    model, model_echo = _build_model(v, given)
+    regime_ids = _regime_ids(v["regime"], design)
     size, eff = compute_sample_size(
-        design, model, regime_ids, alpha, beta, num=num, seed=seed, workers=workers
+        design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
+        workers=v["workers"],
     )
     tables = path_tables(design)
-    inputs = {
-        "model": resolved,
-        "regime": [i + 1 for i in regime_ids],
-        "alpha": alpha,
-        "beta": beta,
-        "num": num,
-        "seed": seed,
-    }
     result = {
         "N": size.n,
         "N_exact": size.n_exact,
@@ -396,25 +418,24 @@ def cmd_samplesize(args) -> int:
         "sig.e.sq": eff.sig_e_sq,
         **{name: column.tolist() for name, column in tables.items()},
     }
-    _report(args, "samplesize", inputs, result)
+    _report(args, "samplesize", _inputs(v, model_echo), result)
     _print_path_table(tables)
-    if args.sigma_csv:
-        _write_sigma_csv(args.sigma_csv, model.sigma.matrix)
+    if v["sigma_csv"]:
+        _write_sigma_csv(v["sigma_csv"], model.sigma.matrix)
     return 0
 
 
 def cmd_power(args) -> int:
-    cfg = _load_config(args.config)
-    design = _build_design(args, cfg)
-    model, resolved = _build_model(args, cfg, design.n_units)
-    alpha, beta = _alpha_beta(args, cfg)
-    num, reps, seed, workers = _mc_params(args, cfg)
-    regime_ids = _regime_ids(args, cfg, design)
+    v, given = _resolve(args, _load_config(args.config), POWER)
+    design = _build_design(v)
+    model, model_echo = _build_model(v, given)
+    regime_ids = _regime_ids(v["regime"], design)
+    alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
 
-    eff = compute_effect(design, model, regime_ids, num, seed, workers)
-    n = int(args.n) if args.n is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
+    eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
+    n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
     test = TestSpec(test_kind_for(design, regime_ids), alpha, beta)
-    with open(args.dump_trials, "w", newline="") if args.dump_trials else nullcontext() as fh:
+    with open(v["dump_trials"], "w", newline="") if v["dump_trials"] else nullcontext() as fh:
         est = mc_power(
             design,
             model,
@@ -422,22 +443,12 @@ def cmd_power(args) -> int:
             regime_ids,
             n,
             eff.sigma_sq,
-            reps=reps,
+            reps=v["reps"],
             seed=seed,
             workers=workers,
-            empirical_variance=args.empirical_variance,
+            empirical_variance=v["empirical_variance"],
             on_chunk=_trial_writer(fh, design, n) if fh else None,
         )
-    inputs = {
-        "model": resolved,
-        "regime": [i + 1 for i in regime_ids],
-        "alpha": alpha,
-        "beta": beta,
-        "num": num,
-        "reps": reps,
-        "seed": seed,
-        "empirical_variance": bool(args.empirical_variance),
-    }
     result = {
         "N": n,
         "power": est.power,
@@ -447,41 +458,35 @@ def cmd_power(args) -> int:
         "sigma_sq": eff.sigma_sq,
         "Del": eff.delta,
     }
-    _report(args, "power", inputs, result)
+    _report(args, "power", _inputs(v, model_echo), result)
     return 0
 
 
 def cmd_solve_missing(args) -> int:
-    cfg = _load_config(args.config)
-    if args.p_i is None or args.c_i is None:
-        raise ConfigError("solve-missing needs --p-i and --c-i")
-    # force target form regardless of config contents
-    args.a0 = args.b0 = None
-    cfg.setdefault("model", {}).pop("a0", None)
-    cfg["model"].pop("b0", None)
-    design_units = int(cfg.get("design", {}).get("n_units", 28))
-    model, _ = _build_model(args, cfg, design_units)
+    v, given = _resolve(args, _load_config(args.config), SOLVE)
+    if not {"p_i", "c_i"} <= given.keys():
+        raise ConfigError("solve-missing needs p_i and c_i")
+    model, _ = _build_model(v, given)
     result = {
         "a0": model.mp.intercept,
         "b0": model.mp.loading,
         "p_i": prob_available(model.mp, model.sigma),
         "c_i": corr_y_m(model.mp, model.sigma, model.st),
     }
-    _report(args, "solve-missing", {"p_i": float(args.p_i), "c_i": float(args.c_i)}, result)
+    _report(args, "solve-missing", {"p_i": v["p_i"], "c_i": v["c_i"]}, result)
     return 0
 
 
 def cmd_describe_design(args) -> int:
-    cfg = _load_config(args.config)
-    design = _build_design(args, cfg)
+    v, _ = _resolve(args, _load_config(args.config), DESCRIBE)
+    design = _build_design(v)
     issues = validate(design)
     print(f"sub-units per cluster: {design.n_units}")
     print(f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}")
     literal = " (literal pi1)" if design.pi1_literal else ""
     print(f"stage1 mode: {design.stage1_mode.value}{literal}")
-    graph_path = args.graph or cfg.get("model", {}).get("graph")
-    if graph_path:
-        print(f"graph: {graph_path}")
+    if v["graph"]:
+        print(f"graph: {v['graph']}")
     pi1 = stage1_probs(design)
     for arm in design.arms:
         print(f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
@@ -496,39 +501,33 @@ def cmd_describe_design(args) -> int:
     _print_path_table(path_tables(design))
     if issues:
         print("violations:")
-        for v in issues:
-            print(f"  [{v.kind}] {v.detail}")
+        for issue in issues:
+            print(f"  [{issue.kind}] {issue.detail}")
         return 2
     print("design ok")
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (schema 1)")
-    p.add_argument("--design", help="built-in design name (periodontitis-default)")
-    p.add_argument("--stage1-mode", choices=[m.value for m in Stage1Mode], dest="stage1_mode")
-    p.add_argument("--pi1-literal", action="store_true", default=None, dest="pi1_literal",
-                   help="printed-form stage-1 weights (compatibility quirk)")
-    p.add_argument("--gamma", help="comma list of per-arm response rates")
-    mu = p.add_mutually_exclusive_group()
-    mu.add_argument("--mu-scalar", dest="mu_scalar", help="comma list: one constant mean per path")
-    mu.add_argument("--mu-csv", dest="mu_csv", help="CSV of per-path mean vectors (rows=paths)")
-    p.add_argument("--graph", help="edge-list file overriding the tooth neighborhood")
-    adj = p.add_mutually_exclusive_group()
-    adj.add_argument("--self-adjacent", dest="self_adjacent", action="store_true", default=None)
-    adj.add_argument("--no-self-adjacent", dest="self_adjacent", action="store_false", default=None)
-    for flag, dest in [
-        ("--tau", None), ("--rho", None), ("--sigma1", None), ("--lambda", "lambda_"),
-        ("--sigma0", None), ("--cutoff", None), ("--a0", None), ("--b0", None),
-        ("--p-i", "p_i"), ("--c-i", "c_i"), ("--alpha", None), ("--beta", None),
-        ("--power", None),
-    ]:
-        p.add_argument(flag, type=float, dest=dest)
-    p.add_argument("--nu", help="degrees of freedom, a number or Inf")
-    p.add_argument("--regime", help="one or two regime numbers, e.g. 1,5")
-    for flag in ("--num", "--seed", "--workers"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--json", help="write the result as JSON to this file")
+def _add_flags(parser: argparse.ArgumentParser, reads: set[str]) -> None:
+    """Register the flag of every row that one of ``reads`` reads."""
+    parser.add_argument("--config", help="JSON config file (schema 1)")
+    groups = {}
+    for row in TABLE:
+        if row.flag is None or not row.commands & reads:
+            continue
+        exclusive = next((names for names in EXCLUSIVE if row.name in names), None)
+        if exclusive and exclusive not in groups:
+            groups[exclusive] = parser.add_mutually_exclusive_group()
+        target = groups[exclusive] if exclusive else parser
+        kw = {"action": "store_true", "default": None} if row.parse is bool else {}
+        if row.name == "mu":
+            kw["type"] = _csv_rows
+        target.add_argument(row.flag, dest=row.name,
+                            help=f"config {row.block}.{row.name}" if row.block else None, **kw)
+        if row.name == "self_adjacent":
+            target.add_argument("--no-self-adjacent", dest=row.name, action="store_false",
+                                default=None)
+    parser.add_argument("--json", help="write the result as JSON to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,22 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"smartp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [
-        ("samplesize", cmd_samplesize),
-        ("power", cmd_power),
-        ("solve-missing", cmd_solve_missing),
-        ("describe-design", cmd_describe_design),
+        (SAMPLESIZE, cmd_samplesize),
+        (POWER, cmd_power),
+        (SOLVE, cmd_solve_missing),
+        (DESCRIBE, cmd_describe_design),
     ]:
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_flags(p, {name, DELTA_STD} if name == SAMPLESIZE else {name})
         p.set_defaults(func=fn)
-    samplesize, power = sub.choices["samplesize"], sub.choices["power"]
-    samplesize.add_argument("--delta-std", type=float, dest="delta_std")
-    samplesize.add_argument("--sigma-csv", dest="sigma_csv", help="write the CAR covariance as CSV")
-    for flag in ("--reps", "--n"):
-        power.add_argument(flag, type=int)
-    power.add_argument("--dump-trials", dest="dump_trials", help="per-replicate CSV dump")
-    power.add_argument("--empirical-variance", action="store_true", dest="empirical_variance",
-                       help="studentize with the per-dataset variance instead of the design value")
     return parser
 
 
@@ -563,10 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SmartpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (SmartpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
+from smartp.power import required_n
 from smartp.simtrial import TrialDataset
 
 BASE_ARGS = [sys.executable, "-m", "smartp.cli"]
@@ -295,11 +297,36 @@ def test_regime_out_of_range_exit_2(regime):
 @pytest.mark.parametrize("flags", [
     ["--tau", "0"], ["--rho", "1"], ["--sigma1", "0"], ["--sigma0", "0"],
     ["--p-i", "1", "--c-i", "0.4"], ["--sigma0", "0", "--p-i", "0.5", "--c-i", "0.3"],
-], ids=["tau", "rho", "sigma1", "sigma0", "p-i", "sigma0-targets"])
+    ["--lambda", "nan"], ["--b0", "inf"], ["--a0", "nan"], ["--cutoff", "nan"], ["--cutoff", "inf"],
+    ["--c-i", "nan", "--p-i", "0.5"],
+], ids=["tau", "rho", "sigma1", "sigma0", "p-i", "sigma0-targets", "lambda-nan", "b0-inf",
+        "a0-nan", "cutoff-nan", "cutoff-inf", "c-i-nan"])
 def test_model_scalar_out_of_range_exit_2(flags):
-    proc = run_cli("samplesize", "--regime", "1", *flags, "--num", "20000", check=False)
+    """Each float must be finite (only nu may be Inf) and in range; the message names the flag."""
+    proc = run_cli("samplesize", "--regime", "1", *flags, "--num", "20000", check=False,
+                   timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stdout == ""
+    assert flags[0] in proc.stderr
+
+
+@pytest.mark.parametrize("args,cfg,env,named", [
+    (["--gamma", "a,b", "--num", "20000"], None, None, "--gamma"),
+    (["--mu-scalar", "0,x,0,0,0,0,0,0,0,0", "--num", "20000"], None, None, "--mu-scalar"),
+    (["--num", "20000"], {"model": {"nu": "abc"}}, None, "model.nu"),
+    ([], {"mc": {"num": "x"}}, None, "mc.num"),
+    (["--num", "20000"], None, {"SMARTP_SEED": "abc"}, "SMARTP_SEED"),
+], ids=["gamma", "mu-scalar", "config-nu", "config-num", "env-seed"])
+def test_malformed_value_exit_2(tmp_path, args, cfg, env, named):
+    """A value that does not parse is a configuration error that names where it came from."""
+    if cfg is not None:
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"schema": 1, **cfg}))
+        args = [*args, "--config", str(p)]
+    proc = run_cli("samplesize", "--regime", "1", *args, env_extra=env, check=False, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stdout == ""
+    assert named in proc.stderr
 
 
 @pytest.mark.parametrize("command,nu", [
@@ -395,15 +422,64 @@ SIZED = ["--regime", "1", "--mu-scalar", "0,2,0,0,0,0,0,0,0,0", "--num", "20000"
     ["samplesize", "--delta-std", "0"],
     ["samplesize", "--delta-std", "-0.45"],
     ["samplesize", "--delta-std", "inf"],
+    ["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--regime", "1,5", "--num", "5",
+     "--alpha", "0.9"],
+    ["describe-design", "--tau", "0", "--num", "3"],
 ], ids=["power-sigma-csv", "power-delta-std", "ss-dump-trials", "ss-reps", "ss-n",
         "ss-empirical-variance", "ds-regime", "ds-num", "ds-seed", "ds-workers", "ds-mu", "ds-gamma",
-        "ds-pi1-literal", "ds-zero", "ds-negative", "ds-inf"])
+        "ds-pi1-literal", "ds-zero", "ds-negative", "ds-inf", "sm-test-mc", "dd-model-mc"])
 def test_flag_the_command_does_not_read_exit_2(tmp_path, args):
     """Each command refuses a flag it would ignore; --delta-std sizes from alpha and beta alone."""
     out = tmp_path / "out.csv"
     proc = run_cli(*[str(out) if a == "OUT" else a for a in args], check=False, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_delta_std_refuses_config_it_ignores(tmp_path):
+    """--delta-std refuses the config keys that only the simulated samplesize reads."""
+    p = tmp_path / "c.json"
+    for cfg in (
+        {"model": {"tau": 0}, "mc": {"num": 5}, "test": {"regime": [1, 99]}},
+        {"design": {"n_units": 4}}, {"model": {"a0": -1.0}}, {"mc": {"seed": 3}},
+        {"test": {"regime": [1]}},
+    ):
+        p.write_text(json.dumps({"schema": 1, **cfg}))
+        proc = run_cli("samplesize", "--delta-std", "0.45", "--config", str(p), check=False)
+        assert proc.returncode == 2, cfg
+        assert "ignored with --delta-std" in proc.stderr and proc.stdout == ""
+    p.write_text(json.dumps({"schema": 1, "test": {"alpha": 0.1, "power": 0.9}}))
+    out = run_cli("samplesize", "--delta-std", "0.45", "--config", str(p)).stdout
+    assert out.splitlines()[0].split() == ["N", str(required_n(0.45, 1.0, 0.1, 0.1))]
+
+
+@pytest.mark.parametrize("cfg,named", [
+    ({"model": {"sigma_1": 5.0}}, ["'model'", "sigma_1"]),
+    ({"modle": {"tau": 0.85}}, ["'modle'"]),
+    ({"model": [0.85]}, ["'model'"]),
+    ({"test": {"beta": 0.1, "power": 0.9}}, ["test.beta", "test.power"]),
+    ({"design": {"st1": [[1, 4, 0.3]], "dtr": [[1, 1]], "mu_scalar_per_path": [0]}},
+     ["design.dtr"]),
+], ids=["unknown-key", "unknown-block", "block-not-object", "beta-and-power", "short-dtr"])
+def test_config_the_program_cannot_read_exit_2(tmp_path, cfg, named):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"schema": 1, **cfg}))
+    proc = run_cli("samplesize", "--regime", "1", "--num", "20000", "--config", str(p),
+                   check=False, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and all(word in proc.stderr for word in named)
+
+
+def test_every_flag_is_a_table_row():
+    """Each subcommand registers the flags of the table rows it reads, and --config and --json."""
+    from smartp.cli import DELTA_STD, TABLE, build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        reads = {command, DELTA_STD} if command == "samplesize" else {command}
+        rows = {row.name for row in TABLE if row.flag and row.commands & reads}
+        dests = {a.dest for a in parser._actions if a.option_strings}
+        assert dests - {"help", "config", "json"} == rows, command
 
 
 def test_full_config_file_with_flag_override(tmp_path):
