@@ -16,6 +16,8 @@ from .design import (
     Stage1Mode,
     TreatmentPath,
     design_from_matrices,
+    ipw_path_weights,
+    path_probs,
     path_tables,
     periodontitis_default,
     stage1_probs,
@@ -46,11 +48,9 @@ from .moments import (
     OutcomeModel,
     PathMoments,
     estimate_path_moments,
-    regime_covariance,
-    regime_mean,
-    regime_variance,
+    regime_moments,
 )
-from .power import SampleSizeResult, TestKind, TestSpec, analytic_power, required_n, reject, wald_z
+from .power import SampleSizeResult, TestSpec, analytic_power, required_n, reject, wald_z
 from .simtrial import PowerEstimate, TrialDataset, ipw_estimate, mc_power, simulate_trial
 from .spatial import (
     AdjacencyGraph,

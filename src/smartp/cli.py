@@ -39,7 +39,7 @@ from .design import (
     validate,
 )
 from .dists import SkewTParams
-from .engine import compute_effect, compute_sample_size, test_kind_for
+from .engine import compute_effect, compute_sample_size
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
@@ -72,8 +72,15 @@ def _floats(raw) -> np.ndarray:
     return np.array([float(x) for x in _items(raw)])
 
 
+def _int(raw) -> int:
+    """A flag string or a JSON number; a bool or a fraction is an error, never truncated."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _ints(raw) -> tuple[int, ...]:
-    return tuple(int(x) for x in _items(raw))
+    return tuple(_int(x) for x in _items(raw))
 
 
 def _matrix(raw) -> np.ndarray:
@@ -107,7 +114,7 @@ class Row(NamedTuple):
 #: commands that read it; the flags, the merge, the checks and the ``inputs`` echo come from here
 TABLE = (
     Row("name", "--design", "design", str, "periodontitis-default", None, DESIGNED),
-    Row("n_units", None, "design", int, 28, COUNT, DESIGNED | {SOLVE}),
+    Row("n_units", None, "design", _int, 28, COUNT, DESIGNED | {SOLVE}),
     Row("st1", None, "design", _matrix, None,
         (lambda m: m.shape[1] >= 3 and FINITE[0](m), "finite, 3 columns per arm"), DESIGNED),
     Row("dtr", None, "design", _matrix, None,
@@ -138,11 +145,11 @@ TABLE = (
     Row("alpha", "--alpha", "test", float, 0.05, UNIT, SIZED),
     Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
     Row("power", "--power", "test", float, None, UNIT, SIZED),
-    Row("num", "--num", "mc", int, 1_000_000, COUNT, SIMULATED),
-    Row("reps", "--reps", "mc", int, 5000, COUNT, {POWER}),
-    Row("seed", "--seed", "mc", int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
-    Row("workers", "--workers", "mc", int, 1, COUNT, SIMULATED),
-    Row("n", "--n", None, int, None, COUNT, {POWER}),
+    Row("num", "--num", "mc", _int, 1_000_000, COUNT, SIMULATED),
+    Row("reps", "--reps", "mc", _int, 5000, COUNT, {POWER}),
+    Row("seed", "--seed", "mc", _int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
+    Row("workers", "--workers", "mc", _int, 1, COUNT, SIMULATED),
+    Row("n", "--n", None, _int, None, COUNT, {POWER}),
     Row("empirical_variance", "--empirical-variance", None, bool, False, None, {POWER}),
     Row("sigma_csv", "--sigma-csv", None, str, None, None, {SAMPLESIZE}),
     Row("dump_trials", "--dump-trials", None, str, None, None, {POWER}),
@@ -434,7 +441,7 @@ def cmd_power(args) -> int:
 
     eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
     n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
-    test = TestSpec(test_kind_for(design, regime_ids), alpha, beta)
+    test = TestSpec(alpha, beta)
     with open(v["dump_trials"], "w", newline="") if v["dump_trials"] else nullcontext() as fh:
         est = mc_power(
             design,

@@ -191,6 +191,27 @@ def path_tables(design: SmartDesign) -> dict[str, np.ndarray]:
     return {"p_st1": p_st1, "p_st2": p_st2, "res": res, "ga": ga, "initr": initr}
 
 
+def path_probs(design: SmartDesign) -> np.ndarray:
+    """Chance that a cluster follows each path: ``pi1 * (gamma or 1 - gamma) * pi2``."""
+    t = path_tables(design)
+    return t["p_st1"] * np.where(t["res"], t["ga"], 1.0 - t["ga"]) * t["p_st2"]
+
+
+def ipw_path_weights(design: SmartDesign, regime: Regime) -> np.ndarray:
+    """Per-path IPW weight of one regime: ``1/(pi1 pi2)`` on its two paths, 0 elsewhere."""
+    pi1 = stage1_probs(design)[regime.arm]
+    w = np.zeros(len(design.paths))
+    for p in (regime.responder_path, regime.nonresp_path):
+        w[p] = 1.0 / (pi1 * stage2_prob(design, p))
+    return w
+
+
+def _require_whole(m: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every entry of ``m`` is a finite whole number (no truncation)."""
+    if not np.all(np.isfinite(m) & (m == np.round(m))):
+        raise ValueError(f"{name} must be whole numbers, got {m.tolist()}")
+
+
 def design_from_matrices(
     mu: np.ndarray,
     st1: np.ndarray,
@@ -203,6 +224,8 @@ def design_from_matrices(
     st1 = np.atleast_2d(np.asarray(st1, dtype=float))
     dtr = np.atleast_2d(np.asarray(dtr, dtype=float))
     mode = Stage1Mode(stage1_mode)
+    _require_whole(st1[:, :2], "st1 option counts")
+    _require_whole(dtr[:, :4], "dtr ids")
     arms = tuple(
         Stage1Arm(i, int(row[0]), int(row[1]), float(row[2])) for i, row in enumerate(st1)
     )

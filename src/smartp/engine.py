@@ -1,9 +1,10 @@
-"""Orchestration: moments -> regime algebra -> sample size / power.
+"""Orchestration: moments -> IPW regime moments -> sample size / power.
 
 ``compute_sample_size`` is the programmatic equivalent of the
 ``smartp samplesize`` command: it simulates the outcome model once, takes
-from that pass the moments of every referenced path, assembles the regime
-mean/variance/covariance, and applies the sample-size formula.
+from that pass the moments of every path, takes the regime means and
+N-scaled covariance from ``regime_moments``, and applies the sample-size
+formula.
 """
 
 from __future__ import annotations
@@ -18,14 +19,10 @@ from .moments import (
     OutcomeModel,
     PathMoments,
     estimate_path_moments,
-    regime_covariance,
-    regime_mean,
-    regime_pair_is_shared,
-    regime_pieces,
-    regime_variance,
+    regime_moments,
     require_same_units,
 )
-from .power import SampleSizeResult, TestKind, exact_n, required_n
+from .power import SampleSizeResult, exact_n, required_n
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,6 @@ class EffectSummary:
     sig_d2_sq: float
     sig_d1d2: float
     sig_e_sq: float
-    shared: bool
     path_moments: dict[int, PathMoments]
 
     @property
@@ -56,23 +52,6 @@ class EffectSummary:
         if self.sig_e_sq <= 0.0:
             raise ValueError("variance is zero; standardized effect undefined")
         return self.delta / np.sqrt(self.sigma_sq)
-
-
-def test_kind_for(design: SmartDesign, regime_ids: tuple[int, ...]) -> TestKind:
-    if len(regime_ids) == 1:
-        return TestKind.SINGLE_REGIME
-    r1, r2 = (design.regimes[i] for i in regime_ids)
-    return TestKind.SHARED_PAIR if r1.arm == r2.arm else TestKind.DISTINCT_PAIR
-
-
-def needed_paths(design: SmartDesign, regime_ids: tuple[int, ...]) -> list[int]:
-    out: list[int] = []
-    for rid in regime_ids:
-        r = design.regimes[rid]
-        for p in (r.responder_path, r.nonresp_path):
-            if p not in out:
-                out.append(p)
-    return out
 
 
 def compute_effect(
@@ -97,28 +76,16 @@ def compute_effect(
         raise ValueError("cannot compare a regime against itself")
     if moments is None:
         moments = estimate_path_moments(model, num, seed, workers)
-    pm = {
-        pid: moments.for_path(design.paths[pid].mu, pid) for pid in needed_paths(design, regime_ids)
-    }
-
-    r1 = design.regimes[regime_ids[0]]
-    g1, pi1_1, p2r_1, p2nr_1, m1r, m1nr = regime_pieces(design, r1, pm)
-    mu_d1 = regime_mean(m1r.mu, m1nr.mu, g1)
-    v1 = regime_variance(m1r.mu, m1r.sigma2, m1nr.mu, m1nr.sigma2, g1, pi1_1, p2r_1, p2nr_1)
-
-    if len(regime_ids) == 1:
-        return EffectSummary(mu_d1, mu_d1, 0.0, v1, 0.0, 0.0, v1, False, pm)
-
-    r2 = design.regimes[regime_ids[1]]
-    g2, pi1_2, p2r_2, p2nr_2, m2r, m2nr = regime_pieces(design, r2, pm)
-    mu_d2 = regime_mean(m2r.mu, m2nr.mu, g2)
-    v2 = regime_variance(m2r.mu, m2r.sigma2, m2nr.mu, m2nr.sigma2, g2, pi1_2, p2r_2, p2nr_2)
-    shared = regime_pair_is_shared(design, r1, r2)
-    cov = regime_covariance(
-        m1r.mu, m1r.sigma2, m1nr.mu, m2r.mu, m2nr.mu, g1, g2, pi1_1, p2r_1, shared
+    pm = {p.index: moments.for_path(p.mu, p.index) for p in design.paths}
+    means, ncov = regime_moments(
+        design, regime_ids, [m.mu for m in pm.values()], [m.sigma2 for m in pm.values()]
     )
-    sig_e = v1 + v2 - 2.0 * cov
-    return EffectSummary(mu_d1 - mu_d2, mu_d1, mu_d2, v1, v2, cov, sig_e, shared, pm)
+    if len(regime_ids) == 1:
+        return EffectSummary(means[0], means[0], 0.0, ncov[0, 0], 0.0, 0.0, ncov[0, 0], pm)
+    sig_e = ncov[0, 0] + ncov[1, 1] - 2.0 * ncov[0, 1]
+    return EffectSummary(
+        means[0] - means[1], *means, ncov[0, 0], ncov[1, 1], ncov[0, 1], sig_e, pm
+    )
 
 
 def compute_sample_size(

@@ -1,4 +1,4 @@
-"""Monte Carlo path moments and the closed-form regime mean/variance algebra.
+"""Monte Carlo path moments and the IPW regime mean/covariance formula.
 
 A sub-unit is observed when its missingness index ``v = b0*Q + sigma0*eps0``
 is at most the cutoff.  With ``w = mask / k`` the availability weights of
@@ -15,9 +15,9 @@ All-missing replicates are redrawn (and counted).  Work proceeds in fixed
 65536-replicate chunks, each on its own RNG substream keyed by (seed, chunk,
 redraw round), so the result is bit-identical for any worker count.
 
-The regime algebra converts per-path moments into the mean, N-scaled
-variance and N-scaled covariance of inverse-probability-weighted regime
-mean estimators.
+``regime_moments`` converts per-path moments into the means and the
+N-scaled covariance matrix of inverse-probability-weighted regime mean
+estimators, one formula for a single regime and for any pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._backend import ybar_and_count
-from .design import Regime, SmartDesign, stage1_probs, stage2_prob
+from .design import SmartDesign, ipw_path_weights, path_probs
 from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .errors import DegenerateMissingnessError
 from .missing import MissingnessParams
@@ -223,89 +223,19 @@ def estimate_path_moments(
     return ModelMoments(n_tot, mean, m2, redrawn)
 
 
-# ---------------------------------------------------------------------------
-# closed-form regime algebra (all variance-like values on the N x Var scale)
+def regime_moments(
+    design: SmartDesign, regime_ids: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and N x covariance matrix of the IPW mean estimators of the given regimes.
 
-
-def regime_mean(mu_r: float, mu_nr: float, gamma: float) -> float:
-    """gamma * mu_R + (1 - gamma) * mu_NR."""
-    return gamma * mu_r + (1.0 - gamma) * mu_nr
-
-
-def regime_variance(
-    mu_r: float,
-    sigma2_r: float,
-    mu_nr: float,
-    sigma2_nr: float,
-    gamma: float,
-    pi1: float,
-    pi2_r: float,
-    pi2_nr: float,
-) -> float:
-    """N x Var of the IPW regime mean estimator."""
-    for name, p in (("pi1", pi1), ("pi2_r", pi2_r), ("pi2_nr", pi2_nr)):
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"{name} must be in (0,1], got {p}")
-    w_r = pi1 * pi2_r
-    w_nr = pi1 * pi2_nr
-    return (
-        gamma / w_r * (sigma2_r + (1.0 - w_r) * mu_r**2)
-        + (1.0 - gamma) / w_nr * (sigma2_nr + (1.0 - w_nr) * mu_nr**2)
-        + gamma * (1.0 - gamma) * (mu_r - mu_nr) ** 2
-    )
-
-
-def regime_covariance(
-    mu1_r: float,
-    sigma2_1r: float,
-    mu1_nr: float,
-    mu2_r: float,
-    mu2_nr: float,
-    gamma1: float,
-    gamma2: float,
-    pi1: float,
-    pi2_r: float,
-    shared_responder: bool,
-) -> float:
-    """N x Cov of two IPW regime mean estimators.
-
-    ``shared_responder`` means the regimes share the initial arm and the
-    responder path (so responders are consistent with both); the moments of
-    the shared responder path enter through the regime-1 arguments and
-    gamma1 must equal gamma2.  Without sharing, only the negative
-    cross-product terms remain.
+    ``mu`` and ``sigma2`` are per-path cluster-mean moments.  A cluster
+    follows path p with probability ``P_p`` and adds ``c_rp ybar`` to regime
+    r's estimator, ``c_rp`` being the regime's IPW weight on p, so
+    ``mean_r = sum_p P_p c_rp mu_p`` and
+    ``N Cov(r, s) = sum_p P_p c_rp c_sp (sigma2_p + mu_p^2) - mean_r mean_s``.
     """
-    cov = -(
-        gamma1 * gamma2 * mu1_r * mu2_r
-        + gamma1 * (1.0 - gamma2) * mu1_r * mu2_nr
-        + gamma2 * (1.0 - gamma1) * mu1_nr * mu2_r
-        + (1.0 - gamma1) * (1.0 - gamma2) * mu1_nr * mu2_nr
-    )
-    if shared_responder:
-        if gamma1 != gamma2:
-            raise ValueError("regimes sharing an initial treatment must share its response rate")
-        if not 0.0 < pi1 * pi2_r <= 1.0:
-            raise ValueError("pi1 * pi2_r must be in (0,1]")
-        cov += gamma1 / (pi1 * pi2_r) * (sigma2_1r + mu1_r**2)
-    return cov
-
-
-def regime_pair_is_shared(design: SmartDesign, r1: Regime, r2: Regime) -> bool:
-    """Shared initial treatment; asserts the responder path is then identical."""
-    if r1.arm != r2.arm:
-        return False
-    if r1.responder_path != r2.responder_path:
-        raise ValueError(
-            f"regimes {r1.index + 1} and {r2.index + 1} share arm {r1.arm + 1} but have "
-            "different responder paths; the shared-arm covariance assumes a common one"
-        )
-    return True
-
-
-def regime_pieces(design: SmartDesign, regime: Regime, pm: dict[int, PathMoments]):
-    """(gamma, pi1, pi2_r, pi2_nr, PathMoments_R, PathMoments_NR) for one regime."""
-    gamma = design.arms[regime.arm].response_rate
-    pi1 = float(stage1_probs(design)[regime.arm])
-    pi2_r = stage2_prob(design, regime.responder_path)
-    pi2_nr = stage2_prob(design, regime.nonresp_path)
-    return gamma, pi1, pi2_r, pi2_nr, pm[regime.responder_path], pm[regime.nonresp_path]
+    mu, sigma2 = np.asarray(mu, dtype=float), np.asarray(sigma2, dtype=float)
+    c = np.array([ipw_path_weights(design, design.regimes[r]) for r in regime_ids])
+    pc = c * path_probs(design)
+    means = pc @ mu
+    return means, (pc * (sigma2 + mu**2)) @ c.T - np.outer(means, means)

@@ -10,26 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .missing import normal_cdf, normal_quantile
 
 
-class TestKind(str, Enum):
-    __test__ = False  # not a pytest class
-
-    SINGLE_REGIME = "single"
-    SHARED_PAIR = "shared-pair"
-    DISTINCT_PAIR = "distinct-pair"
-
-
 @dataclass(frozen=True)
 class TestSpec:
     __test__ = False  # not a pytest class
 
-    kind: TestKind
     alpha: float = 0.05
     beta: float = 0.2
 

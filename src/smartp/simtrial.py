@@ -7,7 +7,8 @@ the path's mean vector.  Clusters whose sub-units are all missing are
 redrawn at that level.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
-on the regime's two paths and 0 elsewhere, so weights are per-path tables
+on the regime's two paths and 0 elsewhere, so weights are the per-path
+tables of ``design.ipw_path_weights`` (the ones ``regime_moments`` reads)
 indexed by each cluster's path.
 
 Monte Carlo power simulates the ``reps`` trials in fixed chunks of whole
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Regime, SmartDesign, stage1_probs, stage2_prob
+from .design import Regime, SmartDesign, ipw_path_weights, stage1_probs
 from .errors import DegenerateMissingnessError
 from .moments import MAX_REDRAW_FRACTION, OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
@@ -138,15 +139,6 @@ def simulate_trial(
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     require_same_units(design, model)
     return _simulate_clusters(design, model, n_clusters, substream(seed, TRIAL, *_key))
-
-
-def ipw_path_weights(design: SmartDesign, regime: Regime) -> np.ndarray:
-    """Per-path IPW weight of one regime: ``1/(pi1 pi2)`` on its two paths, 0 elsewhere."""
-    pi1 = stage1_probs(design)[regime.arm]
-    w = np.zeros(len(design.paths))
-    for p in (regime.responder_path, regime.nonresp_path):
-        w[p] = 1.0 / (pi1 * stage2_prob(design, p))
-    return w
 
 
 def ipw_weights(ds: TrialDataset, design: SmartDesign, regime: Regime) -> np.ndarray:

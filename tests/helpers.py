@@ -236,3 +236,140 @@ def qe0_model_moments(model, num, seed):
     m2[-1, -1] += st_variance(model.st) * np.concatenate(inv_k).sum()
     mean[-1] += st_mean(model.st)
     return ModelMoments(z.shape[0], mean, m2)
+
+
+def fd_se(fn, vals, ses):
+    """Delta-method SE of ``fn(vals)`` for independent inputs, by central differences."""
+    grad = []
+    for i, v in enumerate(vals):
+        h = max(1e-7, 1e-5 * abs(v))
+        up, dn = list(vals), list(vals)
+        up[i] += h
+        dn[i] -= h
+        grad.append((fn(up) - fn(dn)) / (2 * h))
+    return math.sqrt(sum((g * s) ** 2 for g, s in zip(grad, ses)))
+
+
+def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False):
+    """A design with ``options[a] = (n_resp, n_nonresp)`` paths on arm a and one regime per
+    (responder, non-responder) pair of an arm; paths and regimes run arm by arm, means zero."""
+    from smartp import design_from_matrices
+
+    st1, dtr, first = [], [], 1
+    for arm, ((n_r, n_nr), gamma) in enumerate(zip(options, gammas)):
+        st1.append([n_r, n_nr, gamma])
+        dtr += [[len(dtr) + 1, first + r, first + n_r + j, arm + 1]
+                for r in range(n_r) for j in range(n_nr)]
+        first += n_r + n_nr
+    return design_from_matrices(np.zeros((first - 1, 1)), st1, dtr, stage1_mode, pi1_literal)
+
+
+# --- the closed-form regime algebra the package used to ship: the oracle for
+# ``moments.regime_moments`` on designs whose arms have one responder option
+
+
+def regime_mean(mu_r: float, mu_nr: float, gamma: float) -> float:
+    """gamma * mu_R + (1 - gamma) * mu_NR."""
+    return gamma * mu_r + (1.0 - gamma) * mu_nr
+
+
+def regime_variance(
+    mu_r: float,
+    sigma2_r: float,
+    mu_nr: float,
+    sigma2_nr: float,
+    gamma: float,
+    pi1: float,
+    pi2_r: float,
+    pi2_nr: float,
+) -> float:
+    """N x Var of the IPW regime mean estimator."""
+    for name, p in (("pi1", pi1), ("pi2_r", pi2_r), ("pi2_nr", pi2_nr)):
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"{name} must be in (0,1], got {p}")
+    w_r = pi1 * pi2_r
+    w_nr = pi1 * pi2_nr
+    return (
+        gamma / w_r * (sigma2_r + (1.0 - w_r) * mu_r**2)
+        + (1.0 - gamma) / w_nr * (sigma2_nr + (1.0 - w_nr) * mu_nr**2)
+        + gamma * (1.0 - gamma) * (mu_r - mu_nr) ** 2
+    )
+
+
+def regime_covariance(
+    mu1_r: float,
+    sigma2_1r: float,
+    mu1_nr: float,
+    mu2_r: float,
+    mu2_nr: float,
+    gamma1: float,
+    gamma2: float,
+    pi1: float,
+    pi2_r: float,
+    shared_responder: bool,
+) -> float:
+    """N x Cov of two IPW regime mean estimators.
+
+    ``shared_responder`` means the regimes share the initial arm and the
+    responder path (so responders are consistent with both); the moments of
+    the shared responder path enter through the regime-1 arguments and
+    gamma1 must equal gamma2.  Without sharing, only the negative
+    cross-product terms remain.
+    """
+    cov = -(
+        gamma1 * gamma2 * mu1_r * mu2_r
+        + gamma1 * (1.0 - gamma2) * mu1_r * mu2_nr
+        + gamma2 * (1.0 - gamma1) * mu1_nr * mu2_r
+        + (1.0 - gamma1) * (1.0 - gamma2) * mu1_nr * mu2_nr
+    )
+    if shared_responder:
+        if gamma1 != gamma2:
+            raise ValueError("regimes sharing an initial treatment must share its response rate")
+        if not 0.0 < pi1 * pi2_r <= 1.0:
+            raise ValueError("pi1 * pi2_r must be in (0,1]")
+        cov += gamma1 / (pi1 * pi2_r) * (sigma2_1r + mu1_r**2)
+    return cov
+
+
+def regime_pair_is_shared(design, r1, r2) -> bool:
+    """Shared initial treatment; asserts the responder path is then identical."""
+    if r1.arm != r2.arm:
+        return False
+    if r1.responder_path != r2.responder_path:
+        raise ValueError(
+            f"regimes {r1.index + 1} and {r2.index + 1} share arm {r1.arm + 1} but have "
+            "different responder paths; the shared-arm covariance assumes a common one"
+        )
+    return True
+
+
+def regime_pieces(design, regime, pm):
+    """(gamma, pi1, pi2_r, pi2_nr, PathMoments_R, PathMoments_NR) for one regime."""
+    from smartp.design import stage1_probs, stage2_prob
+
+    gamma = design.arms[regime.arm].response_rate
+    pi1 = float(stage1_probs(design)[regime.arm])
+    pi2_r = stage2_prob(design, regime.responder_path)
+    pi2_nr = stage2_prob(design, regime.nonresp_path)
+    return gamma, pi1, pi2_r, pi2_nr, pm[regime.responder_path], pm[regime.nonresp_path]
+
+
+def closed_form_regime_moments(design, regime_ids, mu, sigma2):
+    """(means, N x covariance) of one regime or a pair from the closed forms above, assembled
+    as the package's ``compute_effect`` used to."""
+    from smartp import PathMoments
+
+    pm = {p: PathMoments(p, float(m), float(s), 1) for p, (m, s) in enumerate(zip(mu, sigma2))}
+    pieces = [regime_pieces(design, design.regimes[r], pm) for r in regime_ids]
+    means = [regime_mean(mr.mu, mnr.mu, g) for g, _, _, _, mr, mnr in pieces]
+    ncov = np.diag([
+        regime_variance(mr.mu, mr.sigma2, mnr.mu, mnr.sigma2, g, pi1, p2r, p2nr)
+        for g, pi1, p2r, p2nr, mr, mnr in pieces
+    ])
+    if len(regime_ids) == 2:
+        (g1, pi1, p2r, _, m1r, m1nr), (g2, _, _, _, m2r, m2nr) = pieces
+        shared = regime_pair_is_shared(design, *(design.regimes[r] for r in regime_ids))
+        ncov[0, 1] = ncov[1, 0] = regime_covariance(
+            m1r.mu, m1r.sigma2, m1nr.mu, m2r.mu, m2nr.mu, g1, g2, pi1, p2r, shared
+        )
+    return np.array(means), ncov

@@ -43,11 +43,11 @@ from smartp import (
     st_skewness,
     st_variance,
 )
-from smartp.engine import compute_sample_size, needed_paths
+from smartp.engine import compute_sample_size
 from smartp.moments import OutcomeModel, estimate_path_moments
 from smartp.simtrial import ipw_weights
 from conftest import GOLDEN_C, GOLDEN_P, make_design, make_model
-from helpers import anderson_darling_normal, block_jackknife_se, moments_with_se
+from helpers import anderson_darling_normal, block_jackknife_se, fd_se, moments_with_se
 
 NUM = 1_000_000
 SEED = 20_240_601
@@ -209,7 +209,7 @@ def test_criterion_4_mc_power(row_idx, moment_cache):
     result, eff = row_outputs(row, moment_cache)
     design = make_design(mu_by_path, gamma1=gamma1)
     model = make_model(lam=lam, nu=nu)
-    test = smartp.TestSpec(smartp.engine.test_kind_for(design, regimes))
+    test = smartp.TestSpec()
     est = smartp.mc_power(
         design, model, test, regimes, result.n, eff.sigma_sq,
         reps=1000, seed=SEED + 1, workers=4,
@@ -244,17 +244,6 @@ def test_criterion_5_distribution_grid():
     assert report("5 (12-point grid, 3 SE + KS)", all_ok, f"KS={ks.statistic:.4f}")
 
 
-def _fd_se(fn, vals, ses):
-    grad = []
-    for i, v in enumerate(vals):
-        h = max(1e-7, 1e-5 * abs(v))
-        up, dn = list(vals), list(vals)
-        up[i] += h
-        dn[i] -= h
-        grad.append((fn(up) - fn(dn)) / (2 * h))
-    return math.sqrt(sum((g * s) ** 2 for g, s in zip(grad, ses)))
-
-
 def test_criterion_6_algebra_oracle():
     """Closed-form N*Var / N*Cov vs a brute-force one-million-cluster simulation."""
     all_ok = True
@@ -285,44 +274,27 @@ def test_criterion_6_algebra_oracle():
 
         # formula side, with SE propagated from the path-moment uncertainty
         mm = estimate_path_moments(model, NUM, SEED + 60 + k, workers=4)
-        pm = {
-            pid: mm.for_path(design.paths[pid].mu, pid)
-            for pid in needed_paths(design, (0, 1, n_nr1))
-        }
+        pm = [mm.for_path(p.mu, p.index) for p in design.paths]
+        vals = [m.mu for m in pm] + [m.sigma2 for m in pm]
+        ses = [m.se_mu for m in pm] + [m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm]
         r1, r2, r3 = design.regimes[0], design.regimes[1], design.regimes[n_nr1]
 
-        def pieces(regime):
-            g, pi1, p2r, p2nr, mr, mnr = smartp.moments.regime_pieces(design, regime, pm)
-            return g, pi1, p2r, p2nr, mr, mnr
-
-        g1_, pi1_1, p2r_1, p2nr_1, m1r, m1nr = pieces(r1)
-        _, _, _, _, _, m2nr = pieces(r2)
-        g3_, pi1_3, p2r_3, p2nr_3, m3r, m3nr = pieces(r3)
-
-        vals = [m1r.mu, m1r.sigma2, m1nr.mu, m1nr.sigma2, m2nr.mu, m3r.mu, m3nr.mu]
-        ses = [
-            m1r.se_mu,
-            m1r.sigma2 * math.sqrt(2 / (m1r.n_samples - 1)),
-            m1nr.se_mu,
-            m1nr.sigma2 * math.sqrt(2 / (m1nr.n_samples - 1)),
-            m2nr.se_mu,
-            m3r.se_mu,
-            m3nr.se_mu,
-        ]
+        def ncov(regime_ids, v):
+            return smartp.regime_moments(design, regime_ids, v[:n_paths], v[n_paths:])[1]
 
         def f_var(v):
-            return smartp.regime_variance(v[0], v[1], v[2], v[3], g1_, pi1_1, p2r_1, p2nr_1)
+            return ncov((0,), v)[0, 0]
 
         def f_cov_shared(v):
-            return smartp.regime_covariance(v[0], v[1], v[2], v[0], v[4], g1_, g1_, pi1_1, p2r_1, True)
+            return ncov((0, 1), v)[0, 1]
 
         def f_cov_dist(v):
-            return smartp.regime_covariance(v[0], v[1], v[2], v[5], v[6], g1_, g3_, pi1_1, p2r_1, False)
+            return ncov((0, n_nr1), v)[0, 1]
 
         theory = {
-            "var": (f_var(vals), _fd_se(f_var, vals, ses)),
-            "cov_shared": (f_cov_shared(vals), _fd_se(f_cov_shared, vals, ses)),
-            "cov_distinct": (f_cov_dist(vals), _fd_se(f_cov_dist, vals, ses)),
+            "var": (f_var(vals), fd_se(f_var, vals, ses)),
+            "cov_shared": (f_cov_shared(vals), fd_se(f_cov_shared, vals, ses)),
+            "cov_distinct": (f_cov_dist(vals), fd_se(f_cov_dist, vals, ses)),
         }
 
         # brute force: one million-cluster trial, empirical moments of W*Ybar

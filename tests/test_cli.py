@@ -329,6 +329,54 @@ def test_malformed_value_exit_2(tmp_path, args, cfg, env, named):
     assert named in proc.stderr
 
 
+FOUR_NR = {"st1": [[1, 4, 0.3]], "dtr": [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 4, 1], [4, 1, 5, 1]],
+           "mu_scalar_per_path": [0, 2, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("command,cfg,named", [
+    ("samplesize", {"mc": {"num": 20000.9}}, "mc.num"),
+    ("samplesize", {"test": {"regime": [1.9]}}, "test.regime"),
+    ("samplesize", {"mc": {"workers": True}}, "mc.workers"),
+    ("samplesize", {"mc": {"seed": 3.5}}, "mc.seed"),
+    ("samplesize", {"design": {"n_units": 27.5}}, "design.n_units"),
+    ("power", {"mc": {"reps": 100.5}}, "mc.reps"),
+    ("describe-design", {"design": {**FOUR_NR, "st1": [[1, 4.7, 0.3]]}}, "st1"),
+    ("describe-design", {"design": {**FOUR_NR, "dtr": [[1, 1, 2, 1], [2, 1, 3.4, 1],
+                                                        [3, 1, 4, 1], [4, 1, 5, 1]]}}, "dtr ids"),
+], ids=["num", "regime", "workers-bool", "seed", "n_units", "reps", "st1-count", "dtr-id"])
+def test_integer_input_must_be_integral_exit_2(tmp_path, command, cfg, named):
+    """A fraction or a bool where a count or an id belongs is refused, not truncated."""
+    base = {"mc": {"num": 20000}} if command != "describe-design" else {}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"schema": 1, **base, **cfg}))
+    extra = ["--mu-scalar", "0,2,0,0,0,0,0,0,0,0"] if command != "describe-design" else []
+    if command == "power":
+        extra += ["--n", "50"]
+    proc = run_cli(command, "--config", str(p), *extra, check=False, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("config error:") and named in proc.stderr
+
+
+def test_shared_arm_pair_with_different_responder_paths(tmp_path):
+    """Regimes 1 and 2 share arm 1 and non-responder path 3 but not their responder path."""
+    cfg = {
+        "schema": 1,
+        "design": {"n_units": 4, "st1": [[2, 2, 0.4], [1, 1, 0.5]],
+                   "dtr": [[1, 1, 3, 1], [2, 2, 3, 1], [3, 1, 4, 1], [4, 2, 4, 1], [5, 5, 6, 2]],
+                   "mu_scalar_per_path": [1.0, -0.5, 0.3, 2.0, 0.0, 1.0]},
+        "model": {"a0": -2.0},
+        "test": {"regime": [1, 2]},
+        "mc": {"num": 20000, "reps": 200, "seed": 3},
+    }
+    p, j = tmp_path / "c.json", tmp_path / "out.json"
+    p.write_text(json.dumps(cfg))
+    run_cli("samplesize", "--config", str(p), "--json", str(j), timeout=120)
+    # the shared non-responder path cancels: Del = gamma (mu_1 - mu_2)
+    assert json.loads(j.read_text())["result"]["Del"] == pytest.approx(0.4 * 1.5, abs=1e-9)
+    run_cli("power", "--config", str(p), "--n", "60", "--json", str(j), timeout=120)
+    assert 0.0 < json.loads(j.read_text())["result"]["power"] < 1.0
+
+
 @pytest.mark.parametrize("command,nu", [
     ("samplesize", "2"), ("samplesize", "1"), ("samplesize", "0.5"), ("power", "2"),
 ])

@@ -8,6 +8,8 @@ from smartp import (
     Stage1Mode,
     TreatmentPath,
     design_from_matrices,
+    ipw_path_weights,
+    path_probs,
     path_tables,
     periodontitis_default,
     stage1_probs,
@@ -134,6 +136,27 @@ def test_design_from_matrices_rejects_unreachable_path():
     dtr = [[1, 1, 2, 1]]  # path 3 never referenced
     with pytest.raises(ValueError, match="not reachable"):
         design_from_matrices(mu, st1, dtr)
+
+
+@pytest.mark.parametrize("st1,dtr,named", [
+    ([[1, 2.7, 0.4]], [[1, 1, 2, 1], [2, 1, 3, 1]], "st1 option counts"),
+    ([[1, 2, 0.4]], [[1, 1, 2, 1], [2, 1, 2.5, 1], [3, 1, 3, 1]], "dtr ids"),
+], ids=["st1-count", "dtr-path"])
+def test_design_from_matrices_rejects_fractional_counts_and_ids(st1, dtr, named):
+    """A fractional option count or id is an error, not truncated to a different design."""
+    with pytest.raises(ValueError, match=named):
+        design_from_matrices(np.zeros((3, 4)), st1, dtr)
+
+
+def test_path_probs_and_ipw_weights():
+    """Paths partition the clusters, and each regime's weights undo its paths' probabilities."""
+    d = periodontitis_default(0.25, 0.5, stage1_mode=Stage1Mode.MAX)
+    probs = path_probs(d)
+    assert probs.sum() == pytest.approx(1.0)
+    for r in d.regimes:
+        w = ipw_path_weights(d, r)
+        assert np.flatnonzero(w).tolist() == [r.responder_path, r.nonresp_path]
+        assert probs @ w == pytest.approx(1.0)
 
 
 def test_treatment_path_fields():

@@ -1,29 +1,44 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import smartp
 from smartp import (
     DegenerateMissingnessError,
     MissingnessParams,
     OutcomeModel,
     SkewTParams,
+    Stage1Mode,
+    compute_effect,
     default_car_model,
+    design_from_matrices,
     estimate_path_moments,
-    regime_covariance,
-    regime_mean,
-    regime_variance,
+    ipw_path_weights,
+    periodontitis_default,
+    regime_moments,
     sample_st,
+    simulate_trial,
     solve_missingness,
     st_kurtosis,
     st_mean,
     st_variance,
+    stage1_probs,
 )
 from smartp._backend import ybar_and_count
 from smartp.moments import _merge, _simulate_z
 from conftest import make_model
-from helpers import block_jackknife_se, qe0_model_moments, welford_reference, ybar_loop_reference
+from helpers import (
+    block_jackknife_se,
+    closed_form_regime_moments,
+    fd_se,
+    qe0_model_moments,
+    smart_design,
+    welford_reference,
+    ybar_loop_reference,
+)
 
 INF = math.inf
 
@@ -239,63 +254,138 @@ def test_se_scales_with_num(normal_model):
     assert big.se_mu / small.se_mu == pytest.approx(0.5, abs=0.05)
 
 
-# --- closed-form algebra ---------------------------------------------------
+# --- IPW regime moments ------------------------------------------------------
 
 
 def test_regime_mean_trivials():
-    assert regime_mean(5.0, 1.0, 1.0) == 5.0
-    assert regime_mean(0.0, 2.0, 0.5) == 1.0
+    # one arm, gamma 1 then 0.5: gamma mu_R + (1 - gamma) mu_NR
+    assert regime_moments(smart_design([(1, 1)], [1.0]), (0,), [5.0, 1.0], [0, 0])[0][0] == 5.0
+    assert regime_moments(smart_design([(1, 1)], [0.5]), (0,), [0.0, 2.0], [0, 0])[0][0] == 1.0
 
 
 def test_regime_variance_hand_examples():
-    # single path, no weighting inflation
-    assert regime_variance(0.0, 2.5, 9.9, 9.9, 1.0, 1.0, 1.0, 0.25) == pytest.approx(2.5)
-    # worked arithmetic: 1/0.5*... = 1 + 4 = 5
-    v = regime_variance(0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 1.0, 0.25)
-    assert v == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        regime_variance(0, 1, 0, 1, 0.5, 0.0, 1.0, 0.25)
+    # single path, no weighting inflation: gamma 1, pi1 1, pi2_R 1
+    d = smart_design([(1, 4)], [1.0])
+    ncov = regime_moments(d, (0,), [0.0] + [9.9] * 4, [2.5] + [9.9] * 4)[1]
+    assert ncov[0, 0] == pytest.approx(2.5)
+    # worked arithmetic: gamma 0.5, pi1 0.5, pi2 1 and 0.25: 0.5/0.5 + 0.5/0.125 = 1 + 4 = 5
+    d = periodontitis_default(0.5, 0.5)
+    assert stage1_probs(d)[0] == 0.5
+    assert regime_moments(d, (0,), np.zeros(10), np.ones(10))[1][0, 0] == pytest.approx(5.0)
 
 
 def test_regime_variance_lower_bound():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        g = rng.uniform(0.05, 0.95)
-        pi1, p2r, p2nr = rng.uniform(0.1, 1.0, 3)
-        mu_r, mu_nr = rng.normal(0, 3, 2)
-        s_r, s_nr = rng.uniform(0, 4, 2)
-        v = regime_variance(mu_r, s_r, mu_nr, s_nr, g, pi1, p2r, p2nr)
-        assert v >= g * (1 - g) * (mu_r - mu_nr) ** 2 - 1e-12
+        g = rng.uniform(0.05, 0.95, 2)
+        options = [(1, int(rng.integers(1, 5))) for _ in g]
+        d = smart_design(options, g, list(Stage1Mode)[rng.integers(3)], bool(rng.integers(0, 2)))
+        mu, s2 = rng.normal(0, 3, len(d.paths)), rng.uniform(0, 4, len(d.paths))
+        for r in d.regimes:
+            v = regime_moments(d, (r.index,), mu, s2)[1][0, 0]
+            gap = mu[r.responder_path] - mu[r.nonresp_path]
+            assert v >= g[r.arm] * (1 - g[r.arm]) * gap**2 - 1e-12
 
 
 def test_regime_covariance_trivials():
     # distinct arms, all means zero: every term carries a mean factor
-    assert regime_covariance(0.0, 3.0, 0.0, 0.0, 0.0, 0.3, 0.6, 0.5, 1.0, False) == 0.0
+    d = periodontitis_default(0.3, 0.6)
+    assert regime_moments(d, (0, 4), np.zeros(10), np.full(10, 3.0))[1][0, 1] == 0.0
     # shared responders only: gamma=1, unit weights -> sigma2_R
-    assert regime_covariance(1.5, 2.0, 0.0, 1.5, 0.0, 1.0, 1.0, 1.0, 1.0, True) == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="response rate"):
-        regime_covariance(0, 1, 0, 0, 0, 0.3, 0.4, 0.5, 1.0, True)
+    d = smart_design([(1, 2)], [1.0])
+    assert regime_moments(d, (0, 1), [1.5, 0, 0], [2.0, 1, 1])[1][0, 1] == pytest.approx(2.0)
 
 
 def test_pair_variance_nonnegative():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        g = rng.uniform(0.05, 0.95)
-        pi1 = rng.uniform(0.1, 0.9)
-        p2r, p2nr = rng.uniform(0.1, 1.0, 2)
-        mu_r = rng.normal(0, 2)
-        s_r = rng.uniform(0.1, 3)
-        mu1_nr, mu3_nr = rng.normal(0, 2, 2)
-        s1_nr, s3_nr = rng.uniform(0.1, 3, 2)
-        v1 = regime_variance(mu_r, s_r, mu1_nr, s1_nr, g, pi1, p2r, p2nr)
-        v3 = regime_variance(mu_r, s_r, mu3_nr, s3_nr, g, pi1, p2r, p2nr)
-        cov = regime_covariance(mu_r, s_r, mu1_nr, mu_r, mu3_nr, g, g, pi1, p2r, True)
-        assert v1 + v3 - 2 * cov > -1e-10
+        options = [(int(rng.integers(1, 3)), int(rng.integers(1, 5))) for _ in range(2)]
+        d = smart_design(options, rng.uniform(0.05, 0.95, 2), list(Stage1Mode)[rng.integers(3)])
+        mu, s2 = rng.normal(0, 2, len(d.paths)), rng.uniform(0.1, 3, len(d.paths))
+        r, s = rng.choice(len(d.regimes), 2, replace=False)
+        ncov = regime_moments(d, (r, s), mu, s2)[1]
+        assert ncov[0, 0] + ncov[1, 1] - 2 * ncov[0, 1] > -1e-10
 
 
-def test_shared_pair_requires_common_responder_path():
-    d = smartp.periodontitis_default()
-    with pytest.raises(ValueError, match="different responder paths"):
-        smartp.moments.regime_pair_is_shared(
-            d, smartp.Regime(0, 0, 1, 0), smartp.Regime(1, 2, 3, 0)
-        )
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nonresp=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    data=st.data(),
+    mode=st.sampled_from(list(Stage1Mode)),
+    literal=st.booleans(),
+)
+def test_regime_moments_match_closed_forms(n_nonresp, data, mode, literal):
+    """One formula reproduces the per-case closed forms for every regime and ordered pair.
+
+    The tolerance is relative to the regimes' second moments ``ncov_rr + mean_r^2``, the
+    size of the terms both sides sum; a variance can cancel to near zero.
+    """
+    gammas = data.draw(st.lists(st.floats(0, 1, **FINITE), min_size=len(n_nonresp),
+                                max_size=len(n_nonresp)))
+    d = smart_design([(1, k) for k in n_nonresp], gammas, mode, literal)
+    n_paths = len(d.paths)
+    mu = np.array(data.draw(st.lists(st.floats(-10, 10, **FINITE), min_size=n_paths,
+                                     max_size=n_paths)))
+    s2 = np.array(data.draw(st.lists(st.floats(0, 10, **FINITE), min_size=n_paths,
+                                     max_size=n_paths)))
+    second = {}
+    for r in range(len(d.regimes)):
+        means, ncov = regime_moments(d, (r,), mu, s2)
+        want_means, want_ncov = closed_form_regime_moments(d, (r,), mu, s2)
+        second[r] = ncov[0, 0] + means[0] ** 2
+        tol = 1e-12 * second[r]
+        assert abs(means[0] - want_means[0]) <= 1e-12 * math.sqrt(second[r])
+        assert abs(ncov[0, 0] - want_ncov[0, 0]) <= tol
+    for r, s in itertools.permutations(range(len(d.regimes)), 2):
+        means, ncov = regime_moments(d, (r, s), mu, s2)
+        want_means, want_ncov = closed_form_regime_moments(d, (r, s), mu, s2)
+        scale = np.sqrt([second[r], second[s]])
+        assert np.all(np.abs(means - want_means) <= 1e-12 * scale)
+        assert np.all(np.abs(ncov - want_ncov) <= 1e-12 * np.outer(scale, scale))
+
+
+#: arm 1 has two responder paths (1, 2) and two non-responder paths (3, 4); regimes 1 and 2
+#: share arm 1 and non-responder path 3 but not their responder path
+SHARED_ARM_ST1 = [[2, 2, 0.4], [1, 1, 0.5]]
+SHARED_ARM_DTR = [[1, 1, 3, 1], [2, 2, 3, 1], [3, 1, 4, 1], [4, 2, 4, 1], [5, 5, 6, 2]]
+
+
+def test_shared_arm_pair_without_common_responder_matches_brute_force():
+    """Regimes on one arm with different responder paths: the IPW contrast of a 1e6-cluster
+    trial has the mean and N x variance ``compute_effect`` gives, within 3 joint SE."""
+    t_dim, num = 4, 1_000_000
+    mu = np.tile(np.array([1.0, -0.5, 0.3, 2.0, 0.0, 1.0])[:, None], (1, t_dim))
+    design = design_from_matrices(mu, SHARED_ARM_ST1, SHARED_ARM_DTR)
+    model = make_model(a0=-2.0, n_units=t_dim)
+    mm = estimate_path_moments(model, num, seed=31)
+    eff = compute_effect(design, model, (0, 1), num, seed=31, moments=mm)
+
+    # formula side, SE propagated from the per-path moments
+    pm = [eff.path_moments[p.index] for p in design.paths]
+    n = len(pm)
+    vals = [m.mu for m in pm] + [m.sigma2 for m in pm]
+    ses = [m.se_mu for m in pm] + [m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm]
+
+    def delta(v):
+        means, _ = regime_moments(design, (0, 1), v[:n], v[n:])
+        return means[0] - means[1]
+
+    def n_var(v):
+        _, ncov = regime_moments(design, (0, 1), v[:n], v[n:])
+        return ncov[0, 0] + ncov[1, 1] - 2 * ncov[0, 1]
+
+    assert delta(vals) == pytest.approx(eff.delta_signed, rel=1e-12)
+    assert n_var(vals) == pytest.approx(eff.sig_e_sq, rel=1e-12)
+
+    ds = simulate_trial(design, model, num, seed=32)
+    x = (ipw_path_weights(design, design.regimes[0]) - ipw_path_weights(design, design.regimes[1]))
+    x = x[ds.path] * ds.ybar
+    for name, brute, stat, formula, fn in (
+        ("mean", float(np.mean(x)), np.mean, eff.delta_signed, delta),
+        ("N x Var", float(np.var(x, ddof=1)), lambda v: np.var(v, ddof=1), eff.sig_e_sq, n_var),
+    ):
+        tol = 3 * math.hypot(block_jackknife_se(x, stat), fd_se(fn, vals, ses))
+        assert abs(brute - formula) <= tol, (name, brute, formula, tol)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from smartp import (
-    TestKind,
     TestSpec,
     analytic_power,
     compute_effect,
@@ -72,7 +71,7 @@ def test_null_rejection_rate_matches_alpha():
     model = make_model()
     eff = compute_effect(design, model, (0, 4), num=150_000, seed=5)
     assert abs(eff.delta_signed) < 6 * 0.01  # sanity: near-null effect
-    spec = TestSpec(TestKind.DISTINCT_PAIR, 0.05, 0.2)
+    spec = TestSpec(0.05, 0.2)
     est = mc_power(design, model, spec, (0, 4), 100, eff.sigma_sq, reps=5000, seed=17, workers=4)
     se = math.sqrt(0.05 * 0.95 / est.reps)
     assert abs(est.power - 0.05) < 3 * se

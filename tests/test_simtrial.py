@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from smartp import (
-    TestKind,
     TestSpec,
     compute_effect,
     design_from_matrices,
@@ -117,7 +116,7 @@ def test_estimator_mean_and_sd_match_closed_form():
     est = mc_power(
         design,
         model,
-        TestSpec(TestKind.SHARED_PAIR),
+        TestSpec(),
         (0, 2),
         n,
         eff.sigma_sq,
@@ -133,7 +132,7 @@ def test_estimator_mean_and_sd_match_closed_form():
 def test_mc_power_deterministic_across_workers():
     design = make_design({2: 2.0})
     model = make_model()
-    spec = TestSpec(TestKind.SINGLE_REGIME)
+    spec = TestSpec()
     # 1000 reps of 60 clusters span four chunks
     runs = [
         mc_power(design, model, spec, (0,), 60, 8.0, reps=1000, seed=9, workers=w)
@@ -146,7 +145,7 @@ def test_power_monotone_in_n():
     design = make_design({2: 2.0})
     model = make_model()
     eff = compute_effect(design, model, (0,), num=150_000, seed=10)
-    spec = TestSpec(TestKind.SINGLE_REGIME)
+    spec = TestSpec()
     n_mid = 78
     powers = [
         mc_power(design, model, spec, (0,), n, eff.sigma_sq, reps=400, seed=11, workers=4).power
@@ -166,7 +165,7 @@ def test_simulate_trial_deterministic():
 def test_empirical_variance_variant_runs():
     design = make_design({2: 2.0})
     model = make_model()
-    spec = TestSpec(TestKind.SINGLE_REGIME)
+    spec = TestSpec()
     est = mc_power(
         design, model, spec, (0,), 78, 8.0, reps=200, seed=13, empirical_variance=True
     )
@@ -275,7 +274,7 @@ def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
     assert new_reject.tolist() == old_reject
     # mc_power over exactly this chunk reports the same draws
     est = mc_power(
-        design, model, TestSpec(TestKind.SINGLE_REGIME, alpha), regime_ids, n, sigma_sq,
+        design, model, TestSpec(alpha), regime_ids, n, sigma_sq,
         reps=reps, seed=21, empirical_variance=empirical,
     )
     assert est.power == np.mean(old_reject)
@@ -292,7 +291,7 @@ def test_mc_power_chunks_and_callback_cover_every_rep():
     def record(first_rep, ds):
         seen.append((first_rep, ds.n_clusters))
 
-    mc_power(design, model, TestSpec(TestKind.SINGLE_REGIME), (0,), n, 8.0,
+    mc_power(design, model, TestSpec(), (0,), n, 8.0,
              reps=reps, seed=4, workers=2, on_chunk=record)
     per_chunk = TRIAL_ROWS // n
     assert seen == [(0, per_chunk * n), (per_chunk, (reps - per_chunk) * n)]
@@ -301,7 +300,7 @@ def test_mc_power_chunks_and_callback_cover_every_rep():
 def test_unit_count_mismatch_raises_everywhere():
     design = make_design({}, n_units=6)
     model = make_model()  # 28 sub-units
-    spec = TestSpec(TestKind.SINGLE_REGIME)
+    spec = TestSpec()
     for call in (
         lambda: simulate_trial(design, model, 10, seed=1),
         lambda: mc_power(design, model, spec, (0,), 10, 1.0, reps=100, seed=1),
@@ -315,7 +314,7 @@ def test_few_redraws_at_small_n_are_accepted():
     """One all-missing redraw among 40 clusters is not degenerate missingness."""
     design = make_design({2: 0.5, 4: 2.0})
     model = make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9)  # about 0.1% of clusters redrawn
-    est = mc_power(design, model, TestSpec(TestKind.SHARED_PAIR), (0, 2), 40, 20.0, reps=400, seed=3)
+    est = mc_power(design, model, TestSpec(), (0, 2), 40, 20.0, reps=400, seed=3)
     assert 0.0 <= est.power <= 1.0
     ds = simulate_trial(design, model, 40, seed=3, _key=(12,))
     assert ds.n_redrawn >= 1  # above the old 1%-of-clusters limit (0.4 here)
@@ -329,4 +328,4 @@ def test_near_total_missingness_raises(runner):
         if runner == "simulate_trial":
             simulate_trial(design, model, 40, seed=1)
         else:
-            mc_power(design, model, TestSpec(TestKind.SINGLE_REGIME), (0,), 40, 1.0, reps=200, seed=1)
+            mc_power(design, model, TestSpec(), (0,), 40, 1.0, reps=200, seed=1)
