@@ -22,7 +22,6 @@ from .design import (
     periodontitis_default,
     stage1_probs,
     stage2_prob,
-    validate,
 )
 from .dists import SkewTParams, sample_st, st_kurtosis, st_mean, st_skewness, st_variance
 from .engine import compute_effect, compute_sample_size

@@ -62,13 +62,9 @@ class Regime:
 
 
 @dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class SmartDesign:
+    """A consistent design: construction raises ValueError("invalid design: ...") otherwise."""
+
     n_units: int
     arms: tuple[Stage1Arm, ...]
     paths: tuple[TreatmentPath, ...]
@@ -76,78 +72,38 @@ class SmartDesign:
     stage1_mode: Stage1Mode = Stage1Mode.BALANCED
     pi1_literal: bool = False
 
-
-def validate(design: SmartDesign) -> list[Violation]:
-    """Check structural invariants; returns an empty list when the design is sound."""
-    out: list[Violation] = []
-    n_arms = len(design.arms)
-    for p in design.paths:
-        if not 0 <= p.arm < n_arms:
-            out.append(Violation("path-arm", f"path {p.index + 1} references arm {p.arm + 1}"))
-        if len(p.mu) != design.n_units:
-            out.append(
-                Violation(
-                    "path-mu",
-                    f"path {p.index + 1} mean vector has length {len(p.mu)}, expected {design.n_units}",
-                )
-            )
-        if not all(np.isfinite(p.mu)):
-            out.append(Violation("path-mu", f"path {p.index + 1} mean vector is not finite"))
-    for arm in design.arms:
-        n_r = sum(1 for p in design.paths if p.arm == arm.index and p.responder)
-        n_nr = sum(1 for p in design.paths if p.arm == arm.index and not p.responder)
-        if n_r != arm.n_resp_options:
-            out.append(
-                Violation(
-                    "arm-paths",
-                    f"arm {arm.index + 1} declares {arm.n_resp_options} responder options "
-                    f"but has {n_r} responder paths",
-                )
-            )
-        if n_nr != arm.n_nonresp_options:
-            out.append(
-                Violation(
-                    "arm-paths",
-                    f"arm {arm.index + 1} declares {arm.n_nonresp_options} non-responder options "
-                    f"but has {n_nr} non-responder paths",
-                )
-            )
-    n_paths = len(design.paths)
-    for r in design.regimes:
-        for label, idx, want_resp in (
-            ("responder", r.responder_path, True),
-            ("non-responder", r.nonresp_path, False),
-        ):
-            if not 0 <= idx < n_paths:
-                out.append(
-                    Violation("regime-path", f"regime {r.index + 1} references path {idx + 1}")
-                )
-                continue
-            p = design.paths[idx]
-            if p.responder != want_resp:
-                out.append(
-                    Violation(
-                        "regime-path",
-                        f"regime {r.index + 1} uses path {idx + 1} as its {label} path "
-                        f"but that path is {'responder' if p.responder else 'non-responder'}",
-                    )
-                )
-            if p.arm != r.arm:
-                out.append(
-                    Violation(
-                        "regime-arm",
-                        f"regime {r.index + 1} is on arm {r.arm + 1} but path {idx + 1} "
-                        f"is on arm {p.arm + 1}",
-                    )
-                )
-    return out
-
-
-def require_valid(design: SmartDesign) -> None:
-    bad = validate(design)
-    if bad:
-        msgs = "; ".join(v.detail for v in bad)
-        raise ValueError(f"invalid design: {msgs}")
+    def __post_init__(self):
+        bad = []
+        for p in self.paths:
+            if not 0 <= p.arm < len(self.arms):
+                bad.append(f"path {p.index + 1} references arm {p.arm + 1}")
+            if len(p.mu) != self.n_units:
+                bad.append(f"path {p.index + 1} mean vector has length {len(p.mu)}, "
+                           f"expected {self.n_units}")
+            if not all(np.isfinite(p.mu)):
+                bad.append(f"path {p.index + 1} mean vector is not finite")
+        for arm in self.arms:
+            for label, declared, responder in (("responder", arm.n_resp_options, True),
+                                               ("non-responder", arm.n_nonresp_options, False)):
+                n = sum(1 for p in self.paths if p.arm == arm.index and p.responder == responder)
+                if n != declared:
+                    bad.append(f"arm {arm.index + 1} declares {declared} {label} options "
+                               f"but has {n} {label} paths")
+        for r in self.regimes:
+            for label, idx, want_resp in (("responder", r.responder_path, True),
+                                          ("non-responder", r.nonresp_path, False)):
+                if not 0 <= idx < len(self.paths):
+                    bad.append(f"regime {r.index + 1} references path {idx + 1}")
+                    continue
+                p = self.paths[idx]
+                if p.responder != want_resp:
+                    bad.append(f"regime {r.index + 1} uses path {idx + 1} as its {label} path "
+                               f"but that path is {'responder' if p.responder else 'non-responder'}")
+                if p.arm != r.arm:
+                    bad.append(f"regime {r.index + 1} is on arm {r.arm + 1} but path {idx + 1} "
+                               f"is on arm {p.arm + 1}")
+        if bad:
+            raise ValueError(f"invalid design: {'; '.join(bad)}")
 
 
 def _arm_weight(arm: Stage1Arm, mode: Stage1Mode, literal_tail: bool) -> float:
@@ -226,26 +182,28 @@ def design_from_matrices(
     mode = Stage1Mode(stage1_mode)
     _require_whole(st1[:, :2], "st1 option counts")
     _require_whole(dtr[:, :4], "dtr ids")
+    n_paths, n_ids = mu.shape[0], int(dtr[:, 1:3].max())
+    if n_ids > n_paths:
+        raise ValueError(f"mu has {n_paths} rows but the design has {n_ids} paths")
     arms = tuple(
         Stage1Arm(i, int(row[0]), int(row[1]), float(row[2])) for i, row in enumerate(st1)
     )
     # path -> (arm, responder) comes from the dtr rows; responder paths are the
     # ones named in the responder column
-    n_paths = mu.shape[0]
     arm_of = {}
     resp_of = {}
     for row in dtr:
         rp, nrp, arm = int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1
         for idx, is_resp in ((rp, True), (nrp, False)):
-            if not 0 <= idx < n_paths:
-                raise ValueError(f"dtr references path {idx + 1} but mu has {n_paths} rows")
             if idx in resp_of and (resp_of[idx] != is_resp or arm_of[idx] != arm):
                 raise ValueError(f"path {idx + 1} is used inconsistently across dtr rows")
             arm_of[idx] = arm
             resp_of[idx] = is_resp
     missing = [i + 1 for i in range(n_paths) if i not in arm_of]
     if missing:
-        raise ValueError(f"paths {missing} are not reachable from any dtr row")
+        raise ValueError(
+            f"mu has {n_paths} rows but paths {missing} are not reachable from any dtr row"
+        )
     paths = tuple(
         TreatmentPath(i, arm_of[i], resp_of[i], tuple(mu[i])) for i in range(n_paths)
     )
@@ -253,9 +211,7 @@ def design_from_matrices(
         Regime(i, int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1)
         for i, row in enumerate(dtr)
     )
-    design = SmartDesign(mu.shape[1], arms, paths, regimes, mode, pi1_literal)
-    require_valid(design)
-    return design
+    return SmartDesign(mu.shape[1], arms, paths, regimes, mode, pi1_literal)
 
 
 def periodontitis_default(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SmartDesign, require_valid
+from .design import SmartDesign
 from .moments import (
     ModelMoments,
     OutcomeModel,
@@ -68,7 +68,6 @@ def compute_effect(
     ``moments`` is an ``estimate_path_moments`` result for ``model`` to reuse;
     without it the model is simulated once at (num, seed).
     """
-    require_valid(design)
     require_same_units(design, model)
     if len(regime_ids) not in (1, 2):
         raise ValueError("regime list must have one or two entries")

@@ -22,9 +22,7 @@ estimators, one formula for a single regime and for any pair.
 
 from __future__ import annotations
 
-import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,12 +31,9 @@ import numpy as np
 from ._backend import ybar_and_count
 from .design import SmartDesign, ipw_path_weights, path_probs
 from .dists import SkewTParams, sample_st, st_mean, st_variance
-from .errors import DegenerateMissingnessError
 from .missing import MissingnessParams
-from .rngs import CHUNK, MOMENTS, substream
+from .rngs import CHUNK, MOMENTS, check_redraws, chunk_map, redraw_all_missing, substream
 from .spatial import CarModel, SpdMatrix, car_covariance
-
-MAX_REDRAW_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -77,11 +72,6 @@ class PathMoments:
     sigma2: float
     n_samples: int
     n_redrawn: int = 0
-
-    @property
-    def se_mu(self) -> float:
-        """``sqrt(sigma2 / n)``; overstates mu's Monte Carlo SE: Q|v and e1 are integrated out."""
-        return math.sqrt(self.sigma2 / self.n_samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,24 +146,13 @@ def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
     """(size, mean, scatter, redraws) of z = [w, r] over one chunk; cond_cov is Cov(Q + e1 | v)."""
-    rng = substream(seed, MOMENTS, chunk, 0)
-    z, n_avail = _simulate_z(model, size, rng)
-    n_redrawn = 0
-    bad = np.flatnonzero(n_avail == 0)
-    round_no = 1
-    while bad.size:
-        n_redrawn += bad.size
-        if n_redrawn > MAX_REDRAW_FRACTION * size + 50:
-            raise DegenerateMissingnessError(
-                f"{n_redrawn} all-missing redraws in a {size}-replicate chunk; "
-                "the missingness model implies near-total loss"
-            )
-        rng = substream(seed, MOMENTS, chunk, round_no)
-        zb, na = _simulate_z(model, bad.size, rng)
-        z[bad] = zb
-        n_avail[bad] = na
-        bad = bad[na == 0]
-        round_no += 1
+    z, n_avail = _simulate_z(model, size, substream(seed, MOMENTS, chunk, 0))
+
+    def draw(round_no: int, rows: np.ndarray) -> np.ndarray:
+        z[rows], k = _simulate_z(model, rows.size, substream(seed, MOMENTS, chunk, round_no))
+        return k
+
+    n_redrawn = redraw_all_missing(n_avail, draw)
     mean = z.mean(axis=0)
     z -= mean
     m2 = z.T @ z
@@ -204,22 +183,15 @@ def estimate_path_moments(
     e1_var = st_variance(model.st)  # first: dof <= 2 fails here, before any draw
     e1_mean = st_mean(model.st)
     cond_cov = model.index_projection[1] + e1_var * np.eye(model.sigma.dim)
-    chunks = [(idx, min(CHUNK, num - start)) for idx, start in enumerate(range(0, num, CHUNK))]
 
-    def run(args):
-        return _chunk_moments(model, seed, *args, e1_mean, cond_cov)
+    def run(chunk: int, size: int):
+        return _chunk_moments(model, seed, chunk, size, e1_mean, cond_cov)
 
     n_tot, mean, m2, redrawn = 0, 0.0, 0.0, 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # merged in chunk order whatever order the pool finishes them in
-        for n_c, mean_c, m2_c, red_c in (pool.map if workers > 1 else map)(run, chunks):
-            n_tot, mean, m2 = _merge(n_tot, mean, m2, n_c, mean_c, m2_c)
-            redrawn += red_c
-    if redrawn > MAX_REDRAW_FRACTION * num:
-        raise DegenerateMissingnessError(
-            f"{redrawn}/{num} replicates had every sub-unit missing; "
-            "the missingness model implies near-total loss"
-        )
+    for n_c, mean_c, m2_c, red_c in chunk_map(run, num, CHUNK, workers):
+        n_tot, mean, m2 = _merge(n_tot, mean, m2, n_c, mean_c, m2_c)
+        redrawn += red_c
+    check_redraws(redrawn, num)
     return ModelMoments(n_tot, mean, m2, redrawn)
 
 

@@ -1,26 +1,74 @@
-"""Reproducible RNG substreams.
+"""Reproducible RNG substreams and the chunked Monte Carlo rules.
 
 Every stochastic routine in the package draws from a PCG64 generator keyed
 by (seed, domain tag, *indices).  Work split into fixed-size chunks keyed
 this way gives results that do not depend on execution order or on how
-many workers process the chunks.
+many workers process the chunks: ``chunk_map`` runs the chunks and hands
+back their results in key order.  Within a chunk, ``redraw_all_missing``
+redraws the rows whose sub-units are all missing, and ``check_redraws``
+says when there are too many of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+from .errors import DegenerateMissingnessError
 
 # domain tags keep substream families disjoint
 MOMENTS = 101
 TRIAL = 102
 POWER = 103
-MVN = 104
 
 #: replicates per chunk for chunked Monte Carlo (fixed, not tunable: results
 #: must not depend on it at runtime)
 CHUNK = 65536
 
+#: all-missing redraws allowed: this share of the rows, plus REDRAW_SLACK within one batch
+MAX_REDRAW_FRACTION = 0.01
+REDRAW_SLACK = 50
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by (seed, *key)."""
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
+
+
+def chunk_map(run: Callable[[int, int], object], total: int, per_chunk: int, workers: int) -> Iterator:
+    """``run(chunk, size)`` over ``total`` items in chunks of ``per_chunk`` (the last takes the
+    rest) on ``workers`` threads; results come in chunk order whatever order they finish in."""
+    sizes = [min(per_chunk, total - start) for start in range(0, total, per_chunk)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from (pool.map if workers > 1 else map)(run, range(len(sizes)), sizes)
+
+
+def check_redraws(n_redrawn: int, n_rows: int, slack: int = 0) -> None:
+    """Raise DegenerateMissingnessError past ``MAX_REDRAW_FRACTION * n_rows + slack`` redraws."""
+    if n_redrawn > MAX_REDRAW_FRACTION * n_rows + slack:
+        raise DegenerateMissingnessError(
+            f"{n_redrawn} all-missing redraws for {n_rows} rows; "
+            "the missingness model implies near-total loss"
+        )
+
+
+def redraw_all_missing(counts: np.ndarray, draw: Callable[[int, np.ndarray], np.ndarray]) -> int:
+    """Redraw the rows with ``counts == 0`` until none is left; returns the number of redraws.
+
+    ``draw(round, rows)`` redraws the given rows in round 1, 2, ... and returns
+    their new counts, which are written back into ``counts``.  Each round
+    redraws at least one row, so ``check_redraws`` with REDRAW_SLACK bounds
+    the rounds too.
+    """
+    bad = np.flatnonzero(counts == 0)
+    n_redrawn, round_no = 0, 1
+    while bad.size:
+        n_redrawn += bad.size
+        check_redraws(n_redrawn, counts.size, REDRAW_SLACK)
+        new = draw(round_no, bad)
+        counts[bad] = new
+        bad = bad[new == 0]
+        round_no += 1
+    return n_redrawn

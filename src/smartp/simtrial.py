@@ -24,18 +24,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import Regime, SmartDesign, ipw_path_weights, stage1_probs
-from .errors import DegenerateMissingnessError
-from .moments import MAX_REDRAW_FRACTION, OutcomeModel, _simulate_ybar, require_same_units
+from .moments import OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
-from .rngs import POWER, TRIAL, substream
-
-MAX_REDRAW_ROUNDS = 64
+from .rngs import POWER, TRIAL, check_redraws, chunk_map, redraw_all_missing, substream
 
 #: cluster rows per power chunk, rounded down to whole reps (at least one);
 #: fixed, not tunable: results must not depend on it at runtime
@@ -107,23 +103,12 @@ def _simulate_clusters(
 
     mu_matrix = np.array([p.mu for p in design.paths])
     ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
-    n_redrawn = 0
-    bad = np.flatnonzero(n_avail == 0)
-    rounds = 0
-    while bad.size:
-        rounds += 1
-        if rounds > MAX_REDRAW_ROUNDS:
-            raise DegenerateMissingnessError("cluster redraw did not terminate")
-        n_redrawn += bad.size
-        if n_redrawn > MAX_REDRAW_FRACTION * n_rows + 50:
-            raise DegenerateMissingnessError(
-                f"{n_redrawn} all-missing redraws for {n_rows} clusters; "
-                "the missingness model implies near-total loss"
-            )
-        yb, na = _simulate_ybar(model, mu_matrix[path[bad]], rng)
-        ybar[bad] = yb
-        n_avail[bad] = na
-        bad = bad[na == 0]
+
+    def draw(round_no: int, rows: np.ndarray) -> np.ndarray:
+        ybar[rows], k = _simulate_ybar(model, mu_matrix[path[rows]], rng)
+        return k
+
+    n_redrawn = redraw_all_missing(n_avail, draw)
     return TrialDataset(arm, responder, path, ybar, n_avail, n_redrawn)
 
 
@@ -218,29 +203,21 @@ def mc_power(
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)
     contrast = _contrast_weights(design, regime_ids)
     per_chunk = max(1, TRIAL_ROWS // n_clusters)
-    starts = range(0, reps, per_chunk)
 
-    def run(chunk: int):
-        size = min(per_chunk, reps - starts[chunk])
+    def run(chunk: int, size: int):
         return _power_chunk(
             design, model, contrast, n_clusters, size, seed, chunk, empirical_variance
         )
 
     deltas, s_sqs, n_redrawn = [], [], 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # chunks reach on_chunk in rep order while the pool simulates later ones
-        chunks = range(len(starts))
-        results = pool.map(run, chunks) if workers > 1 else map(run, chunks)
-        for first_rep, (ds, d_hat, s_sq) in zip(starts, results):
-            if on_chunk is not None:
-                on_chunk(first_rep, ds)
-            deltas.append(d_hat)
-            s_sqs.append(s_sq)
-            n_redrawn += ds.n_redrawn
-    if n_redrawn > MAX_REDRAW_FRACTION * reps * n_clusters:
-        raise DegenerateMissingnessError(
-            f"{n_redrawn} redraws for {reps} x {n_clusters} clusters; missingness is degenerate"
-        )
+    # chunks reach on_chunk in rep order while the pool simulates later ones
+    for chunk, (ds, d_hat, s_sq) in enumerate(chunk_map(run, reps, per_chunk, workers)):
+        if on_chunk is not None:
+            on_chunk(chunk * per_chunk, ds)
+        deltas.append(d_hat)
+        s_sqs.append(s_sq)
+        n_redrawn += ds.n_redrawn
+    check_redraws(n_redrawn, reps * n_clusters)
     deltas = np.concatenate(deltas)
     z = wald_z(deltas, np.concatenate(s_sqs) if empirical_variance else sigma_sq, n_clusters)
     return PowerEstimate(

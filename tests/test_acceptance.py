@@ -276,7 +276,9 @@ def test_criterion_6_algebra_oracle():
         mm = estimate_path_moments(model, NUM, SEED + 60 + k, workers=4)
         pm = [mm.for_path(p.mu, p.index) for p in design.paths]
         vals = [m.mu for m in pm] + [m.sigma2 for m in pm]
-        ses = [m.se_mu for m in pm] + [m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm]
+        ses = [math.sqrt(m.sigma2 / m.n_samples) for m in pm] + [
+            m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm
+        ]
         r1, r2, r3 = design.regimes[0], design.regimes[1], design.regimes[n_nr1]
 
         def ncov(regime_ids, v):

@@ -52,12 +52,15 @@ def test_describe_invalid_design_reports_violations(tmp_path):
         },
     }
     p = tmp_path / "bad.json"
-    # regime 2 reuses path 3 as non-responder; tamper counts to force a violation
+    # arm 1 claims two responder options, but only path 1 is a responder path
     cfg["design"]["st1"] = [[2, 2, 0.4]]
     p.write_text(json.dumps(cfg))
     proc = run_cli("describe-design", "--config", str(p), check=False)
     assert proc.returncode == 2
-    assert "violation" in proc.stdout or "config error" in proc.stderr
+    assert proc.stderr == (
+        "config error: invalid design: arm 1 declares 2 responder options "
+        "but has 1 responder paths\n"
+    )
 
 
 def test_samplesize_delta_std_direct():
@@ -343,7 +346,11 @@ FOUR_NR = {"st1": [[1, 4, 0.3]], "dtr": [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 4, 1
     ("describe-design", {"design": {**FOUR_NR, "st1": [[1, 4.7, 0.3]]}}, "st1"),
     ("describe-design", {"design": {**FOUR_NR, "dtr": [[1, 1, 2, 1], [2, 1, 3.4, 1],
                                                         [3, 1, 4, 1], [4, 1, 5, 1]]}}, "dtr ids"),
-], ids=["num", "regime", "workers-bool", "seed", "n_units", "reps", "st1-count", "dtr-id"])
+    # the fractional id is the largest: reported as such, not as a mu row-count mismatch
+    ("describe-design", {"design": {**FOUR_NR, "dtr": [[1, 1, 2, 1], [2, 3, 4.5, 2]]}},
+     "dtr ids must be whole numbers"),
+], ids=["num", "regime", "workers-bool", "seed", "n_units", "reps", "st1-count", "dtr-id",
+        "dtr-largest-id"])
 def test_integer_input_must_be_integral_exit_2(tmp_path, command, cfg, named):
     """A fraction or a bool where a count or an id belongs is refused, not truncated."""
     base = {"mc": {"num": 20000}} if command != "describe-design" else {}

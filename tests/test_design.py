@@ -14,13 +14,11 @@ from smartp import (
     periodontitis_default,
     stage1_probs,
     stage2_prob,
-    validate,
 )
 
 
 def test_default_design_is_valid():
     d = periodontitis_default()
-    assert validate(d) == []
     assert len(d.paths) == 10 and len(d.regimes) == 8 and len(d.arms) == 2
     resp_paths = [p.index + 1 for p in d.paths if p.responder]
     assert resp_paths == [1, 6]
@@ -40,23 +38,23 @@ def test_validation_catches_wrong_responder_flag():
     # regime 1 pointing to path 2 (a non-responder path) as its responder path
     bad = list(d.regimes)
     bad[0] = Regime(0, responder_path=1, nonresp_path=1, arm=0)
-    issues = validate(_tamper(d, regimes=tuple(bad)))
-    assert any("regime 1" in v.detail and "responder" in v.detail for v in issues)
+    with pytest.raises(ValueError, match="invalid design: regime 1 uses path 2 as its responder"):
+        _tamper(d, regimes=tuple(bad))
 
 
 def test_validation_catches_count_mismatch():
     d = periodontitis_default()
     arms = (Stage1Arm(0, 1, 3, 0.25), d.arms[1])  # claims 3 NR options, has 4
-    issues = validate(_tamper(d, arms=arms))
-    assert any(v.kind == "arm-paths" for v in issues)
+    with pytest.raises(ValueError, match="arm 1 declares 3 non-responder options but has 4"):
+        _tamper(d, arms=arms)
 
 
 def test_validation_catches_cross_arm_regime():
     d = periodontitis_default()
     bad = list(d.regimes)
     bad[0] = Regime(0, responder_path=0, nonresp_path=6, arm=0)  # path 7 is on arm 2
-    issues = validate(_tamper(d, regimes=tuple(bad)))
-    assert any(v.kind == "regime-arm" for v in issues)
+    with pytest.raises(ValueError, match="regime 1 is on arm 1 but path 7 is on arm 2"):
+        _tamper(d, regimes=tuple(bad))
 
 
 def test_stage1_equal_mode():

@@ -83,7 +83,7 @@ def test_iid_limit():
     )
     pm = estimate_path_moments(model, 200_000, seed=3).for_path(np.zeros(28))
     want_var = 0.95**2 / 28
-    assert abs(pm.mu) < 3 * pm.se_mu + 1e-9
+    assert abs(pm.mu) < 3 * math.sqrt(pm.sigma2 / pm.n_samples) + 1e-9
     se_var = want_var * math.sqrt(2 / (pm.n_samples - 1))
     assert abs(pm.sigma2 - want_var) < 4 * se_var
     assert pm.n_redrawn == 0
@@ -251,7 +251,8 @@ def test_degenerate_missingness_raises():
 def test_se_scales_with_num(normal_model):
     small = estimate_path_moments(normal_model, 50_000, seed=8).for_path(np.zeros(28))
     big = estimate_path_moments(normal_model, 200_000, seed=8).for_path(np.zeros(28))
-    assert big.se_mu / small.se_mu == pytest.approx(0.5, abs=0.05)
+    ratio = math.sqrt(big.sigma2 / big.n_samples / (small.sigma2 / small.n_samples))
+    assert ratio == pytest.approx(0.5, abs=0.05)
 
 
 # --- IPW regime moments ------------------------------------------------------
@@ -310,6 +311,30 @@ def test_pair_variance_nonnegative():
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
+def _check_regime_moments_match_closed_forms(d, mu, s2):
+    """One formula reproduces the per-case closed forms for every regime and ordered pair.
+
+    The tolerance is relative to each regime's root second moment
+    ``hypot(mean_r, sqrt(ncov_rr))``, the size of the terms both sides sum (a variance can
+    cancel to near zero), plus the smallest normal float, since near 1e-300 that size
+    underflows while the two sides still differ by a subnormal.
+    """
+    tiny = np.finfo(float).tiny
+    scale = {}
+    for r in range(len(d.regimes)):
+        means, ncov = regime_moments(d, (r,), mu, s2)
+        want_means, want_ncov = closed_form_regime_moments(d, (r,), mu, s2)
+        scale[r] = math.hypot(means[0], math.sqrt(max(ncov[0, 0], 0.0)))
+        assert abs(means[0] - want_means[0]) <= 1e-12 * scale[r] + tiny
+        assert abs(ncov[0, 0] - want_ncov[0, 0]) <= 1e-12 * scale[r] ** 2 + tiny
+    for r, s in itertools.permutations(range(len(d.regimes)), 2):
+        means, ncov = regime_moments(d, (r, s), mu, s2)
+        want_means, want_ncov = closed_form_regime_moments(d, (r, s), mu, s2)
+        pair = np.array([scale[r], scale[s]])
+        assert np.all(np.abs(means - want_means) <= 1e-12 * pair + tiny)
+        assert np.all(np.abs(ncov - want_ncov) <= 1e-12 * np.outer(pair, pair) + tiny)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_nonresp=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -318,11 +343,6 @@ FINITE = dict(allow_nan=False, allow_infinity=False)
     literal=st.booleans(),
 )
 def test_regime_moments_match_closed_forms(n_nonresp, data, mode, literal):
-    """One formula reproduces the per-case closed forms for every regime and ordered pair.
-
-    The tolerance is relative to the regimes' second moments ``ncov_rr + mean_r^2``, the
-    size of the terms both sides sum; a variance can cancel to near zero.
-    """
     gammas = data.draw(st.lists(st.floats(0, 1, **FINITE), min_size=len(n_nonresp),
                                 max_size=len(n_nonresp)))
     d = smart_design([(1, k) for k in n_nonresp], gammas, mode, literal)
@@ -331,20 +351,16 @@ def test_regime_moments_match_closed_forms(n_nonresp, data, mode, literal):
                                      max_size=n_paths)))
     s2 = np.array(data.draw(st.lists(st.floats(0, 10, **FINITE), min_size=n_paths,
                                      max_size=n_paths)))
-    second = {}
-    for r in range(len(d.regimes)):
-        means, ncov = regime_moments(d, (r,), mu, s2)
-        want_means, want_ncov = closed_form_regime_moments(d, (r,), mu, s2)
-        second[r] = ncov[0, 0] + means[0] ** 2
-        tol = 1e-12 * second[r]
-        assert abs(means[0] - want_means[0]) <= 1e-12 * math.sqrt(second[r])
-        assert abs(ncov[0, 0] - want_ncov[0, 0]) <= tol
-    for r, s in itertools.permutations(range(len(d.regimes)), 2):
-        means, ncov = regime_moments(d, (r, s), mu, s2)
-        want_means, want_ncov = closed_form_regime_moments(d, (r, s), mu, s2)
-        scale = np.sqrt([second[r], second[s]])
-        assert np.all(np.abs(means - want_means) <= 1e-12 * scale)
-        assert np.all(np.abs(ncov - want_ncov) <= 1e-12 * np.outer(scale, scale))
+    _check_regime_moments_match_closed_forms(d, mu, s2)
+
+
+@pytest.mark.parametrize("path", [5, 6])
+def test_regime_moments_match_closed_forms_near_underflow(path):
+    """A mean near 1e-300 squares to 0; the formulas may still differ by a subnormal."""
+    d = smart_design([(1, 1), (1, 1), (1, 2)], [0.0, 0.0, 0.375])
+    mu = np.zeros(len(d.paths))
+    mu[path] = 1.4021145886667312e-304
+    _check_regime_moments_match_closed_forms(d, mu, np.zeros(len(d.paths)))
 
 
 #: arm 1 has two responder paths (1, 2) and two non-responder paths (3, 4); regimes 1 and 2
@@ -367,7 +383,9 @@ def test_shared_arm_pair_without_common_responder_matches_brute_force():
     pm = [eff.path_moments[p.index] for p in design.paths]
     n = len(pm)
     vals = [m.mu for m in pm] + [m.sigma2 for m in pm]
-    ses = [m.se_mu for m in pm] + [m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm]
+    ses = [math.sqrt(m.sigma2 / m.n_samples) for m in pm] + [
+        m.sigma2 * math.sqrt(2 / (m.n_samples - 1)) for m in pm
+    ]
 
     def delta(v):
         means, _ = regime_moments(design, (0, 1), v[:n], v[n:])

@@ -8,6 +8,7 @@ from smartp import (
     TestSpec,
     compute_effect,
     design_from_matrices,
+    estimate_path_moments,
     ipw_estimate,
     mc_power,
     prob_available,
@@ -320,12 +321,16 @@ def test_few_redraws_at_small_n_are_accepted():
     assert ds.n_redrawn >= 1  # above the old 1%-of-clusters limit (0.4 here)
 
 
-@pytest.mark.parametrize("runner", ["simulate_trial", "mc_power"])
+@pytest.mark.parametrize("runner", ["simulate_trial", "mc_power", "estimate_path_moments"])
 def test_near_total_missingness_raises(runner):
+    """Every Monte Carlo entry point stops at the same redraw rule with the same message."""
     design = make_design({})
     model = make_model(a0=6.0, b0=0.0)  # P(available) = Phi(-6) per sub-unit
-    with pytest.raises(DegenerateMissingnessError, match="near-total"):
+    message = r"^\d+ all-missing redraws for \d+ rows; the missingness model implies near-total"
+    with pytest.raises(DegenerateMissingnessError, match=message):
         if runner == "simulate_trial":
             simulate_trial(design, model, 40, seed=1)
-        else:
+        elif runner == "mc_power":
             mc_power(design, model, TestSpec(), (0,), 40, 1.0, reps=200, seed=1)
+        else:
+            estimate_path_moments(model, 20_000, seed=1)
