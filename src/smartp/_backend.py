@@ -1,9 +1,10 @@
-"""The trial simulator's cluster-outcome kernel, vectorized in numpy.
+"""The brute-force reference kernel for cluster outcomes, vectorized in numpy.
 
 ``ybar_and_count`` forms the spatial effect ``q = zq @ chol.T`` and
 averages ``mu + q + e1`` over the sub-units whose probit index
-``a0 + b0*q + sigma0*e0`` is at most ``cutoff``.  The moments pass does
-not use it: it draws the index alone and integrates q and e1 out.
+``a0 + b0*q + sigma0*e0`` is at most ``cutoff``.  No runtime path calls it:
+the moments pass and the trials draw the index alone and integrate or draw
+q given it (``moments._simulate_ybar``).  Tests compare against it.
 """
 
 from __future__ import annotations

@@ -321,14 +321,21 @@ def _build_model(v: dict, given: dict) -> tuple[OutcomeModel, dict]:
     return OutcomeModel(car, st, mp), echo
 
 
-def _regime_ids(regime: tuple[int, ...], design: SmartDesign) -> tuple[int, ...]:
+def _setup(args, cfg: dict, command: str):
+    """What ``samplesize`` and ``power`` simulate: (values, design, model, model echo, regime ids)."""
+    v, given = _resolve(args, cfg, command)
+    design = _build_design(v)
+    model, model_echo = _build_model(v, given)
+    if model.sigma.dim != design.n_units:
+        raise ConfigError(f"graph ({v['graph']}) has {model.sigma.dim} sub-units "
+                          f"but design.n_units is {design.n_units}")
     n_regimes = len(design.regimes)
-    ids = tuple(r - 1 for r in regime)
+    ids = tuple(r - 1 for r in v["regime"])
     if len(ids) not in (1, 2) or not all(0 <= i < n_regimes for i in ids):
         raise ConfigError(f"regime must list one or two regime numbers in 1..{n_regimes}")
     if len(ids) == 2 and ids[0] == ids[1]:
         raise ConfigError("cannot compare a regime against itself")
-    return ids
+    return v, design, model, model_echo, ids
 
 
 def _report(args, command: str, inputs: dict, result: dict) -> None:
@@ -400,10 +407,7 @@ def cmd_samplesize(args) -> int:
         _report(args, "samplesize", _inputs(v), result)
         return 0
 
-    v, given = _resolve(args, cfg, SAMPLESIZE)
-    design = _build_design(v)
-    model, model_echo = _build_model(v, given)
-    regime_ids = _regime_ids(v["regime"], design)
+    v, design, model, model_echo, regime_ids = _setup(args, cfg, SAMPLESIZE)
     size, eff = compute_sample_size(
         design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
         workers=v["workers"],
@@ -430,10 +434,7 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_power(args) -> int:
-    v, given = _resolve(args, _load_config(args.config), POWER)
-    design = _build_design(v)
-    model, model_echo = _build_model(v, given)
-    regime_ids = _regime_ids(v["regime"], design)
+    v, design, model, model_echo, regime_ids = _setup(args, _load_config(args.config), POWER)
     alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
 
     eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
@@ -554,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SmartpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("error: the computation overflowed; an input is too large", file=sys.stderr)
         return 3
 
 

@@ -188,25 +188,15 @@ def design_from_matrices(
     arms = tuple(
         Stage1Arm(i, int(row[0]), int(row[1]), float(row[2])) for i, row in enumerate(st1)
     )
-    # path -> (arm, responder) comes from the dtr rows; responder paths are the
-    # ones named in the responder column
-    arm_of = {}
-    resp_of = {}
-    for row in dtr:
-        rp, nrp, arm = int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1
-        for idx, is_resp in ((rp, True), (nrp, False)):
-            if idx in resp_of and (resp_of[idx] != is_resp or arm_of[idx] != arm):
-                raise ValueError(f"path {idx + 1} is used inconsistently across dtr rows")
-            arm_of[idx] = arm
-            resp_of[idx] = is_resp
-    missing = [i + 1 for i in range(n_paths) if i not in arm_of]
+    # path -> (arm, responder) from the dtr rows, the responder column naming the
+    # responder paths; SmartDesign rejects a path that two rows use differently
+    kind = {int(row[col]) - 1: (int(row[3]) - 1, col == 1) for row in dtr for col in (1, 2)}
+    missing = [i + 1 for i in range(n_paths) if i not in kind]
     if missing:
         raise ValueError(
             f"mu has {n_paths} rows but paths {missing} are not reachable from any dtr row"
         )
-    paths = tuple(
-        TreatmentPath(i, arm_of[i], resp_of[i], tuple(mu[i])) for i in range(n_paths)
-    )
+    paths = tuple(TreatmentPath(i, *kind[i], tuple(mu[i])) for i in range(n_paths))
     regimes = tuple(
         Regime(i, int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1)
         for i, row in enumerate(dtr)

@@ -14,6 +14,8 @@ quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 All-missing replicates are redrawn (and counted).  Work proceeds in fixed
 65536-replicate chunks, each on its own RNG substream keyed by (seed, chunk,
 redraw round), so the result is bit-identical for any worker count.
+``_simulate_ybar``, the trials' kernel, draws e1 and ``w . Q | v`` on top of the
+same index rows; ``_backend`` holds the brute-force reference kernel for tests.
 
 ``regime_moments`` converts per-path moments into the means and the
 N-scaled covariance matrix of inverse-probability-weighted regime mean
@@ -28,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._backend import ybar_and_count
 from .design import SmartDesign, ipw_path_weights, path_probs
 from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .missing import MissingnessParams
@@ -119,16 +120,6 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     return n, mean, m2
 
 
-def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
-    """One batch of cluster outcomes for the (n, T) means ``mu2d``; draws Q normals, eps0, e1."""
-    mp = model.mp
-    zq, e0 = rng.standard_normal(mu2d.shape), rng.standard_normal(mu2d.shape)
-    e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
-    return ybar_and_count(
-        zq, e0, e1, model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff
-    )
-
-
 def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
     """(n, T+1) rows ``[w, w . E[Q|v]]`` and the counts k (NaN rows at k = 0); draws zeta."""
     mp = model.mp
@@ -142,6 +133,16 @@ def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
     with np.errstate(invalid="ignore"):
         z /= k[:, None]
     return z, k
+
+
+def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
+    """Cluster outcomes and counts k for the (n, T) means ``mu2d`` (NaN at k = 0): the index
+    rows, the error e1, then ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``."""
+    z, k = _simulate_z(model, mu2d.shape[0], rng)
+    e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
+    w = z[:, :-1]
+    sd = np.sqrt(np.einsum("it,it->i", w @ model.index_projection[1], w))
+    return np.einsum("it,it->i", w, mu2d + e1) + z[:, -1] + sd * rng.standard_normal(k.size), k
 
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):

@@ -3,7 +3,9 @@
 A simulated trial draws, per cluster: the stage-1 arm, the response
 indicator, the stage-2 path (uniform over the arm's options for the
 observed response status), and then the sub-unit outcomes/missingness with
-the path's mean vector.  Clusters whose sub-units are all missing are
+the path's mean vector through ``moments._simulate_ybar``: the missingness
+index, the per-sub-unit error, and ``w . Q`` given the index as one normal,
+exact in distribution.  Clusters whose sub-units are all missing are
 redrawn at that level.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``

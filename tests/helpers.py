@@ -1,10 +1,12 @@
-"""Shared test utilities: reference estimators and kernels, jackknife SEs and a normality test."""
+"""Shared test utilities: reference estimators and kernels, jackknife SEs, a normality test
+and a strategy for random designs."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 STATS = ("mean", "var", "skew", "kurt")
 
@@ -37,6 +39,25 @@ def ybar_loop_reference(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
     ok = n_avail > 0
     ybar[ok] = total[ok] / n_avail[ok]
     return ybar, n_avail
+
+
+def brute_force_ybar(model, mu2d, rng):
+    """Cluster outcomes drawn tooth by tooth, the oracle for ``moments._simulate_ybar``.
+
+    Draws the spatial-effect normals, the missingness noise eps0 and the error
+    e1 for every sub-unit and averages ``mu + Q + e1`` over the available ones
+    with ``_backend.ybar_and_count``.  Same signature and return as the kernel,
+    so a test can swap it in to run brute-force trials.
+    """
+    from smartp import sample_st
+    from smartp._backend import ybar_and_count
+
+    mp = model.mp
+    zq, e0 = rng.standard_normal(mu2d.shape), rng.standard_normal(mu2d.shape)
+    e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
+    return ybar_and_count(
+        zq, e0, e1, model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff
+    )
 
 
 def sample_moments(x: np.ndarray) -> dict[str, float]:
@@ -373,3 +394,34 @@ def closed_form_regime_moments(design, regime_ids, mu, sigma2):
             m1r.mu, m1r.sigma2, m1nr.mu, m2r.mu, m2nr.mu, g1, g2, pi1, p2r, shared
         )
     return np.array(means), ncov
+
+
+@st.composite
+def designs(draw):
+    """Random valid designs: 1-3 arms, 1-3 responder and 1-4 non-responder options, shuffled
+    path ids, two sub-units with finite means."""
+    from smartp import design_from_matrices
+
+    n_arms = draw(st.integers(1, 3))
+    st1 = [
+        [draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.floats(0.0, 1.0))]
+        for _ in range(n_arms)
+    ]
+    n_paths = sum(r + nr for r, nr, _ in st1)
+    ids = iter(draw(st.permutations(range(1, n_paths + 1))))
+    pairs = []  # (responder path, non-responder path, arm), 1-based
+    for a, (n_r, n_nr, _) in enumerate(st1):
+        resp, nonresp = [next(ids) for _ in range(n_r)], [next(ids) for _ in range(n_nr)]
+        pairs += [(r, nr, a + 1) for r in resp for nr in nonresp]
+    dtr = [[i + 1, *pair] for i, pair in enumerate(pairs)]
+    mu = [[draw(st.floats(-10.0, 10.0)) for _ in range(2)] for _ in range(n_paths)]
+    return design_from_matrices(mu, st1, dtr)
+
+
+def design_matrices(design):
+    """The (mu, st1, dtr) matrix triple of a design, 1-based ids as ``design_from_matrices`` reads."""
+    mu = np.array([p.mu for p in design.paths])
+    st1 = [[a.n_resp_options, a.n_nonresp_options, a.response_rate] for a in design.arms]
+    dtr = [[r.index + 1, r.responder_path + 1, r.nonresp_path + 1, r.arm + 1]
+           for r in design.regimes]
+    return mu, st1, dtr

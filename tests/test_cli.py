@@ -271,6 +271,33 @@ def test_graph_override(tmp_path):
     assert out2.splitlines()[0].startswith("N")
 
 
+@pytest.mark.parametrize("command", ["samplesize", "power"])
+def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
+    edges = tmp_path / "six_teeth.txt"
+    edges.write_text("".join(f"{t} {t + 1}\n" for t in range(1, 6)))
+    proc = run_cli(command, "--graph", str(edges), "--num", "20000", check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"config error: graph ({edges}) has 6 sub-units but design.n_units is 28\n"
+    )
+
+
+@pytest.mark.parametrize("args,message", [
+    (["samplesize", "--sigma1", "1e300"], "the computation overflowed"),
+    (["samplesize", "--tau", "1e200"], "the computation overflowed"),
+    (["power", "--sigma1", "1e200", "--n", "10"], "the computation overflowed"),
+    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--tau", "1e200"],
+     "the computation overflowed"),
+    (["samplesize", "--rho", "0.9999999999999999"], "Cholesky factorization failed"),
+], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1"])
+def test_numeric_edge_exit_3(args, message):
+    """Inputs at the edge of the arithmetic end in one error line, never a traceback."""
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_bad_config_schema_exit_2(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"schema": 99}))

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartp import (
     Regime,
@@ -15,6 +19,7 @@ from smartp import (
     stage1_probs,
     stage2_prob,
 )
+from helpers import design_matrices, designs
 
 
 def test_default_design_is_valid():
@@ -144,6 +149,27 @@ def test_design_from_matrices_rejects_fractional_counts_and_ids(st1, dtr, named)
     """A fractional option count or id is an error, not truncated to a different design."""
     with pytest.raises(ValueError, match=named):
         design_from_matrices(np.zeros((3, 4)), st1, dtr)
+
+
+@pytest.mark.parametrize("st1,dtr,named", [
+    # path 2: the non-responder path of regime 1 and the responder path of regime 2
+    ([[1, 2, 0.5]], [[1, 1, 2, 1], [2, 2, 3, 1]],
+     "regime 1 uses path 2 as its non-responder path but that path is responder"),
+    # path 2: a non-responder path on arm 1 and on arm 2
+    ([[1, 1, 0.5], [1, 1, 0.5]], [[1, 1, 2, 1], [2, 3, 2, 2]],
+     "regime 1 is on arm 1 but path 2 is on arm 2"),
+], ids=["responder-and-non-responder", "two-arms"])
+def test_design_from_matrices_rejects_a_path_used_two_ways(st1, dtr, named):
+    with pytest.raises(ValueError, match=f"^invalid design: .*{named}"):
+        design_from_matrices(np.zeros((3, 4)), st1, dtr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(design=designs(), mode=st.sampled_from(Stage1Mode), literal=st.booleans())
+def test_design_from_matrices_round_trips(design, mode, literal):
+    """A design rebuilt from its own (mu, st1, dtr) triple is the same design."""
+    design = dataclasses.replace(design, stage1_mode=mode, pi1_literal=literal)
+    assert design_from_matrices(*design_matrices(design), mode, literal) == design
 
 
 def test_path_probs_and_ipw_weights():

@@ -1,8 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from smartp import (
     OutcomeModel,
     SkewTParams,
     Stage1Mode,
+    car_covariance,
     compute_effect,
     default_car_model,
     design_from_matrices,
@@ -28,10 +31,11 @@ from smartp import (
     stage1_probs,
 )
 from smartp._backend import ybar_and_count
-from smartp.moments import _merge, _simulate_z
-from conftest import make_model
+from smartp.moments import _merge, _simulate_ybar, _simulate_z
+from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
     block_jackknife_se,
+    brute_force_ybar,
     closed_form_regime_moments,
     fd_se,
     qe0_model_moments,
@@ -222,6 +226,73 @@ def test_dual_implementation_cross_check(normal_model):
         assert abs(pm.sigma2 - y.var(ddof=1)) < var_tol
         # the bias term is clearly negative: availability favours low spatial effects
         assert pm.mu < 2.0 + st_mean(model.st) - 0.1
+
+
+def _observed_ybar(kernel, model, mu_vec, n, seed):
+    """``kernel``'s cluster outcomes and counts over n rows of one path, all-missing rows dropped."""
+    ybar, k = kernel(model, np.tile(mu_vec, (n, 1)), np.random.default_rng(seed))
+    return ybar[k > 0], k[k > 0]
+
+
+def _var_se(x):
+    """Large-sample SE of the sample variance: sqrt((m4 - var^2) / n)."""
+    d = x - x.mean()
+    return math.sqrt((np.mean(d**4) - np.mean(d**2) ** 2) / x.size)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["worked", "skewt-sparse"])
+def test_conditional_trial_kernel_matches_brute_force(sparse):
+    """The trial kernel, which draws w . Q | v as one normal, against the kernel that draws
+    every tooth: mean, variance and mean k within 4 joint SE, and the same distribution (KS)."""
+    st = SkewTParams(0.0, 0.95, 10.0, 5.0) if sparse else SkewTParams(0.0, 0.95)
+    sigma = car_covariance(default_car_model())
+    mp = (solve_missingness(0.3, 0.4, sigma, st, sigma0=0.7) if sparse
+          else solve_missingness(GOLDEN_P, GOLDEN_C, sigma, st))
+    model = OutcomeModel(default_car_model(), st, mp)
+    mu_vec = np.linspace(-1.0, 5.0, 28)
+    new, k_new = _observed_ybar(_simulate_ybar, model, mu_vec, 250_000, 31)
+    old, k_old = _observed_ybar(brute_force_ybar, model, mu_vec, 250_000, 32)
+    assert abs(new.mean() - old.mean()) < 4 * math.sqrt(new.var() / new.size + old.var() / old.size)
+    assert abs(new.var() - old.var()) < 4 * math.hypot(_var_se(new), _var_se(old))
+    assert abs(k_new.mean() - k_old.mean()) < 4 * math.sqrt(
+        k_new.var() / k_new.size + k_old.var() / k_old.size
+    )
+    assert sps.ks_2samp(new, old).pvalue > 0.001
+
+
+@pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, 1.0), (10.0, 5.0, 0.3)])
+def test_conditional_trial_kernel_closed_form_without_loading(lam, nu, a0):
+    """At b0 = 0 teeth are missing independently with p = Phi((cutoff - a0) / sigma0), so
+    k ~ Bin(T, p) given k >= 1, and E[w w'] = E[1/k]/T I + E[(k-1)/k]/(T(T-1)) (11' - I).
+    Then E[ybar] = mean(mu) + st_mean and Var(ybar) = mu'E[ww']mu - mean(mu)^2
+    + tr((Sigma + st_variance I) E[ww'])."""
+    model = make_model(lam=lam, nu=nu, a0=a0, b0=0.0)
+    t_dim, mu_vec = 28, np.linspace(-1.0, 5.0, 28)
+    p = 0.5 * math.erfc((a0 - model.mp.cutoff) / (model.mp.sigma0 * math.sqrt(2)))
+    pk = np.array([math.comb(t_dim, k) * p**k * (1 - p) ** (t_dim - k) for k in range(1, t_dim + 1)])
+    pk /= pk.sum()
+    ks = np.arange(1, t_dim + 1)
+    off = np.ones((t_dim, t_dim)) - np.eye(t_dim)
+    eww = pk @ (1 / ks) / t_dim * np.eye(t_dim) + pk @ ((ks - 1) / ks) / (t_dim * (t_dim - 1)) * off
+    want_mean = mu_vec.mean() + st_mean(model.st)
+    cov = model.sigma.matrix + st_variance(model.st) * np.eye(t_dim)
+    want_var = mu_vec @ eww @ mu_vec - mu_vec.mean() ** 2 + np.sum(cov * eww)
+
+    ybar, k = _observed_ybar(_simulate_ybar, model, mu_vec, 250_000, 41)
+    assert abs(ybar.mean() - want_mean) < 4 * math.sqrt(want_var / ybar.size)
+    assert abs(ybar.var(ddof=1) - want_var) < 4 * _var_se(ybar)
+    assert abs(k.mean() - pk @ ks) < 4 * math.sqrt((pk @ ks**2 - (pk @ ks) ** 2) / k.size)
+
+
+@pytest.mark.parametrize("b0", [50.0, -200.0, 1e4])
+def test_conditional_trial_kernel_finite_at_extreme_loadings(b0):
+    """A huge missingness loading makes Cov(Q|v) tiny; an observed row never gets NaN."""
+    model = make_model(lam=10.0, nu=5.0, b0=b0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ybar, k = _simulate_ybar(model, np.ones((20_000, 28)), np.random.default_rng(51))
+    assert (k > 0).any() and np.isfinite(ybar[k > 0]).all()
+    assert np.isnan(ybar[k == 0]).all()
 
 
 def test_welford_merge_matches_two_pass():

@@ -29,6 +29,7 @@ from smartp.simtrial import (
 )
 from conftest import make_design, make_model
 from helpers import (
+    designs,
     empirical_sigma_sq_reference,
     ipw_weights_reference,
     pick_paths_reference,
@@ -173,24 +174,6 @@ def test_empirical_variance_variant_runs():
     assert 0.0 <= est.power <= 1.0
 
 
-@st.composite
-def designs(draw):
-    """Random valid designs: 1-3 arms, 1-3 responder and 1-4 non-responder options, shuffled path ids."""
-    n_arms = draw(st.integers(1, 3))
-    st1 = [
-        [draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.floats(0.0, 1.0))]
-        for _ in range(n_arms)
-    ]
-    n_paths = sum(r + nr for r, nr, _ in st1)
-    ids = iter(draw(st.permutations(range(1, n_paths + 1))))
-    pairs = []  # (responder path, non-responder path, arm), 1-based
-    for a, (n_r, n_nr, _) in enumerate(st1):
-        resp, nonresp = [next(ids) for _ in range(n_r)], [next(ids) for _ in range(n_nr)]
-        pairs += [(r, nr, a + 1) for r in resp for nr in nonresp]
-    dtr = [[i + 1, *pair] for i, pair in enumerate(pairs)]
-    return design_from_matrices(np.zeros((n_paths, 2)), st1, dtr)
-
-
 # u at and next to every option boundary k/m (m <= 4 options), and the largest uniform below 1
 BOUNDARY_U = sorted(
     {float(x) for m in range(1, 5) for k in range(m + 1)
@@ -317,8 +300,11 @@ def test_few_redraws_at_small_n_are_accepted():
     model = make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9)  # about 0.1% of clusters redrawn
     est = mc_power(design, model, TestSpec(), (0, 2), 40, 20.0, reps=400, seed=3)
     assert 0.0 <= est.power <= 1.0
-    ds = simulate_trial(design, model, 40, seed=3, _key=(12,))
-    assert ds.n_redrawn >= 1  # above the old 1%-of-clusters limit (0.4 here)
+    # the first of 200 trials that redraws a cluster: one redraw is above the old
+    # 1%-of-clusters limit (0.4 here)
+    redrawn = next((ds.n_redrawn for key in range(200)
+                    if (ds := simulate_trial(design, model, 40, seed=3, _key=(key,))).n_redrawn), 0)
+    assert redrawn >= 1
 
 
 @pytest.mark.parametrize("runner", ["simulate_trial", "mc_power", "estimate_path_moments"])
