@@ -136,7 +136,7 @@ TABLE = (
     Row("b0", "--b0", "model", float, 0.5, FINITE, SIMULATED),
     Row("p_i", "--p-i", "model", float, None, UNIT, MODELLED),
     Row("c_i", "--c-i", "model", float, None, FINITE, MODELLED),
-    Row("graph", "--graph", "model", str, None, None, MODELLED | {DESCRIBE}),
+    Row("graph", "--graph", "model", str, None, None, MODELLED),
     # by default the built-in chain counts each tooth as its own neighbour; an edge list does not
     Row("self_adjacent", "--self-adjacent", "model", bool, None, None, MODELLED),
     Row("delta_std", "--delta-std", None, float, None, POSITIVE, {DELTA_STD}),
@@ -360,26 +360,20 @@ def _trial_writer(fh, design: SmartDesign, n: int):
     """``mc_power`` chunk callback writing one CSV row per simulated cluster.
 
     The rows are byte-identical to ``csv.writer`` output with ``repr`` for
-    Ybar.  The ``arm,R,path,`` field of a row is looked up by its
-    (arm, responder, path) code and the ``,i,`` field by cluster number.
+    Ybar.  The ``arm,R,path,`` field of a row is looked up by its path and
+    the ``,i,`` field by cluster number.
     """
     fh.write("rep,i,arm,R,path,Ybar,n_teeth\r\n")
-    n_paths = len(design.paths)
-    middles = [
-        f"{a + 1},{r},{p + 1},"
-        for a in range(len(design.arms))
-        for r in (0, 1)
-        for p in range(n_paths)
-    ]
+    middles = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}," for p in design.paths]
     clusters = [f",{i}," for i in range(1, n + 1)]
 
     def write(first_rep: int, ds) -> None:
-        codes = ((2 * ds.arm + ds.responder) * n_paths + ds.path).tolist()
+        paths = ds.path.tolist()
         ybar, n_units = ds.ybar.tolist(), ds.n_units.tolist()
         lines, j = [], 0
         for rep in range(first_rep + 1, first_rep + 1 + ds.n_clusters // n):
             for i in clusters:
-                lines.append(f"{rep}{i}{middles[codes[j]]}{ybar[j]!r},{n_units[j]}\r\n")
+                lines.append(f"{rep}{i}{middles[paths[j]]}{ybar[j]!r},{n_units[j]}\r\n")
                 j += 1
         fh.write("".join(lines))
 
@@ -489,8 +483,6 @@ def cmd_describe_design(args) -> int:
     print(f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}")
     literal = " (literal pi1)" if design.pi1_literal else ""
     print(f"stage1 mode: {design.stage1_mode.value}{literal}")
-    if v["graph"]:
-        print(f"graph: {v['graph']}")
     pi1 = stage1_probs(design)
     for arm in design.arms:
         print(f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "

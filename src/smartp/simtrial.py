@@ -1,12 +1,12 @@
 """Full-trial simulation, IPW estimation, and Monte Carlo power.
 
-A simulated trial draws, per cluster: the stage-1 arm, the response
-indicator, the stage-2 path (uniform over the arm's options for the
-observed response status), and then the sub-unit outcomes/missingness with
-the path's mean vector through ``moments._simulate_ybar``: the missingness
-index, the per-sub-unit error, and ``w . Q`` given the index as one normal,
-exact in distribution.  Clusters whose sub-units are all missing are
-redrawn at that level.
+A simulated trial draws, per cluster: the treatment path (one uniform
+against the cumulative ``design.path_probs``, the law the IPW formula
+inverts; arm and response are the path's), then the sub-unit
+outcomes/missingness with the path's mean vector through
+``moments._simulate_ybar``: the missingness index, the per-sub-unit error,
+and ``w . Q`` given the index as one normal, exact in distribution.
+Clusters whose sub-units are all missing are redrawn at that level.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
 on the regime's two paths and 0 elsewhere, so weights are the per-path
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Regime, SmartDesign, ipw_path_weights, stage1_probs
+from .design import Regime, SmartDesign, ipw_path_weights, path_probs
 from .moments import OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
 from .rngs import POWER, TRIAL, check_redraws, chunk_map, redraw_all_missing, substream
@@ -42,10 +42,8 @@ TRIAL_ROWS = 16384
 
 @dataclass(frozen=True)
 class TrialDataset:
-    """One simulated trial; arrays are per cluster (arm/path 0-based)."""
+    """One simulated trial; arrays are per cluster (path 0-based)."""
 
-    arm: np.ndarray
-    responder: np.ndarray
     path: np.ndarray
     ybar: np.ndarray
     n_units: np.ndarray
@@ -53,7 +51,7 @@ class TrialDataset:
 
     @property
     def n_clusters(self) -> int:
-        return self.arm.size
+        return self.path.size
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,14 @@ class PowerEstimate:
         return math.sqrt(self.power * (1.0 - self.power) / self.reps)
 
 
-def _pick_paths(
-    design: SmartDesign, arm: np.ndarray, responder: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Stage-2 path per cluster: option ``min(int(u * len), len - 1)`` of its (arm, responder) list.
+def _pick_paths(design: SmartDesign, u: np.ndarray) -> np.ndarray:
+    """Path per cluster: the one whose interval of the cumulative ``path_probs`` holds ``u``.
 
-    Each (arm, responder) pair lists its paths in index order; the lists
-    are padded to one table with a per-pair length.
+    Normalising puts the last edge at exactly 1.0, so every ``u`` in [0, 1)
+    lands on a path, and a path of probability 0 has an empty interval.
     """
-    opts = [
-        [p.index for p in design.paths if p.arm == a.index and p.responder == resp]
-        for a in design.arms
-        for resp in (False, True)
-    ]
-    width = max(len(o) for o in opts)
-    table = np.array([o + o[-1:] * (width - len(o)) for o in opts])
-    n_opts = np.array([len(o) for o in opts])
-    pair = 2 * arm + responder
-    return table[pair, np.minimum((u * n_opts[pair]).astype(np.int64), n_opts[pair] - 1)]
+    cdf = np.cumsum(path_probs(design))
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def _simulate_clusters(
@@ -93,16 +81,9 @@ def _simulate_clusters(
 ) -> TrialDataset:
     """Simulate ``n_rows`` independent clusters from one generator.
 
-    Draw order: arm uniforms, response uniforms, stage-2 uniforms, then the
-    sub-unit blocks (redraw rounds append).
+    Draw order: path uniforms, then the sub-unit blocks (redraw rounds append).
     """
-    pi1 = stage1_probs(design)
-    arm = np.searchsorted(np.cumsum(pi1), rng.random(n_rows), side="right")
-    arm = np.minimum(arm, len(design.arms) - 1)
-    gammas = np.array([a.response_rate for a in design.arms])
-    responder = rng.random(n_rows) < gammas[arm]
-    path = _pick_paths(design, arm, responder, rng.random(n_rows))
-
+    path = _pick_paths(design, rng.random(n_rows))
     mu_matrix = np.array([p.mu for p in design.paths])
     ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
 
@@ -111,7 +92,7 @@ def _simulate_clusters(
         return k
 
     n_redrawn = redraw_all_missing(n_avail, draw)
-    return TrialDataset(arm, responder, path, ybar, n_avail, n_redrawn)
+    return TrialDataset(path, ybar, n_avail, n_redrawn)
 
 
 def simulate_trial(

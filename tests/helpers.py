@@ -155,36 +155,17 @@ def anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
     return float(a2_star), float(min(max(p, 0.0), 1.0))
 
 
-def pick_paths_reference(design, arm, responder, u):
-    """Per-cluster path picker, the oracle for ``simtrial._pick_paths``.
-
-    Option ``min(int(u * len), len - 1)`` of the cluster's (arm, responder)
-    list of paths in index order, one cluster at a time.
-    """
-    resp_paths = [
-        [p.index for p in design.paths if p.arm == a.index and p.responder]
-        for a in design.arms
-    ]
-    nr_paths = [
-        [p.index for p in design.paths if p.arm == a.index and not p.responder]
-        for a in design.arms
-    ]
-    path = np.empty(len(arm), dtype=np.int64)
-    for i in range(len(arm)):
-        opts = resp_paths[arm[i]] if responder[i] else nr_paths[arm[i]]
-        path[i] = opts[min(int(u[i] * len(opts)), len(opts) - 1)]
-    return path
-
-
 def ipw_weights_reference(ds, design, regime):
     """Per-cluster IPW weight ``consistent / (pi1[arm] * pi2_obs)``, one stage-2 probability per cluster."""
     from smartp.design import stage1_probs, stage2_prob
 
     pi1 = stage1_probs(design)
-    target_path = np.where(ds.responder, regime.responder_path, regime.nonresp_path)
-    consistent = (ds.arm == regime.arm) & (ds.path == target_path)
+    arm = np.array([design.paths[p].arm for p in ds.path], dtype=np.int64)
+    responder = np.array([design.paths[p].responder for p in ds.path], dtype=bool)
+    target_path = np.where(responder, regime.responder_path, regime.nonresp_path)
+    consistent = (arm == regime.arm) & (ds.path == target_path)
     pi2_obs = np.array([stage2_prob(design, p) for p in ds.path])
-    return consistent / (pi1[ds.arm] * pi2_obs)
+    return consistent / (pi1[arm] * pi2_obs)
 
 
 def empirical_sigma_sq_reference(ds, design, regime_ids):
@@ -196,32 +177,44 @@ def empirical_sigma_sq_reference(ds, design, regime_ids):
 
 
 def simulate_trial_reference(design, model, n_clusters, seed, key=()):
-    """One trial drawn cluster by cluster in the path step, the oracle for ``simulate_trial``.
+    """One trial drawn stage by stage and tooth by tooth, the oracle for ``simulate_trial``.
 
-    Same substream and draw order: arm, response and stage-2 uniforms,
-    then the sub-unit blocks, redraw rounds appended.
+    Each cluster draws its stage-1 arm from ``stage1_probs``, its response
+    with the arm's rate, and then option ``min(int(u * len), len - 1)`` of
+    its (arm, response) list of paths in index order: three uniform streams,
+    in that order, on substream (seed, TRIAL, *key).  The sub-unit blocks
+    follow, drawn by ``brute_force_ybar``, redraw rounds appended.  Nothing
+    here reads ``path_probs``, so the trial checks the path law the formula
+    inverts.  Returns a ``TrialDataset``.
     """
     from smartp.design import stage1_probs
-    from smartp.moments import _simulate_ybar
     from smartp.rngs import TRIAL, substream
+    from smartp.simtrial import TrialDataset
 
     rng = substream(seed, TRIAL, *key)
     arm = np.searchsorted(np.cumsum(stage1_probs(design)), rng.random(n_clusters), side="right")
     arm = np.minimum(arm, len(design.arms) - 1)
     gammas = np.array([a.response_rate for a in design.arms])
     responder = rng.random(n_clusters) < gammas[arm]
-    path = pick_paths_reference(design, arm, responder, rng.random(n_clusters))
+    u = rng.random(n_clusters)
+    path = np.empty(n_clusters, dtype=np.int64)
+    for a in design.arms:
+        for resp in (False, True):
+            opts = np.array([p.index for p in design.paths
+                             if p.arm == a.index and p.responder == resp])
+            rows = (arm == a.index) & (responder == resp)
+            path[rows] = opts[np.minimum((u[rows] * opts.size).astype(np.int64), opts.size - 1)]
     mu_matrix = np.array([p.mu for p in design.paths])
-    ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
+    ybar, n_avail = brute_force_ybar(model, mu_matrix[path], rng)
     bad = np.flatnonzero(n_avail == 0)
     n_redrawn = 0
     while bad.size:
         n_redrawn += bad.size
-        yb, na = _simulate_ybar(model, mu_matrix[path[bad]], rng)
+        yb, na = brute_force_ybar(model, mu_matrix[path[bad]], rng)
         ybar[bad] = yb
         n_avail[bad] = na
         bad = bad[na == 0]
-    return arm, responder, path, ybar, n_avail, n_redrawn
+    return TrialDataset(path, ybar, n_avail, n_redrawn)
 
 
 def qe0_model_moments(model, num, seed):
@@ -271,7 +264,7 @@ def fd_se(fn, vals, ses):
     return math.sqrt(sum((g * s) ** 2 for g, s in zip(grad, ses)))
 
 
-def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False):
+def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False, n_units=1):
     """A design with ``options[a] = (n_resp, n_nonresp)`` paths on arm a and one regime per
     (responder, non-responder) pair of an arm; paths and regimes run arm by arm, means zero."""
     from smartp import design_from_matrices
@@ -282,7 +275,7 @@ def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False):
         dtr += [[len(dtr) + 1, first + r, first + n_r + j, arm + 1]
                 for r in range(n_r) for j in range(n_nr)]
         first += n_r + n_nr
-    return design_from_matrices(np.zeros((first - 1, 1)), st1, dtr, stage1_mode, pi1_literal)
+    return design_from_matrices(np.zeros((first - 1, n_units)), st1, dtr, stage1_mode, pi1_literal)
 
 
 # --- the closed-form regime algebra the package used to ship: the oracle for

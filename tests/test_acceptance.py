@@ -50,9 +50,9 @@ from conftest import GOLDEN_C, GOLDEN_P, make_design, make_model
 from helpers import (
     anderson_darling_normal,
     block_jackknife_se,
-    brute_force_ybar,
     fd_se,
     moments_with_se,
+    simulate_trial_reference,
 )
 
 NUM = 1_000_000
@@ -250,12 +250,12 @@ def test_criterion_5_distribution_grid():
     assert report("5 (12-point grid, 3 SE + KS)", all_ok, f"KS={ks.statistic:.4f}")
 
 
-def test_criterion_6_algebra_oracle(monkeypatch):
+def test_criterion_6_algebra_oracle():
     """Closed-form N*Var / N*Cov vs a brute-force one-million-cluster simulation.
 
-    The trials draw every tooth (``brute_force_ybar`` in place of the conditional kernel),
-    so the check does not share the moments pass's integration of Q and the error."""
-    monkeypatch.setattr(smartp.simtrial, "_simulate_ybar", brute_force_ybar)
+    The trials (``simulate_trial_reference``) draw arm, response and stage-2 option per
+    cluster and every tooth, so the check shares neither ``path_probs`` with the formula
+    nor the moments pass's integration of Q and the error."""
     all_ok = True
     for k in range(5):
         rng = np.random.default_rng(6000 + k)
@@ -310,7 +310,7 @@ def test_criterion_6_algebra_oracle(monkeypatch):
         }
 
         # brute force: one million-cluster trial, empirical moments of W*Ybar
-        ds = simulate_trial(design, model, NUM, SEED + 70 + k)
+        ds = simulate_trial_reference(design, model, NUM, SEED + 70 + k)
         x1 = ipw_weights(ds, design, r1) * ds.ybar
         x2 = ipw_weights(ds, design, r2) * ds.ybar
         x3 = ipw_weights(ds, design, r3) * ds.ybar

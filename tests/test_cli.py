@@ -204,10 +204,7 @@ def test_dump_reproduces_power_from_the_same_draws(tmp_path):
     deltas = []
     for r in range(reps):
         c = cols[r * n:(r + 1) * n]
-        ds = TrialDataset(
-            c[:, 2].astype(int) - 1, c[:, 3].astype(bool), c[:, 4].astype(int) - 1, c[:, 5],
-            c[:, 6].astype(int),
-        )
+        ds = TrialDataset(c[:, 4].astype(int) - 1, c[:, 5], c[:, 6].astype(int))
         deltas.append(ipw_estimate(ds, design, (0, 4)))
     result = json.loads((tmp_path / "p1.json").read_text())["result"]
     assert result["mean_abs_delta"] == pytest.approx(np.mean(np.abs(deltas)), rel=1e-12)
@@ -262,13 +259,14 @@ def test_graph_override(tmp_path):
     edges = tmp_path / "arches.txt"
     lines = [f"{t} {t + 1}" for t in range(1, 14)] + [f"{t} {t + 1}" for t in range(15, 28)]
     edges.write_text("\n".join(lines) + "\n")
-    out = run_cli("describe-design", "--graph", str(edges)).stdout
-    assert "arches.txt" in out
-    out2 = run_cli(
+    out = run_cli(
         "samplesize", "--regime", "1", "--mu-scalar", "0,1,0,0,0,0,0,0,0,0",
         "--graph", str(edges), "--no-self-adjacent", "--num", "20000",
     ).stdout
-    assert out2.splitlines()[0].startswith("N")
+    assert out.splitlines()[0].startswith("N")
+    # describe-design reads no model row, so it refuses --graph
+    proc = run_cli("describe-design", "--graph", str(edges), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["samplesize", "power"])

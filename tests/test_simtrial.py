@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from smartp import (
     TestSpec,
@@ -11,6 +12,7 @@ from smartp import (
     estimate_path_moments,
     ipw_estimate,
     mc_power,
+    path_probs,
     prob_available,
     simulate_trial,
     stage1_probs,
@@ -32,8 +34,7 @@ from helpers import (
     designs,
     empirical_sigma_sq_reference,
     ipw_weights_reference,
-    pick_paths_reference,
-    simulate_trial_reference,
+    smart_design,
 )
 
 
@@ -41,26 +42,16 @@ def test_all_responders_when_gamma_one():
     design = make_design({2: 1.0}, gamma1=1.0, gamma2=1.0)
     model = make_model()
     ds = simulate_trial(design, model, 2000, seed=1)
-    assert np.all(ds.responder)
+    assert all(design.paths[p].responder for p in ds.path)
     assert set(np.unique(ds.path)) <= {0, 5}
-
-
-def test_path_consistent_with_arm_and_response():
-    design = make_design({2: 2.0})
-    ds = simulate_trial(design, make_model(), 5000, seed=2)
-    for p, arm, resp in zip(ds.path, ds.arm, ds.responder):
-        path = design.paths[p]
-        assert path.arm == arm
-        assert path.responder == bool(resp)
-    assert np.all(ds.n_units >= 1)
-    assert np.all(np.isfinite(ds.ybar))
 
 
 def test_arm_frequencies_match_stage1_probs():
     design = make_design({})
     ds = simulate_trial(design, make_model(), 100_000, seed=3)
     pi1 = stage1_probs(design)
-    emp = np.mean(ds.arm == 0)
+    arm = np.array([p.arm for p in design.paths])[ds.path]
+    emp = np.mean(arm == 0)
     se = math.sqrt(pi1[0] * (1 - pi1[0]) / ds.n_clusters)
     assert abs(emp - pi1[0]) < 3 * se
 
@@ -97,8 +88,6 @@ def test_ipw_reduces_to_sample_mean_without_weighting():
 def test_ipw_warns_when_no_consistent_cluster():
     design = make_design({})
     ds = TrialDataset(
-        arm=np.zeros(5, dtype=np.int64),
-        responder=np.ones(5, dtype=bool),
         path=np.zeros(5, dtype=np.int64),
         ybar=np.ones(5),
         n_units=np.full(5, 28),
@@ -174,7 +163,7 @@ def test_empirical_variance_variant_runs():
     assert 0.0 <= est.power <= 1.0
 
 
-# u at and next to every option boundary k/m (m <= 4 options), and the largest uniform below 1
+# u at and next to every k/m (m <= 4), and the largest uniform below 1
 BOUNDARY_U = sorted(
     {float(x) for m in range(1, 5) for k in range(m + 1)
      for x in (k / m, np.nextafter(k / m, 0.0), np.nextafter(k / m, 1.0)) if 0.0 <= x < 1.0}
@@ -182,17 +171,57 @@ BOUNDARY_U = sorted(
 )
 
 
+def path_law_reference(design) -> np.ndarray:
+    """Per-path chance ``pi1 * (gamma or 1 - gamma) * pi2``, read off ``design.arms``.
+
+    pi1 weighs each arm by ``1 / (gamma / n_R + (1 - gamma) / n_NR)`` (balanced),
+    ``max(n_R, n_NR)`` (max) or 1 (equal); ``pi1_literal`` counts one
+    non-responder option on every arm after the first.
+    """
+    weights = []
+    for a in design.arms:
+        n_r, g = a.n_resp_options, a.response_rate
+        n_nr = 1 if design.pi1_literal and a.index > 0 else a.n_nonresp_options
+        weights.append({"balanced": 1.0 / (g / n_r + (1.0 - g) / n_nr),
+                        "max": max(n_r, n_nr), "equal": 1.0}[design.stage1_mode.value])
+    pi1 = np.array(weights) / sum(weights)
+    probs = []
+    for p in design.paths:
+        a = design.arms[p.arm]
+        if p.responder:
+            probs.append(pi1[p.arm] * a.response_rate / a.n_resp_options)
+        else:
+            probs.append(pi1[p.arm] * (1.0 - a.response_rate) / a.n_nonresp_options)
+    return np.array(probs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_vectorized_path_picker_matches_per_cluster_loop(data):
+def test_path_picker_returns_the_interval_holding_u(data):
     design = data.draw(designs())
-    n = data.draw(st.integers(1, 60))
-    arm = np.array(data.draw(st.lists(st.integers(0, len(design.arms) - 1), min_size=n, max_size=n)))
-    responder = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    u_value = st.sampled_from(BOUNDARY_U) | st.floats(0.0, 1.0, exclude_max=True)
-    u = np.array(data.draw(st.lists(u_value, min_size=n, max_size=n)))
-    got = _pick_paths(design, arm, responder, u)
-    assert np.array_equal(got, pick_paths_reference(design, arm, responder, u))
+    cdf = np.cumsum(path_probs(design))
+    edges = cdf / cdf[-1]
+    near_edges = [float(x) for e in edges for x in (e, np.nextafter(e, 0.0)) if 0.0 <= x < 1.0]
+    u_value = (st.sampled_from(BOUNDARY_U + near_edges)
+               | st.floats(0.0, 1.0, exclude_max=True))
+    u = np.array(data.draw(st.lists(u_value, min_size=1, max_size=60)))
+    got = _pick_paths(design, u)
+    lower = np.concatenate([[0.0], edges[:-1]])
+    assert np.all((lower[got] <= u) & (u < edges[got]))
+    assert np.all(path_law_reference(design)[got] > 0)
+
+
+@pytest.mark.parametrize("mode,literal", [
+    ("balanced", False), ("max", False), ("equal", False), ("balanced", True),
+], ids=["balanced", "max", "equal", "pi1-literal"])
+def test_path_frequencies_match_the_two_stage_law(mode, literal):
+    """Chi-square of ``simulate_trial``'s path counts against pi1 * (gamma or 1 - gamma) * pi2."""
+    design = smart_design([(1, 4), (2, 3), (1, 2)], [0.25, 0.6, 0.4], mode, literal, n_units=2)
+    ds = simulate_trial(design, make_model(a0=-4.0, b0=0.0, n_units=2), 100_000, seed=31)
+    counts = np.bincount(ds.path, minlength=len(design.paths))
+    expected = path_law_reference(design) * ds.n_clusters
+    assert np.all(ds.n_units >= 1) and np.all(np.isfinite(ds.ybar))
+    assert sps.chisquare(counts, expected).pvalue > 0.001
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,8 +231,6 @@ def test_per_path_ipw_table_matches_per_cluster_formula(data):
     n = data.draw(st.integers(1, 60))
     path = np.array(data.draw(st.lists(st.integers(0, len(design.paths) - 1), min_size=n, max_size=n)))
     ds = TrialDataset(
-        arm=np.array([design.paths[p].arm for p in path]),
-        responder=np.array([design.paths[p].responder for p in path]),
         path=path,
         ybar=np.ones(n),
         n_units=np.ones(n, dtype=np.int64),
@@ -213,23 +240,6 @@ def test_per_path_ipw_table_matches_per_cluster_formula(data):
             warnings.simplefilter("ignore")
             got = ipw_weights(ds, design, regime)
         assert np.array_equal(got, ipw_weights_reference(ds, design, regime))
-
-
-def test_simulate_trial_matches_per_cluster_reference():
-    """Same substream, same draws: the batched simulator reproduces the per-cluster one bit for bit."""
-    design = make_design({2: 0.5, 4: 2.0, 7: 5.0})
-    for model, n, seed, key in (
-        (make_model(), 197, 5, ()),
-        (make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9), 3000, 7, (103, 4)),  # with redraws
-    ):
-        ds = simulate_trial(design, model, n, seed, _key=key)
-        arm, responder, path, ybar, n_avail, n_redrawn = simulate_trial_reference(
-            design, model, n, seed, key
-        )
-        assert np.array_equal(ds.arm, arm) and np.array_equal(ds.responder, responder)
-        assert np.array_equal(ds.path, path) and np.array_equal(ds.n_units, n_avail)
-        assert np.array_equal(ds.ybar, ybar) and ds.n_redrawn == n_redrawn
-    assert n_redrawn > 0
 
 
 @pytest.mark.parametrize("empirical", [False, True], ids=["design-var", "empirical-var"])
@@ -245,7 +255,7 @@ def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
     assert ds.n_clusters == reps * n and d_hat.shape == (reps,)
     assert (s_sq is not None) == empirical
     trials = [
-        TrialDataset(ds.arm[sl], ds.responder[sl], ds.path[sl], ds.ybar[sl], ds.n_units[sl])
+        TrialDataset(ds.path[sl], ds.ybar[sl], ds.n_units[sl])
         for sl in (slice(r * n, (r + 1) * n) for r in range(reps))
     ]
     old_d = [ipw_estimate(t, design, regime_ids) for t in trials]
