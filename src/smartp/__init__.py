@@ -23,7 +23,7 @@ from .design import (
     stage1_probs,
     stage2_prob,
 )
-from .dists import SkewTParams, sample_st, st_kurtosis, st_mean, st_skewness, st_variance
+from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .engine import compute_effect, compute_sample_size
 from .errors import (
     ConfigError,
@@ -59,6 +59,5 @@ from .spatial import (
     default_car_model,
     dental_arches,
     load_edge_list,
-    sample_mvn,
     tooth_chain,
 )

@@ -10,8 +10,8 @@ Subcommands::
 Each parameter is a flag of the commands that read it and a key of one
 block (``design``, ``model``, ``test``, ``mc``) of the JSON document given
 by ``--config``; flags win.  A command takes only the flags it reads.
-Exit codes: 0 success, 2 configuration error, 3 numeric or infeasibility
-error.
+Exit codes: 0 success, 1 standard output closed early, 2 configuration
+error, 3 numeric or infeasibility error.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _setup(args, cfg: dict, command: str):
 def _report(args, command: str, inputs: dict, result: dict) -> None:
     """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to --json."""
     scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
-    width = max(map(len, scalars)) + 1
+    width = max(map(len, scalars), default=0) + 1
     for key, value in scalars.items():
         print(f"{key:<{width}} {_fmt(value)}")
     if args.json:
@@ -494,8 +494,10 @@ def cmd_describe_design(args) -> int:
     for r in design.regimes:
         print(f"regime {r.index + 1}: arm {r.arm + 1} responder->path {r.responder_path + 1} "
               f"non-responder->path {r.nonresp_path + 1}")
-    _print_path_table(path_tables(design))
+    tables = path_tables(design)
+    _print_path_table(tables)
     print("design ok")
+    _report(args, DESCRIBE, {}, {name: column.tolist() for name, column in tables.items()})
     return 0
 
 
@@ -541,7 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

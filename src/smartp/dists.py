@@ -72,41 +72,6 @@ def st_variance(p: SkewTParams) -> float:
     return p.scale**2 * (nu / (nu - 2.0) - _std_mean(p) ** 2)
 
 
-def st_skewness(p: SkewTParams) -> float:
-    """Exact skewness gamma_1; requires dof > 3."""
-    kap = p.kappa
-    if p.is_normal_limit:
-        d = kap * _SQRT_2_OVER_PI
-        return 0.5 * (4.0 - math.pi) * d**3 / (1.0 - d * d) ** 1.5
-    if p.dof <= 3:
-        raise UndefinedMomentError(f"skewness requires dof > 3, got {p.dof}")
-    nu = p.dof
-    m = _std_mean(p)
-    var = nu / (nu - 2.0) - m * m
-    return m * (nu * (3.0 - kap * kap) / (nu - 3.0) - 3.0 * nu / (nu - 2.0) + 2.0 * m * m) / var**1.5
-
-
-def st_kurtosis(p: SkewTParams) -> float:
-    """Exact excess kurtosis gamma_2; requires dof > 4."""
-    kap = p.kappa
-    if p.is_normal_limit:
-        d2 = kap * kap * 2.0 / math.pi
-        return 2.0 * (math.pi - 3.0) * d2 * d2 / (1.0 - d2) ** 2
-    if p.dof <= 4:
-        raise UndefinedMomentError(f"kurtosis requires dof > 4, got {p.dof}")
-    nu = p.dof
-    m = _std_mean(p)
-    m2 = m * m
-    var = nu / (nu - 2.0) - m2
-    num = (
-        3.0 * nu * nu / ((nu - 2.0) * (nu - 4.0))
-        - 4.0 * m2 * nu * (3.0 - kap * kap) / (nu - 3.0)
-        + 6.0 * m2 * nu / (nu - 2.0)
-        - 3.0 * m2 * m2
-    )
-    return num / (var * var) - 3.0
-
-
 def sample_st(p: SkewTParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n iid skew-t variates.
 

@@ -14,8 +14,10 @@ quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 All-missing replicates are redrawn (and counted).  Work proceeds in fixed
 65536-replicate chunks, each on its own RNG substream keyed by (seed, chunk,
 redraw round), so the result is bit-identical for any worker count.
-``_simulate_ybar``, the trials' kernel, draws e1 and ``w . Q | v`` on top of the
-same index rows; ``_backend`` holds the brute-force reference kernel for tests.
+``_simulate_ybar``, the trials' kernel, draws ``w . Q | v`` as one normal on top of
+the same index rows.  Normal errors (skew 0, dof inf) fold into that normal, whose
+variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per sub-unit first.
+``_backend`` holds the brute-force reference kernel for tests.
 
 ``regime_moments`` converts per-path moments into the means and the
 N-scaled covariance matrix of inverse-probability-weighted regime mean
@@ -64,6 +66,11 @@ class OutcomeModel:
         chol_v = np.linalg.cholesky(sigma_v)
         k = np.linalg.solve(sigma_v, sig)  # symmetric: Sigma and Sigma_v commute
         return np.hstack([chol_v.T, (mp.loading * k @ chol_v).T]), mp.sigma0**2 * k
+
+    @cached_property
+    def cond_cov(self) -> np.ndarray:
+        """``Cov(Q + e1 | v) = st_variance I + Cov(Q|v)``; dof <= 2 fails before the projection."""
+        return st_variance(self.st) * np.eye(self.sigma.dim) + self.index_projection[1]
 
 
 @dataclass(frozen=True)
@@ -125,11 +132,11 @@ def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
     mp = model.mp
     t_dim = model.sigma.dim
     v_and_q = rng.standard_normal((n, t_dim)) @ model.index_projection[0]
-    avail = mp.intercept + v_and_q[:, :t_dim] <= mp.cutoff
-    k = avail.sum(axis=1)
     z = np.empty((n, t_dim + 1))
-    z[:, :-1] = avail
-    np.sum(v_and_q[:, t_dim:], axis=1, where=avail, out=z[:, -1])
+    w = z[:, :-1]
+    np.less_equal(v_and_q[:, :t_dim], mp.cutoff - mp.intercept, out=w)
+    k = np.count_nonzero(w, axis=1)
+    np.einsum("it,it->i", w, v_and_q[:, t_dim:], out=z[:, -1])
     with np.errstate(invalid="ignore"):
         z /= k[:, None]
     return z, k
@@ -137,12 +144,17 @@ def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
 
 def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
     """Cluster outcomes and counts k for the (n, T) means ``mu2d`` (NaN at k = 0): the index
-    rows, the error e1, then ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``."""
+    rows, then ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``.  Normal errors join
+    that normal (``w . e1 ~ N(0, sigma1^2 w'w)``); other errors are drawn per sub-unit first."""
     z, k = _simulate_z(model, mu2d.shape[0], rng)
-    e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
     w = z[:, :-1]
-    sd = np.sqrt(np.einsum("it,it->i", w @ model.index_projection[1], w))
-    return np.einsum("it,it->i", w, mu2d + e1) + z[:, -1] + sd * rng.standard_normal(k.size), k
+    if model.st.skew == 0.0 and model.st.is_normal_limit:
+        cov = model.cond_cov
+    else:
+        cov = model.index_projection[1]
+        mu2d = mu2d + sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
+    sd = np.sqrt(np.einsum("it,it->i", w @ cov, w))
+    return np.einsum("it,it->i", w, mu2d) + z[:, -1] + sd * rng.standard_normal(k.size), k
 
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
@@ -181,9 +193,8 @@ def estimate_path_moments(
         raise ValueError(f"num must be >= 1, got {num}")
     if num < 10_000:
         warnings.warn(f"num={num} is small; moment estimates will be noisy", stacklevel=2)
-    e1_var = st_variance(model.st)  # first: dof <= 2 fails here, before any draw
+    cond_cov = model.cond_cov  # first: dof <= 2 fails here, before any draw
     e1_mean = st_mean(model.st)
-    cond_cov = model.index_projection[1] + e1_var * np.eye(model.sigma.dim)
 
     def run(chunk: int, size: int):
         return _chunk_moments(model, seed, chunk, size, e1_mean, cond_cov)

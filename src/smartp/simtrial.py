@@ -4,8 +4,9 @@ A simulated trial draws, per cluster: the treatment path (one uniform
 against the cumulative ``design.path_probs``, the law the IPW formula
 inverts; arm and response are the path's), then the sub-unit
 outcomes/missingness with the path's mean vector through
-``moments._simulate_ybar``: the missingness index, the per-sub-unit error,
-and ``w . Q`` given the index as one normal, exact in distribution.
+``moments._simulate_ybar``: the missingness index, the per-sub-unit error
+unless it is normal, and ``w . Q`` given the index as one normal, into which
+normal errors fold; exact in distribution.
 Clusters whose sub-units are all missing are redrawn at that level.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``

@@ -55,9 +55,6 @@ class AdjacencyGraph:
     def from_pairs(size: int, pairs) -> "AdjacencyGraph":
         return AdjacencyGraph(size, frozenset((min(a, b), max(a, b)) for a, b in pairs))
 
-    def degree(self, v: int) -> int:
-        return int(sum(1 for a, b in self.edges if v in (a, b)))
-
     def adjacency_matrix(self) -> np.ndarray:
         d = np.zeros((self.size, self.size))
         for a, b in self.edges:
@@ -181,8 +178,3 @@ def car_covariance(model: CarModel) -> SpdMatrix:
     inv = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, ident))
     return SpdMatrix(model.tau**2 * inv)
 
-
-def sample_mvn(cov: SpdMatrix, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid rows from N(0, cov) via the cached lower factor."""
-    z = rng.standard_normal((n, cov.dim))
-    return z @ cov.chol.T

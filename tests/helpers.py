@@ -1,5 +1,5 @@
-"""Shared test utilities: reference estimators and kernels, jackknife SEs, a normality test
-and a strategy for random designs."""
+"""Shared test utilities: reference estimators and kernels, the skew-t shape moments, jackknife
+SEs, a normality test and a strategy for random designs."""
 
 from __future__ import annotations
 
@@ -58,6 +58,76 @@ def brute_force_ybar(model, mu2d, rng):
     return ybar_and_count(
         zq, e0, e1, model.sigma.chol, mu2d, mp.intercept, mp.loading, mp.sigma0, mp.cutoff
     )
+
+
+def index_rows_reference(model, n, rng):
+    """The index rows by a masked sum, the oracle for ``moments._simulate_z``.
+
+    Same draws, same return: (n, T+1) rows ``[w, w . E[Q|v]]`` and the
+    counts k, NaN rows at k = 0.
+    """
+    mp = model.mp
+    t_dim = model.sigma.dim
+    v_and_q = rng.standard_normal((n, t_dim)) @ model.index_projection[0]
+    avail = mp.intercept + v_and_q[:, :t_dim] <= mp.cutoff
+    k = avail.sum(axis=1)
+    z = np.empty((n, t_dim + 1))
+    z[:, :-1] = avail
+    np.sum(v_and_q[:, t_dim:], axis=1, where=avail, out=z[:, -1])
+    with np.errstate(invalid="ignore"):
+        z /= k[:, None]
+    return z, k
+
+
+def sample_mvn(cov, n, rng):
+    """n iid rows from N(0, cov) via the cached lower factor of an ``SpdMatrix``."""
+    return rng.standard_normal((n, cov.dim)) @ cov.chol.T
+
+
+def degree(graph, v):
+    """Number of edges of an ``AdjacencyGraph`` that touch vertex v."""
+    return sum(1 for a, b in graph.edges if v in (a, b))
+
+
+def st_skewness(p) -> float:
+    """Exact skewness gamma_1 of a skew-t; requires dof > 3."""
+    from smartp import UndefinedMomentError
+    from smartp.dists import _std_mean
+
+    kap = p.kappa
+    if p.is_normal_limit:
+        d = kap * math.sqrt(2.0 / math.pi)
+        return 0.5 * (4.0 - math.pi) * d**3 / (1.0 - d * d) ** 1.5
+    if p.dof <= 3:
+        raise UndefinedMomentError(f"skewness requires dof > 3, got {p.dof}")
+    nu = p.dof
+    m = _std_mean(p)
+    var = nu / (nu - 2.0) - m * m
+    return m * (nu * (3.0 - kap * kap) / (nu - 3.0) - 3.0 * nu / (nu - 2.0) + 2.0 * m * m) / var**1.5
+
+
+def st_kurtosis(p) -> float:
+    """Exact excess kurtosis gamma_2 of a skew-t; requires dof > 4."""
+    from smartp import UndefinedMomentError
+    from smartp.dists import _std_mean
+
+    kap = p.kappa
+    if p.is_normal_limit:
+        d2 = kap * kap * 2.0 / math.pi
+        return 2.0 * (math.pi - 3.0) * d2 * d2 / (1.0 - d2) ** 2
+    if p.dof <= 4:
+        raise UndefinedMomentError(f"kurtosis requires dof > 4, got {p.dof}")
+    nu = p.dof
+    m = _std_mean(p)
+    m2 = m * m
+    var = nu / (nu - 2.0) - m2
+    num = (
+        3.0 * nu * nu / ((nu - 2.0) * (nu - 4.0))
+        - 4.0 * m2 * nu * (3.0 - kap * kap) / (nu - 3.0)
+        + 6.0 * m2 * nu / (nu - 2.0)
+        - 3.0 * m2 * m2
+    )
+    return num / (var * var) - 3.0
 
 
 def sample_moments(x: np.ndarray) -> dict[str, float]:

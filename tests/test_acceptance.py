@@ -38,9 +38,7 @@ from smartp import (
     required_n,
     sample_st,
     simulate_trial,
-    st_kurtosis,
     st_mean,
-    st_skewness,
     st_variance,
 )
 from smartp.engine import compute_sample_size
@@ -53,6 +51,8 @@ from helpers import (
     fd_se,
     moments_with_se,
     simulate_trial_reference,
+    st_kurtosis,
+    st_skewness,
 )
 
 NUM = 1_000_000

@@ -41,6 +41,30 @@ def test_describe_default_design():
     assert "design ok" in out
 
 
+def test_describe_json_holds_the_path_table(tmp_path):
+    """``describe-design --json`` writes the path-table columns that ``samplesize --json`` does."""
+    described, sized = tmp_path / "d.json", tmp_path / "s.json"
+    run_cli("describe-design", "--gamma", "0.3,0.6", "--json", str(described))
+    run_cli("samplesize", *WORKED, "--gamma", "0.3,0.6", "--num", "20000", "--seed", "1",
+            "--json", str(sized))
+    payload = json.loads(described.read_text())
+    assert list(payload) == ["schema", "command", "inputs", "result"]
+    assert payload["schema"] == 1 and payload["command"] == "describe-design"
+    assert payload["inputs"] == {}
+    table = json.loads(sized.read_text())["result"]
+    assert payload["result"] == {name: table[name] for name in ("p_st1", "p_st2", "res", "ga", "initr")}
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    """The reader leaves before the first line: exit 1 and nothing on stderr."""
+    proc = subprocess.Popen(BASE_ARGS + ["describe-design"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_describe_invalid_design_reports_violations(tmp_path):
     cfg = {
         "schema": 1,

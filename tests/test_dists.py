@@ -8,12 +8,10 @@ from smartp import (
     SkewTParams,
     UndefinedMomentError,
     sample_st,
-    st_kurtosis,
     st_mean,
-    st_skewness,
     st_variance,
 )
-from helpers import moment_band
+from helpers import moment_band, st_kurtosis, st_skewness
 
 INF = math.inf
 

@@ -14,12 +14,12 @@ from smartp import (
     normal_cdf,
     normal_quantile,
     prob_available,
-    sample_mvn,
     sample_st,
     solve_missingness,
     st_variance,
 )
 from conftest import GOLDEN_C, GOLDEN_P
+from helpers import sample_mvn
 
 INF = math.inf
 NORMAL_ST = SkewTParams(0.0, 0.95, 0.0, INF)

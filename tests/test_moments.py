@@ -25,7 +25,6 @@ from smartp import (
     sample_st,
     simulate_trial,
     solve_missingness,
-    st_kurtosis,
     st_mean,
     st_variance,
     stage1_probs,
@@ -38,8 +37,10 @@ from helpers import (
     brute_force_ybar,
     closed_form_regime_moments,
     fd_se,
+    index_rows_reference,
     qe0_model_moments,
     smart_design,
+    st_kurtosis,
     welford_reference,
     ybar_loop_reference,
 )
@@ -240,11 +241,14 @@ def _var_se(x):
     return math.sqrt((np.mean(d**4) - np.mean(d**2) ** 2) / x.size)
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["worked", "skewt-sparse"])
-def test_conditional_trial_kernel_matches_brute_force(sparse):
-    """The trial kernel, which draws w . Q | v as one normal, against the kernel that draws
-    every tooth: mean, variance and mean k within 4 joint SE, and the same distribution (KS)."""
-    st = SkewTParams(0.0, 0.95, 10.0, 5.0) if sparse else SkewTParams(0.0, 0.95)
+@pytest.mark.parametrize("lam, nu, sparse", [(0.0, INF, False), (0.0, INF, True), (10.0, 5.0, True)],
+                         ids=["worked", "normal-sparse", "skewt-sparse"])
+def test_conditional_trial_kernel_matches_brute_force(lam, nu, sparse):
+    """The trial kernel, which draws w . Q | v (and normal errors) as one normal, against the
+    kernel that draws every tooth: mean, variance and mean k within 4 joint SE, and the same
+    distribution (KS).  The sparse cases have sigma0 = 0.7, so Cov(Q|v) differs from K, and
+    redraws."""
+    st = SkewTParams(0.0, 0.95, lam, nu)
     sigma = car_covariance(default_car_model())
     mp = (solve_missingness(0.3, 0.4, sigma, st, sigma0=0.7) if sparse
           else solve_missingness(GOLDEN_P, GOLDEN_C, sigma, st))
@@ -258,6 +262,55 @@ def test_conditional_trial_kernel_matches_brute_force(sparse):
         k_new.var() / k_new.size + k_old.var() / k_old.size
     )
     assert sps.ks_2samp(new, old).pvalue > 0.001
+
+
+@pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
+def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
+    """After n rows the trial kernel has drawn the n x T index normals, the n x T errors unless
+    they are normal, and then n normals g, in that order; and ybar = w . (mu + e1) + w . E[Q|v]
+    + sd g with sd^2 = w' C w.  C is Cov(Q|v) from the Schur complement of the joint (Q, v)
+    covariance, plus sigma1^2 I for normal errors, which join the one normal instead."""
+    st = SkewTParams(0.0, 0.95, lam, nu)
+    model = OutcomeModel(default_car_model(), st,
+                         solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st,
+                                           sigma0=0.7))
+    mp, sig, n, t_dim = model.mp, model.sigma.matrix, 5_000, 28
+    mu2d = np.random.default_rng(3).uniform(-1.0, 5.0, (n, t_dim))
+    rng = np.random.default_rng(71)
+    ybar, k = _simulate_ybar(model, mu2d, rng)
+
+    ref = np.random.default_rng(71)
+    z, want_k = index_rows_reference(model, n, ref)
+    normal = st.skew == 0.0 and st.is_normal_limit
+    e1 = 0.0 if normal else sample_st(st, n * t_dim, ref).reshape(n, t_dim)
+    g = ref.standard_normal(n)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(k, want_k) and (k == 0).any()
+
+    sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
+    cross = mp.loading * sig
+    cond_cov = sig - cross @ np.linalg.solve(sigma_v, cross)
+    if normal:
+        cond_cov += st.scale**2 * np.eye(t_dim)
+    w = z[:, :-1]
+    sd = np.sqrt(np.einsum("it,ts,is->i", w, cond_cov, w))
+    want = np.einsum("it,it->i", w, mu2d + e1) + z[:, -1] + sd * g
+    assert np.array_equal(np.isnan(ybar), k == 0)
+    np.testing.assert_allclose(ybar[k > 0], want[k > 0], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("a0", [-1.0, 1.5])
+def test_index_rows_match_masked_sum_reference(a0):
+    """The one-pass index rows against the masked-sum reference on the same draws: the same
+    integer counts, NaN in the same (all-missing) rows, and rows within 1e-12."""
+    model = make_model(a0=a0)
+    z, k = _simulate_z(model, 20_000, np.random.default_rng(61))
+    want, want_k = index_rows_reference(model, 20_000, np.random.default_rng(61))
+    assert k.dtype.kind == "i" and np.array_equal(k, want_k)
+    assert np.array_equal(np.isnan(z), np.isnan(want))
+    assert np.array_equal(np.isnan(z).any(axis=1), k == 0)
+    assert np.nanmax(np.abs(z - want)) <= 1e-12
+    assert (k == 0).any() == (a0 > 0)
 
 
 @pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, 1.0), (10.0, 5.0, 0.3)])

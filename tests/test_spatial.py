@@ -10,15 +10,15 @@ from smartp import (
     default_car_model,
     dental_arches,
     load_edge_list,
-    sample_mvn,
     tooth_chain,
 )
+from helpers import degree, sample_mvn
 
 
 def test_arches_structure():
     g = dental_arches(28)
     assert len(g.edges) == 26
-    degs = sorted(g.degree(v) for v in range(1, 29))
+    degs = sorted(degree(g, v) for v in range(1, 29))
     assert degs.count(1) == 4 and degs.count(2) == 24
 
 
@@ -33,7 +33,7 @@ def test_arches_small_cases():
 def test_chain_structure():
     g = tooth_chain(28)
     assert len(g.edges) == 27
-    assert g.degree(1) == 1 and g.degree(15) == 2
+    assert degree(g, 1) == 1 and degree(g, 15) == 2
 
 
 def test_graph_validation():
@@ -48,7 +48,7 @@ def test_graph_validation():
 def test_rho_zero_gives_diagonal():
     g = dental_arches(28)
     cov = car_covariance(CarModel(g, tau=0.7, rho=0.0))
-    deg = np.array([g.degree(v) for v in range(1, 29)])
+    deg = np.array([degree(g, v) for v in range(1, 29)])
     assert np.allclose(cov.matrix, np.diag(0.7**2 / deg), atol=1e-14)
 
 
