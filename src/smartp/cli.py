@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -346,11 +346,22 @@ def _report(args, command: str, inputs: dict, result: dict) -> None:
         print(f"{key:<{width}} {_fmt(value)}")
     if args.json:
         payload = {"schema": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result}
-        Path(args.json).write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
+        with _open_output(args.json) as fh:
+            fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
+
+
+@contextmanager
+def _open_output(path: str):
+    """Open --json, --dump-trials or --sigma-csv; failing to write it is a config error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_sigma_csv(path: str, sigma: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         for row in sigma:
             writer.writerow([repr(float(x)) for x in row])
@@ -434,7 +445,7 @@ def cmd_power(args) -> int:
     eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
     n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
     test = TestSpec(alpha, beta)
-    with open(v["dump_trials"], "w", newline="") if v["dump_trials"] else nullcontext() as fh:
+    with _open_output(v["dump_trials"]) if v["dump_trials"] else nullcontext() as fh:
         est = mc_power(
             design,
             model,

@@ -11,9 +11,11 @@ rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
 sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
 variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
 quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
-All-missing replicates are redrawn (and counted).  Work proceeds in fixed
-65536-replicate chunks, each on its own RNG substream keyed by (seed, chunk,
-redraw round), so the result is bit-identical for any worker count.
+``_simulate_z`` redraws the index of all-missing replicates from the same generator
+(and counts them); the outcome error is independent of (Q, eps0), so redrawing the
+index alone conditions on k >= 1.  Work proceeds in fixed 65536-replicate chunks,
+each on its own RNG substream keyed by (seed, MOMENTS, chunk), so the result is
+bit-identical for any worker count.
 ``_simulate_ybar``, the trials' kernel, draws ``w . Q | v`` as one normal on top of
 the same index rows.  Normal errors (skew 0, dof inf) fold into that normal, whose
 variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per sub-unit first.
@@ -35,7 +37,7 @@ import numpy as np
 from .design import SmartDesign, ipw_path_weights, path_probs
 from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .missing import MissingnessParams
-from .rngs import CHUNK, MOMENTS, check_redraws, chunk_map, redraw_all_missing, substream
+from .rngs import CHUNK, MOMENTS, REDRAW_SLACK, check_redraws, chunk_map, substream
 from .spatial import CarModel, SpdMatrix, car_covariance
 
 
@@ -127,7 +129,7 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     return n, mean, m2
 
 
-def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
+def _index_rows(model: OutcomeModel, n: int, rng: np.random.Generator):
     """(n, T+1) rows ``[w, w . E[Q|v]]`` and the counts k (NaN rows at k = 0); draws zeta."""
     mp = model.mp
     t_dim = model.sigma.dim
@@ -142,11 +144,24 @@ def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
     return z, k
 
 
+def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator):
+    """``_index_rows`` with every k >= 1: (z, k, redraws).  All-missing rows are redrawn from
+    ``rng`` until none is left; ``check_redraws`` with REDRAW_SLACK bounds the rounds."""
+    z, k = _index_rows(model, n, rng)
+    bad, n_redrawn = np.flatnonzero(k == 0), 0
+    while bad.size:
+        n_redrawn += bad.size
+        check_redraws(n_redrawn, n, REDRAW_SLACK)
+        z[bad], k[bad] = _index_rows(model, bad.size, rng)
+        bad = bad[k[bad] == 0]
+    return z, k, n_redrawn
+
+
 def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
-    """Cluster outcomes and counts k for the (n, T) means ``mu2d`` (NaN at k = 0): the index
-    rows, then ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``.  Normal errors join
-    that normal (``w . e1 ~ N(0, sigma1^2 w'w)``); other errors are drawn per sub-unit first."""
-    z, k = _simulate_z(model, mu2d.shape[0], rng)
+    """(ybar, k, redraws) for the (n, T) means ``mu2d``: the index rows (k >= 1), then
+    ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``.  Normal errors join that
+    normal (``w . e1 ~ N(0, sigma1^2 w'w)``); other errors are drawn per sub-unit first."""
+    z, k, n_redrawn = _simulate_z(model, mu2d.shape[0], rng)
     w = z[:, :-1]
     if model.st.skew == 0.0 and model.st.is_normal_limit:
         cov = model.cond_cov
@@ -154,18 +169,13 @@ def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generat
         cov = model.index_projection[1]
         mu2d = mu2d + sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
     sd = np.sqrt(np.einsum("it,it->i", w @ cov, w))
-    return np.einsum("it,it->i", w, mu2d) + z[:, -1] + sd * rng.standard_normal(k.size), k
+    ybar = np.einsum("it,it->i", w, mu2d) + z[:, -1] + sd * rng.standard_normal(k.size)
+    return ybar, k, n_redrawn
 
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
     """(size, mean, scatter, redraws) of z = [w, r] over one chunk; cond_cov is Cov(Q + e1 | v)."""
-    z, n_avail = _simulate_z(model, size, substream(seed, MOMENTS, chunk, 0))
-
-    def draw(round_no: int, rows: np.ndarray) -> np.ndarray:
-        z[rows], k = _simulate_z(model, rows.size, substream(seed, MOMENTS, chunk, round_no))
-        return k
-
-    n_redrawn = redraw_all_missing(n_avail, draw)
+    z, _, n_redrawn = _simulate_z(model, size, substream(seed, MOMENTS, chunk))
     mean = z.mean(axis=0)
     z -= mean
     m2 = z.T @ z

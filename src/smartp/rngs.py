@@ -4,9 +4,8 @@ Every stochastic routine in the package draws from a PCG64 generator keyed
 by (seed, domain tag, *indices).  Work split into fixed-size chunks keyed
 this way gives results that do not depend on execution order or on how
 many workers process the chunks: ``chunk_map`` runs the chunks and hands
-back their results in key order.  Within a chunk, ``redraw_all_missing``
-redraws the rows whose sub-units are all missing, and ``check_redraws``
-says when there are too many of them.
+back their results in key order.  ``check_redraws`` says when there are too
+many all-missing redraws, which ``moments._simulate_z`` makes within a chunk.
 """
 
 from __future__ import annotations
@@ -52,23 +51,3 @@ def check_redraws(n_redrawn: int, n_rows: int, slack: int = 0) -> None:
             f"{n_redrawn} all-missing redraws for {n_rows} rows; "
             "the missingness model implies near-total loss"
         )
-
-
-def redraw_all_missing(counts: np.ndarray, draw: Callable[[int, np.ndarray], np.ndarray]) -> int:
-    """Redraw the rows with ``counts == 0`` until none is left; returns the number of redraws.
-
-    ``draw(round, rows)`` redraws the given rows in round 1, 2, ... and returns
-    their new counts, which are written back into ``counts``.  Each round
-    redraws at least one row, so ``check_redraws`` with REDRAW_SLACK bounds
-    the rounds too.
-    """
-    bad = np.flatnonzero(counts == 0)
-    n_redrawn, round_no = 0, 1
-    while bad.size:
-        n_redrawn += bad.size
-        check_redraws(n_redrawn, counts.size, REDRAW_SLACK)
-        new = draw(round_no, bad)
-        counts[bad] = new
-        bad = bad[new == 0]
-        round_no += 1
-    return n_redrawn

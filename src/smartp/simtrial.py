@@ -7,7 +7,8 @@ outcomes/missingness with the path's mean vector through
 ``moments._simulate_ybar``: the missingness index, the per-sub-unit error
 unless it is normal, and ``w . Q`` given the index as one normal, into which
 normal errors fold; exact in distribution.
-Clusters whose sub-units are all missing are redrawn at that level.
+A cluster whose sub-units are all missing has its index redrawn, from the
+chunk's generator, before its errors are drawn.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
 on the regime's two paths and 0 elsewhere, so weights are the per-path
@@ -34,7 +35,7 @@ import numpy as np
 from .design import Regime, SmartDesign, ipw_path_weights, path_probs
 from .moments import OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
-from .rngs import POWER, TRIAL, check_redraws, chunk_map, redraw_all_missing, substream
+from .rngs import POWER, TRIAL, check_redraws, chunk_map, substream
 
 #: cluster rows per power chunk, rounded down to whole reps (at least one);
 #: fixed, not tunable: results must not depend on it at runtime
@@ -80,20 +81,11 @@ def _pick_paths(design: SmartDesign, u: np.ndarray) -> np.ndarray:
 def _simulate_clusters(
     design: SmartDesign, model: OutcomeModel, n_rows: int, rng: np.random.Generator
 ) -> TrialDataset:
-    """Simulate ``n_rows`` independent clusters from one generator.
-
-    Draw order: path uniforms, then the sub-unit blocks (redraw rounds append).
-    """
+    """Simulate ``n_rows`` independent clusters from one generator: path uniforms, then
+    ``_simulate_ybar``'s draws."""
     path = _pick_paths(design, rng.random(n_rows))
     mu_matrix = np.array([p.mu for p in design.paths])
-    ybar, n_avail = _simulate_ybar(model, mu_matrix[path], rng)
-
-    def draw(round_no: int, rows: np.ndarray) -> np.ndarray:
-        ybar[rows], k = _simulate_ybar(model, mu_matrix[path[rows]], rng)
-        return k
-
-    n_redrawn = redraw_all_missing(n_avail, draw)
-    return TrialDataset(path, ybar, n_avail, n_redrawn)
+    return TrialDataset(path, *_simulate_ybar(model, mu_matrix[path], rng))
 
 
 def simulate_trial(
@@ -182,6 +174,9 @@ def mc_power(
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    if empirical_variance and n_clusters < 2:
+        raise ValueError("the plug-in variance (empirical_variance) needs n >= 2 clusters, "
+                         f"got n = {n_clusters}")
     require_same_units(design, model)
     if reps < 100:
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)

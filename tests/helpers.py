@@ -46,8 +46,9 @@ def brute_force_ybar(model, mu2d, rng):
 
     Draws the spatial-effect normals, the missingness noise eps0 and the error
     e1 for every sub-unit and averages ``mu + Q + e1`` over the available ones
-    with ``_backend.ybar_and_count``.  Same signature and return as the kernel,
-    so a test can swap it in to run brute-force trials.
+    with ``_backend.ybar_and_count``.  Same signature as the kernel, but it
+    returns only (ybar, k), NaN at k = 0: it leaves all-missing rows to the
+    caller, where the kernel redraws them.
     """
     from smartp import sample_st
     from smartp._backend import ybar_and_count
@@ -61,7 +62,7 @@ def brute_force_ybar(model, mu2d, rng):
 
 
 def index_rows_reference(model, n, rng):
-    """The index rows by a masked sum, the oracle for ``moments._simulate_z``.
+    """The index rows by a masked sum, the oracle for ``moments._index_rows``.
 
     Same draws, same return: (n, T+1) rows ``[w, w . E[Q|v]]`` and the
     counts k, NaN rows at k = 0.
@@ -290,7 +291,9 @@ def simulate_trial_reference(design, model, n_clusters, seed, key=()):
 def qe0_model_moments(model, num, seed):
     """The moments pass drawing Q and eps0 separately, the oracle for the index-conditioned pass.
 
-    Same chunking, substream keys and redraw rule as ``estimate_path_moments``.
+    Same chunking as ``estimate_path_moments``, but it redraws whole
+    all-missing replicates, round r on substream (seed, MOMENTS, chunk, r); a
+    trailing 0 does not change a key, so round 0 is the chunk's own substream.
     Each replicate draws (zq, e0) and forms ``q = zq @ chol.T``; the row is
     ``[w, w . q]`` and only the outcome error is integrated out, adding
     ``st_mean`` and ``st_variance / k``.  Returns a ``ModelMoments``.

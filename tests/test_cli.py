@@ -20,6 +20,11 @@ WORKED = [
     "--c-i", "0.4125813",
     "--mu-scalar", "0,0.5,0,2,0,0,5,0,0,0",
 ]
+#: skew-t errors at 30% availability: about 0.1% of replicates and clusters are redrawn
+SKEWT_SPARSE = [
+    "--regime", "1,3", "--lambda", "10", "--nu", "5", "--p-i", "0.3", "--c-i", "0.4",
+    "--mu-scalar", "0,0.5,0,2,0,0,0,0,0,0",
+]
 
 
 def run_cli(*args, env_extra=None, check=True, timeout=None):
@@ -119,13 +124,15 @@ def test_single_regime_zeroes_second_block(tmp_path):
 
 
 def test_cli_determinism_across_runs_and_workers(tmp_path):
-    args = ["samplesize", *WORKED, "--num", "30000", "--seed", "42"]
-    outs = []
-    for i, extra in enumerate((["--workers", "1"], ["--workers", "1"], ["--workers", "4"])):
-        j = tmp_path / f"o{i}.json"
-        proc = run_cli(*args, *extra, "--json", str(j))
-        outs.append((proc.stdout, j.read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
+    """Also on the model that redraws, over three chunks (118 redraws at seed 42)."""
+    for name, model, num in (("worked", WORKED, "30000"), ("skewt", SKEWT_SPARSE, "140000")):
+        args = ["samplesize", *model, "--num", num, "--seed", "42"]
+        outs = []
+        for i, extra in enumerate((["--workers", "1"], ["--workers", "1"], ["--workers", "4"])):
+            j = tmp_path / f"{name}{i}.json"
+            proc = run_cli(*args, *extra, "--json", str(j))
+            outs.append((proc.stdout, j.read_bytes()))
+        assert outs[0] == outs[1] == outs[2], name
 
 
 def test_env_seed_fallback(tmp_path):
@@ -203,36 +210,39 @@ def test_power_command_and_dump(tmp_path):
 
 
 def test_dump_reproduces_power_from_the_same_draws(tmp_path):
-    """Per-rep IPW estimates recomputed from the dump give the JSON's mean |delta| and MCSD."""
+    """Per-rep IPW estimates recomputed from the dump give the JSON's mean |delta| and MCSD; the
+    dump and the JSON are byte-identical across --workers, also on the model that redraws."""
     reps, n = 150, 120  # two chunks, the second one short
-    args = [
-        "power", *WORKED, "--num", "20000", "--reps", str(reps), "--n", str(n), "--seed", "13",
-    ]
-    for workers in ("1", "2"):
-        run_cli(*args, "--workers", workers, "--json", str(tmp_path / f"p{workers}.json"),
-                "--dump-trials", str(tmp_path / f"t{workers}.csv"))
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
-    assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
-    raw = (tmp_path / "t1.csv").read_bytes()
-    assert raw.count(b"\r\n") == 1 + reps * n
+    for name, model, regime_ids in (("worked", WORKED, (0, 4)), ("skewt", SKEWT_SPARSE, (0, 2))):
+        args = ["power", *model, "--num", "20000", "--reps", str(reps), "--n", str(n),
+                "--seed", "13"]
+        dumps = {w: tmp_path / f"{name}-t{w}.csv" for w in ("1", "2")}
+        jsons = {w: tmp_path / f"{name}-p{w}.json" for w in ("1", "2")}
+        for workers in ("1", "2"):
+            run_cli(*args, "--workers", workers, "--json", str(jsons[workers]),
+                    "--dump-trials", str(dumps[workers]))
+        assert dumps["1"].read_bytes() == dumps["2"].read_bytes(), name
+        assert jsons["1"].read_bytes() == jsons["2"].read_bytes(), name
+        assert dumps["1"].read_bytes().count(b"\r\n") == 1 + reps * n
 
-    with open(tmp_path / "t1.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    cols = np.array([[float(x) for x in row] for row in rows])
-    assert np.array_equal(cols[:, 0], np.repeat(np.arange(1, reps + 1), n))
-    assert np.array_equal(cols[:, 1], np.tile(np.arange(1, n + 1), reps))
-    mu = np.tile(np.array([0, 0.5, 0, 2, 0, 0, 5, 0, 0, 0.0])[:, None], (1, 28))
-    design = periodontitis_default(mu=mu)
-    path_arm_r = np.array([[p.arm + 1, int(p.responder)] for p in design.paths])
-    assert np.array_equal(cols[:, 2:4], path_arm_r[cols[:, 4].astype(int) - 1])
-    deltas = []
-    for r in range(reps):
-        c = cols[r * n:(r + 1) * n]
-        ds = TrialDataset(c[:, 4].astype(int) - 1, c[:, 5], c[:, 6].astype(int))
-        deltas.append(ipw_estimate(ds, design, (0, 4)))
-    result = json.loads((tmp_path / "p1.json").read_text())["result"]
-    assert result["mean_abs_delta"] == pytest.approx(np.mean(np.abs(deltas)), rel=1e-12)
-    assert result["MCSD"] == pytest.approx(np.std(deltas, ddof=1), rel=1e-12)
+        with open(dumps["1"], newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cols = np.array([[float(x) for x in row] for row in rows])
+        assert np.array_equal(cols[:, 0], np.repeat(np.arange(1, reps + 1), n))
+        assert np.array_equal(cols[:, 1], np.tile(np.arange(1, n + 1), reps))
+        assert (cols[:, 6] >= 1).all()
+        mu_scalar = np.array([float(x) for x in model[model.index("--mu-scalar") + 1].split(",")])
+        design = periodontitis_default(mu=np.tile(mu_scalar[:, None], (1, 28)))
+        path_arm_r = np.array([[p.arm + 1, int(p.responder)] for p in design.paths])
+        assert np.array_equal(cols[:, 2:4], path_arm_r[cols[:, 4].astype(int) - 1])
+        deltas = []
+        for r in range(reps):
+            c = cols[r * n:(r + 1) * n]
+            ds = TrialDataset(c[:, 4].astype(int) - 1, c[:, 5], c[:, 6].astype(int))
+            deltas.append(ipw_estimate(ds, design, regime_ids))
+        result = json.loads(jsons["1"].read_text())["result"]
+        assert result["mean_abs_delta"] == pytest.approx(np.mean(np.abs(deltas)), rel=1e-12)
+        assert result["MCSD"] == pytest.approx(np.std(deltas, ddof=1), rel=1e-12)
 
 
 def test_power_small_n_with_a_few_redraws_succeeds():
@@ -538,6 +548,29 @@ def test_flag_the_command_does_not_read_exit_2(tmp_path, args):
     proc = run_cli(*[str(out) if a == "OUT" else a for a in args], check=False, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["describe-design", "--json", "OUT"],
+    ["samplesize", *SIZED, "--sigma-csv", "OUT"],
+    ["power", *SIZED, "--reps", "40", "--n", "20", "--dump-trials", "OUT"],
+], ids=["json", "sigma-csv", "dump-trials"])
+def test_unwritable_output_exit_2(tmp_path, args):
+    """An output file in a directory that does not exist: a config error naming it, exit 2."""
+    out = str(tmp_path / "missing" / "out")
+    proc = run_cli(*[out if a == "OUT" else a for a in args], check=False, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_power_plug_in_variance_needs_two_clusters():
+    """--empirical-variance at --n 1 is refused before any trial: no numpy warning, no NaN."""
+    proc = run_cli("power", *SIZED, "--reps", "40", "--n", "1", "--empirical-variance",
+                   check=False, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: the plug-in variance") and "n = 1" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
 
 
 def test_delta_std_refuses_config_it_ignores(tmp_path):

@@ -30,7 +30,8 @@ from smartp import (
     stage1_probs,
 )
 from smartp._backend import ybar_and_count
-from smartp.moments import _merge, _simulate_ybar, _simulate_z
+from smartp import moments
+from smartp.moments import _index_rows, _merge, _simulate_ybar, _simulate_z
 from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
     block_jackknife_se,
@@ -135,7 +136,7 @@ def test_conditional_moments_match_kernel_given_index():
     rows, batch, batches, t_dim = 6, 5_000, 4, 28
     mu_vec = np.random.default_rng(3).uniform(-1.0, 5.0, t_dim)
     # the pass's first rows and, from the same draws, their index v = L_v zeta
-    z, k = _simulate_z(model, rows, np.random.default_rng(5))
+    z, k = _index_rows(model, rows, np.random.default_rng(5))
     sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
     v = np.random.default_rng(5).standard_normal((rows, t_dim)) @ np.linalg.cholesky(sigma_v).T
     # Q | v by the Schur complement of the joint covariance [[S, b0 S], [b0 S, S_v]]
@@ -230,8 +231,9 @@ def test_dual_implementation_cross_check(normal_model):
 
 
 def _observed_ybar(kernel, model, mu_vec, n, seed):
-    """``kernel``'s cluster outcomes and counts over n rows of one path, all-missing rows dropped."""
-    ybar, k = kernel(model, np.tile(mu_vec, (n, 1)), np.random.default_rng(seed))
+    """``kernel``'s cluster outcomes and counts over n rows of one path, all-missing rows (the
+    brute-force kernel's; the trial kernel redraws them) dropped."""
+    ybar, k = kernel(model, np.tile(mu_vec, (n, 1)), np.random.default_rng(seed))[:2]
     return ybar[k > 0], k[k > 0]
 
 
@@ -266,10 +268,11 @@ def test_conditional_trial_kernel_matches_brute_force(lam, nu, sparse):
 
 @pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
 def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
-    """After n rows the trial kernel has drawn the n x T index normals, the n x T errors unless
-    they are normal, and then n normals g, in that order; and ybar = w . (mu + e1) + w . E[Q|v]
-    + sd g with sd^2 = w' C w.  C is Cov(Q|v) from the Schur complement of the joint (Q, v)
-    covariance, plus sigma1^2 I for normal errors, which join the one normal instead."""
+    """After n rows the trial kernel has drawn the n x T index normals, the index normals of
+    the all-missing rows' redraws, the n x T errors unless they are normal, and then n normals g,
+    in that order; every row has k >= 1, and ybar = w . (mu + e1) + w . E[Q|v] + sd g with
+    sd^2 = w' C w.  C is Cov(Q|v) from the Schur complement of the joint (Q, v) covariance, plus
+    sigma1^2 I for normal errors, which join the one normal instead."""
     st = SkewTParams(0.0, 0.95, lam, nu)
     model = OutcomeModel(default_car_model(), st,
                          solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st,
@@ -277,15 +280,21 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     mp, sig, n, t_dim = model.mp, model.sigma.matrix, 5_000, 28
     mu2d = np.random.default_rng(3).uniform(-1.0, 5.0, (n, t_dim))
     rng = np.random.default_rng(71)
-    ybar, k = _simulate_ybar(model, mu2d, rng)
+    ybar, k, n_redrawn = _simulate_ybar(model, mu2d, rng)
 
     ref = np.random.default_rng(71)
     z, want_k = index_rows_reference(model, n, ref)
+    bad, want_redrawn = np.flatnonzero(want_k == 0), 0
+    while bad.size:
+        want_redrawn += bad.size
+        z[bad], want_k[bad] = index_rows_reference(model, bad.size, ref)
+        bad = bad[want_k[bad] == 0]
     normal = st.skew == 0.0 and st.is_normal_limit
     e1 = 0.0 if normal else sample_st(st, n * t_dim, ref).reshape(n, t_dim)
     g = ref.standard_normal(n)
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert np.array_equal(k, want_k) and (k == 0).any()
+    assert np.array_equal(k, want_k) and (k >= 1).all()
+    assert n_redrawn == want_redrawn > 0
 
     sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
     cross = mp.loading * sig
@@ -295,8 +304,7 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     w = z[:, :-1]
     sd = np.sqrt(np.einsum("it,ts,is->i", w, cond_cov, w))
     want = np.einsum("it,it->i", w, mu2d + e1) + z[:, -1] + sd * g
-    assert np.array_equal(np.isnan(ybar), k == 0)
-    np.testing.assert_allclose(ybar[k > 0], want[k > 0], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(ybar, want, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("a0", [-1.0, 1.5])
@@ -304,13 +312,54 @@ def test_index_rows_match_masked_sum_reference(a0):
     """The one-pass index rows against the masked-sum reference on the same draws: the same
     integer counts, NaN in the same (all-missing) rows, and rows within 1e-12."""
     model = make_model(a0=a0)
-    z, k = _simulate_z(model, 20_000, np.random.default_rng(61))
+    z, k = _index_rows(model, 20_000, np.random.default_rng(61))
     want, want_k = index_rows_reference(model, 20_000, np.random.default_rng(61))
     assert k.dtype.kind == "i" and np.array_equal(k, want_k)
     assert np.array_equal(np.isnan(z), np.isnan(want))
     assert np.array_equal(np.isnan(z).any(axis=1), k == 0)
     assert np.nanmax(np.abs(z - want)) <= 1e-12
     assert (k == 0).any() == (a0 > 0)
+
+
+def _stub_index_rows(monkeypatch, counts):
+    """Make ``_index_rows`` return ``counts[c]`` on call c (the last entry from then on), with
+    row i of call c set to z = [c, i]; returns the list of row counts it is asked for."""
+    asked = []
+
+    def index_rows(model, n, rng):
+        asked.append(n)
+        k = np.array(counts[min(len(asked), len(counts)) - 1])
+        assert k.size == n
+        return np.column_stack([np.full(n, len(asked) - 1.0), np.arange(n, dtype=float)]), k
+
+    monkeypatch.setattr(moments, "_index_rows", index_rows)
+    return asked
+
+
+def test_simulate_z_redraws_only_the_empty_rows(monkeypatch):
+    """Rows 0, 2 and 4 are empty; their redraw leaves row 2 empty once more."""
+    asked = _stub_index_rows(monkeypatch, [[0, 3, 0, 2, 0], [1, 0, 1], [4]])
+    z, k, n_redrawn = _simulate_z(None, 5, None)
+    assert asked == [5, 3, 1] and n_redrawn == 4
+    assert k.tolist() == [1, 3, 4, 2, 1]
+    assert z.tolist() == [[1, 0], [0, 1], [2, 0], [0, 3], [1, 2]]
+
+
+def test_simulate_z_without_empty_rows_draws_once(monkeypatch):
+    asked = _stub_index_rows(monkeypatch, [[1, 2]])
+    z, k, n_redrawn = _simulate_z(None, 2, None)
+    assert asked == [2] and n_redrawn == 0 and k.tolist() == [1, 2]
+
+
+def test_simulate_z_refuses_the_61st_redraw_before_drawing(monkeypatch):
+    """1% of 1000 rows plus 50 allows 60 redraws: a row that never fills is redrawn 60 times
+    and refused at its 61st redraw, before that draw."""
+    counts = np.ones(1000, dtype=int)
+    counts[7] = 0
+    asked = _stub_index_rows(monkeypatch, [counts, [0]])
+    with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
+        _simulate_z(None, 1000, None)
+    assert asked == [1000] + [1] * 60
 
 
 @pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, 1.0), (10.0, 5.0, 0.3)])
@@ -339,13 +388,13 @@ def test_conditional_trial_kernel_closed_form_without_loading(lam, nu, a0):
 
 @pytest.mark.parametrize("b0", [50.0, -200.0, 1e4])
 def test_conditional_trial_kernel_finite_at_extreme_loadings(b0):
-    """A huge missingness loading makes Cov(Q|v) tiny; an observed row never gets NaN."""
+    """A huge missingness loading makes Cov(Q|v) tiny; no row gets NaN, the redrawn ones
+    included."""
     model = make_model(lam=10.0, nu=5.0, b0=b0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ybar, k = _simulate_ybar(model, np.ones((20_000, 28)), np.random.default_rng(51))
-    assert (k > 0).any() and np.isfinite(ybar[k > 0]).all()
-    assert np.isnan(ybar[k == 0]).all()
+        ybar, k, n_redrawn = _simulate_ybar(model, np.ones((20_000, 28)), np.random.default_rng(51))
+    assert (k >= 1).all() and np.isfinite(ybar).all() and n_redrawn > 0
 
 
 def test_welford_merge_matches_two_pass():
