@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -43,7 +43,7 @@ from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
 from .power import TestSpec, exact_n, required_n
-from .simtrial import mc_power
+from .simtrial import mc_power, require_power_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
 
 SCHEMA_VERSION = 1
@@ -338,30 +338,47 @@ def _setup(args, cfg: dict, command: str):
     return v, design, model, model_echo, ids
 
 
-def _report(args, command: str, inputs: dict, result: dict) -> None:
-    """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to --json."""
+def _report(json_fh, command: str, inputs: dict, result: dict) -> None:
+    """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to the
+    open --json file, if any."""
     scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
     width = max(map(len, scalars), default=0) + 1
     for key, value in scalars.items():
         print(f"{key:<{width}} {_fmt(value)}")
-    if args.json:
+    if json_fh:
         payload = {"schema": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result}
-        with _open_output(args.json) as fh:
-            fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
+        with _writing(json_fh):
+            json_fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 @contextmanager
-def _open_output(path: str):
-    """Open --json, --dump-trials or --sigma-csv; failing to write it is a config error."""
+def _outputs(*paths: str | None):
+    """Open the output files (--json, --dump-trials, --sigma-csv; None for one not given) and
+    yield them, closing them on the way out.  Commands open theirs before any Monte Carlo work,
+    so a path that cannot be written fails first, as a config error."""
+    with ExitStack() as stack:
+        handles = []
+        for path in paths:
+            try:
+                handles.append(stack.enter_context(open(path, "w", newline="")) if path else None)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        yield handles
+
+
+@contextmanager
+def _writing(fh):
+    """Write to the output file ``fh`` in the block, then close it; an OSError in writing or
+    closing it is a config error."""
     try:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        with fh:
+            yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write {fh.name}: {exc.strerror or exc}") from exc
 
 
-def _write_sigma_csv(path: str, sigma: np.ndarray) -> None:
-    with _open_output(path) as fh:
+def _write_sigma_csv(fh, sigma: np.ndarray) -> None:
+    with _writing(fh):
         writer = csv.writer(fh)
         for row in sigma:
             writer.writerow([repr(float(x)) for x in row])
@@ -409,66 +426,70 @@ def cmd_samplesize(args) -> int:
         v, _ = _resolve(args, cfg, DELTA_STD)
         sizing = (v["delta_std"], 1.0, v["alpha"], v["beta"])
         result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": v["delta_std"]}
-        _report(args, "samplesize", _inputs(v), result)
+        with _outputs(args.json) as (json_fh,):
+            _report(json_fh, "samplesize", _inputs(v), result)
         return 0
 
     v, design, model, model_echo, regime_ids = _setup(args, cfg, SAMPLESIZE)
-    size, eff = compute_sample_size(
-        design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
-        workers=v["workers"],
-    )
-    tables = path_tables(design)
-    result = {
-        "N": size.n,
-        "N_exact": size.n_exact,
-        "Del": size.delta,
-        "Del_std": size.delta_std,
-        "ybard1": eff.ybard1,
-        "ybard2": eff.ybard2,
-        "sig.d1.sq": eff.sig_d1_sq,
-        "sig.d2.sq": eff.sig_d2_sq,
-        "sig.d1d2": eff.sig_d1d2,
-        "sig.e.sq": eff.sig_e_sq,
-        **{name: column.tolist() for name, column in tables.items()},
-    }
-    _report(args, "samplesize", _inputs(v, model_echo), result)
-    _print_path_table(tables)
-    if v["sigma_csv"]:
-        _write_sigma_csv(v["sigma_csv"], model.sigma.matrix)
+    with _outputs(args.json, v["sigma_csv"]) as (json_fh, sigma_fh):
+        size, eff = compute_sample_size(
+            design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
+            workers=v["workers"],
+        )
+        tables = path_tables(design)
+        result = {
+            "N": size.n,
+            "N_exact": size.n_exact,
+            "Del": size.delta,
+            "Del_std": size.delta_std,
+            "ybard1": eff.ybard1,
+            "ybard2": eff.ybard2,
+            "sig.d1.sq": eff.sig_d1_sq,
+            "sig.d2.sq": eff.sig_d2_sq,
+            "sig.d1d2": eff.sig_d1d2,
+            "sig.e.sq": eff.sig_e_sq,
+            **{name: column.tolist() for name, column in tables.items()},
+        }
+        _report(json_fh, "samplesize", _inputs(v, model_echo), result)
+        _print_path_table(tables)
+        if sigma_fh:
+            _write_sigma_csv(sigma_fh, model.sigma.matrix)
     return 0
 
 
 def cmd_power(args) -> int:
     v, design, model, model_echo, regime_ids = _setup(args, _load_config(args.config), POWER)
     alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
+    if v["n"] is not None:
+        require_power_n(v["n"], v["empirical_variance"])
 
-    eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
-    n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
-    test = TestSpec(alpha, beta)
-    with _open_output(v["dump_trials"]) if v["dump_trials"] else nullcontext() as fh:
-        est = mc_power(
-            design,
-            model,
-            test,
-            regime_ids,
-            n,
-            eff.sigma_sq,
-            reps=v["reps"],
-            seed=seed,
-            workers=workers,
-            empirical_variance=v["empirical_variance"],
-            on_chunk=_trial_writer(fh, design, n) if fh else None,
-        )
-    result = {
-        "N": n,
-        "power": est.power,
-        "se_power": est.se_power,
-        "mean_abs_delta": est.mean_abs_delta,
-        "MCSD": est.mcsd,
-        "sigma_sq": eff.sigma_sq,
-        "Del": eff.delta,
-    }
-    _report(args, "power", _inputs(v, model_echo), result)
+    with _outputs(args.json, v["dump_trials"]) as (json_fh, dump_fh):
+        eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
+        n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
+        with _writing(dump_fh) if dump_fh else nullcontext():
+            est = mc_power(
+                design,
+                model,
+                TestSpec(alpha, beta),
+                regime_ids,
+                n,
+                eff.sigma_sq,
+                reps=v["reps"],
+                seed=seed,
+                workers=workers,
+                empirical_variance=v["empirical_variance"],
+                on_chunk=_trial_writer(dump_fh, design, n) if dump_fh else None,
+            )
+        result = {
+            "N": n,
+            "power": est.power,
+            "se_power": est.se_power,
+            "mean_abs_delta": est.mean_abs_delta,
+            "MCSD": est.mcsd,
+            "sigma_sq": eff.sigma_sq,
+            "Del": eff.delta,
+        }
+        _report(json_fh, "power", _inputs(v, model_echo), result)
     return 0
 
 
@@ -483,7 +504,8 @@ def cmd_solve_missing(args) -> int:
         "p_i": prob_available(model.mp, model.sigma),
         "c_i": corr_y_m(model.mp, model.sigma, model.st),
     }
-    _report(args, "solve-missing", {"p_i": v["p_i"], "c_i": v["c_i"]}, result)
+    with _outputs(args.json) as (json_fh,):
+        _report(json_fh, "solve-missing", {"p_i": v["p_i"], "c_i": v["c_i"]}, result)
     return 0
 
 
@@ -508,7 +530,8 @@ def cmd_describe_design(args) -> int:
     tables = path_tables(design)
     _print_path_table(tables)
     print("design ok")
-    _report(args, DESCRIBE, {}, {name: column.tolist() for name, column in tables.items()})
+    with _outputs(args.json) as (json_fh,):
+        _report(json_fh, DESCRIBE, {}, {name: column.tolist() for name, column in tables.items()})
     return 0
 
 

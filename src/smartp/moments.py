@@ -15,7 +15,9 @@ quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 (and counts them); the outcome error is independent of (Q, eps0), so redrawing the
 index alone conditions on k >= 1.  Work proceeds in fixed 65536-replicate chunks,
 each on its own RNG substream keyed by (seed, MOMENTS, chunk), so the result is
-bit-identical for any worker count.
+bit-identical for any worker count.  ``_index_rows`` draws a chunk's index in fixed
+blocks of BLOCK = 1024 rows, whose scratch stays in cache; results do not depend on
+the block size.
 ``_simulate_ybar``, the trials' kernel, draws ``w . Q | v`` as one normal on top of
 the same index rows.  Normal errors (skew 0, dof inf) fold into that normal, whose
 variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per sub-unit first.
@@ -39,6 +41,10 @@ from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .missing import MissingnessParams
 from .rngs import CHUNK, MOMENTS, REDRAW_SLACK, check_redraws, chunk_map, substream
 from .spatial import CarModel, SpdMatrix, car_covariance
+
+#: index rows per block of ``_index_rows``: one block's scratch (about 0.7 MB at T = 28)
+#: stays in cache; fixed, and the draws do not depend on it
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -130,17 +136,31 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
 
 
 def _index_rows(model: OutcomeModel, n: int, rng: np.random.Generator):
-    """(n, T+1) rows ``[w, w . E[Q|v]]`` and the counts k (NaN rows at k = 0); draws zeta."""
-    mp = model.mp
+    """(n, T+1) rows ``[w, w . E[Q|v]]`` and the counts k (NaN rows at k = 0); draws zeta.
+
+    Rows go in blocks of BLOCK through one block of scratch, so only z and k are
+    allocated per call.  Consecutive fills draw the stream of one ``(n, T)`` draw, and
+    the GEMM rounds each row alike in any block, so z is bit for bit the one-block z.
+    The last block takes up to BLOCK + 1 rows: a one-row block would go through numpy's
+    matrix-vector product instead, which rounds differently."""
+    mp, proj = model.mp, model.index_projection[0]
     t_dim = model.sigma.dim
-    v_and_q = rng.standard_normal((n, t_dim)) @ model.index_projection[0]
-    z = np.empty((n, t_dim + 1))
-    w = z[:, :-1]
-    np.less_equal(v_and_q[:, :t_dim], mp.cutoff - mp.intercept, out=w)
-    k = np.count_nonzero(w, axis=1)
-    np.einsum("it,it->i", w, v_and_q[:, t_dim:], out=z[:, -1])
-    with np.errstate(invalid="ignore"):
-        z /= k[:, None]
+    z, k = np.empty((n, t_dim + 1)), np.empty(n, dtype=np.intp)
+    rows = min(n, BLOCK + 1)
+    zeta, v_and_q = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim))
+    start = 0
+    while start < n:
+        m = n - start if n - start <= BLOCK + 1 else BLOCK
+        zb, kb = z[start:start + m], k[start:start + m]
+        start += m
+        rng.standard_normal(out=zeta[:m])
+        np.matmul(zeta[:m], proj, out=v_and_q[:m])
+        w = zb[:, :-1]
+        np.less_equal(v_and_q[:m, :t_dim], mp.cutoff - mp.intercept, out=w)
+        kb[:] = np.count_nonzero(w, axis=1)
+        np.einsum("it,it->i", w, v_and_q[:m, t_dim:], out=zb[:, -1])
+        with np.errstate(invalid="ignore"):
+            zb /= kb[:, None]
     return z, k
 
 

@@ -151,6 +151,16 @@ def _power_chunk(
     return ds, x.mean(axis=1), x.var(axis=1, ddof=1) / 2.0 if empirical_variance else None
 
 
+def require_power_n(n_clusters: int, empirical_variance: bool) -> None:
+    """Raise ValueError unless ``mc_power`` can test at ``n_clusters``: at least one cluster,
+    and two for the plug-in variance."""
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    if empirical_variance and n_clusters < 2:
+        raise ValueError("the plug-in variance (empirical_variance) needs n >= 2 clusters, "
+                         f"got n = {n_clusters}")
+
+
 def mc_power(
     design: SmartDesign,
     model: OutcomeModel,
@@ -172,11 +182,7 @@ def mc_power(
     ``ds`` holds whole reps of ``n_clusters`` rows each, starting at rep
     ``first_rep`` (0-based).
     """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    if empirical_variance and n_clusters < 2:
-        raise ValueError("the plug-in variance (empirical_variance) needs n >= 2 clusters, "
-                         f"got n = {n_clusters}")
+    require_power_n(n_clusters, empirical_variance)
     require_same_units(design, model)
     if reps < 100:
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from smartp import cli, engine
 from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
 from smartp.power import required_n
 from smartp.simtrial import TrialDataset
@@ -571,6 +572,26 @@ def test_power_plug_in_variance_needs_two_clusters():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: the plug-in variance") and "n = 1" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["samplesize", *SIZED, "--json", "OUT"], 2, "config error: cannot write OUT: "),
+    (["samplesize", *SIZED, "--sigma-csv", "OUT"], 2, "config error: cannot write OUT: "),
+    (["power", *SIZED, "--n", "20", "--json", "OUT"], 2, "config error: cannot write OUT: "),
+    (["power", *SIZED, "--n", "1", "--empirical-variance"], 3,
+     "error: the plug-in variance (empirical_variance) needs n >= 2 clusters, got n = 1"),
+], ids=["samplesize-json", "sigma-csv", "power-json", "plug-in-n-1"])
+def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args, code, message):
+    """An output path that cannot be written, or a plug-in variance at n = 1, ends the command
+    before the moments pass, which here fails the test if it is called."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    out = str(tmp_path / "missing" / "out")
+    assert cli.main([out if a == "OUT" else a for a in args]) == code
+    printed = capsys.readouterr()
+    assert printed.err.startswith(message.replace("OUT", out)) and printed.out == ""
 
 
 def test_delta_std_refuses_config_it_ignores(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from smartp import (
 )
 from smartp._backend import ybar_and_count
 from smartp import moments
+from smartp.rngs import CHUNK
 from smartp.moments import _index_rows, _merge, _simulate_ybar, _simulate_z
 from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
@@ -308,17 +310,46 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
 
 
 @pytest.mark.parametrize("a0", [-1.0, 1.5])
-def test_index_rows_match_masked_sum_reference(a0):
-    """The one-pass index rows against the masked-sum reference on the same draws: the same
-    integer counts, NaN in the same (all-missing) rows, and rows within 1e-12."""
+def test_index_rows_match_masked_sum_reference(monkeypatch, a0):
+    """The blocked index rows against the masked-sum reference on the same draws, for blocks of
+    7, 1024 and more than n rows, at n = 2 BLOCK + 3, 16351 (a trial chunk) and 20000: the same
+    integer counts, NaN in the same (all-missing) rows, rows within 1e-12, and the generator
+    where one (n, T) draw leaves it.  The rows are also bit for bit those of one block.  The last
+    block takes a trailing single row with it (n = 2 BLOCK + 1): numpy sends a one-row product
+    to its matrix-vector path, which rounds differently from the GEMM, by 6.7e-16 in one
+    measurement."""
     model = make_model(a0=a0)
-    z, k = _index_rows(model, 20_000, np.random.default_rng(61))
-    want, want_k = index_rows_reference(model, 20_000, np.random.default_rng(61))
-    assert k.dtype.kind == "i" and np.array_equal(k, want_k)
-    assert np.array_equal(np.isnan(z), np.isnan(want))
-    assert np.array_equal(np.isnan(z).any(axis=1), k == 0)
-    assert np.nanmax(np.abs(z - want)) <= 1e-12
+    cases = [(7, 17), (7, 15), (7, 16_351), (1024, 2051), (1024, 2049), (1024, 16_351),
+             (1024, 20_000), (20_001, 20_000)]
+    for block, n in cases:
+        monkeypatch.setattr(moments, "BLOCK", block)
+        rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+        z, k = _index_rows(model, n, rng)
+        want, want_k = index_rows_reference(model, n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state, (block, n)
+        assert k.dtype.kind == "i" and np.array_equal(k, want_k), (block, n)
+        assert np.array_equal(np.isnan(z), np.isnan(want)), (block, n)
+        assert np.array_equal(np.isnan(z).any(axis=1), k == 0), (block, n)
+        assert np.nanmax(np.abs(z - want)) <= 1e-12, (block, n)
+        monkeypatch.setattr(moments, "BLOCK", n)
+        one_block, _ = _index_rows(model, n, np.random.default_rng(61))
+        assert one_block.tobytes() == z.tobytes(), (block, n)
     assert (k == 0).any() == (a0 > 0)
+
+
+def test_moments_pass_allocates_little_beyond_the_chunk_rows():
+    """A one-chunk moments pass peaks, under tracemalloc, at no more than 1.25x the bytes of the
+    chunk's (CHUNK, T+1) rows z: the index kernel allocates z and k and one block of scratch,
+    never a whole chunk of normals or of their projection."""
+    model = make_model()
+    model.cond_cov  # the cached projection is built outside the measurement
+    tracemalloc.start()
+    try:
+        estimate_path_moments(model, CHUNK, seed=5, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * CHUNK * (model.sigma.dim + 1) * 8
 
 
 def _stub_index_rows(monkeypatch, counts):
