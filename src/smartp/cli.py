@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
@@ -141,7 +142,9 @@ TABLE = (
     Row("self_adjacent", "--self-adjacent", "model", bool, None, None, MODELLED),
     Row("delta_std", "--delta-std", None, float, None, POSITIVE, {DELTA_STD}),
     Row("regime", "--regime", "test", _ints, (1,), None, SIMULATED),
-    Row("alpha", "--alpha", "test", float, 0.05, UNIT, SIZED),
+    # below 2^-53, 1 - alpha/2 rounds to 1 and the quantile z_{1-alpha/2} is infinite
+    Row("alpha", "--alpha", "test", float, 0.05,
+        (lambda a: 0 < a < 1 and 1 - a / 2 < 1, "in (0, 1) and above 1.1e-16"), SIZED),
     Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
     Row("power", "--power", "test", float, None, UNIT, SIZED),
     Row("num", "--num", "mc", _int, 1_000_000, COUNT, SIMULATED),
@@ -569,6 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
         (DESCRIBE, cmd_describe_design),
     ]:
         p = sub.add_parser(name)
+        # a value may start like any negative number (-1e-3, -1,0.5), not only -1 or -0.5
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         _add_flags(p, {name, DELTA_STD} if name == SAMPLESIZE else {name})
         p.set_defaults(func=fn)
     return parser
@@ -590,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SmartpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         print("error: the computation overflowed; an input is too large", file=sys.stderr)
         return 3
 

@@ -75,13 +75,14 @@ def compute_effect(
         raise ValueError("cannot compare a regime against itself")
     if moments is None:
         moments = estimate_path_moments(model, num, seed, workers)
-    pm = {p.index: moments.for_path(p.mu, p.index) for p in design.paths}
-    means, ncov = regime_moments(
-        design, regime_ids, [m.mu for m in pm.values()], [m.sigma2 for m in pm.values()]
-    )
-    if len(regime_ids) == 1:
-        return EffectSummary(means[0], means[0], 0.0, ncov[0, 0], 0.0, 0.0, ncov[0, 0], pm)
-    sig_e = ncov[0, 0] + ncov[1, 1] - 2.0 * ncov[0, 1]
+    with np.errstate(over="raise"):  # huge path means: FloatingPointError, not inf and NaN
+        pm = {p.index: moments.for_path(p.mu, p.index) for p in design.paths}
+        means, ncov = regime_moments(
+            design, regime_ids, [m.mu for m in pm.values()], [m.sigma2 for m in pm.values()]
+        )
+        if len(regime_ids) == 1:
+            return EffectSummary(means[0], means[0], 0.0, ncov[0, 0], 0.0, 0.0, ncov[0, 0], pm)
+        sig_e = ncov[0, 0] + ncov[1, 1] - 2.0 * ncov[0, 1]
     return EffectSummary(
         means[0] - means[1], *means, ncov[0, 0], ncov[1, 1], ncov[0, 1], sig_e, pm
     )

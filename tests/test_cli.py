@@ -322,13 +322,27 @@ def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
     (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--tau", "1e200"],
      "the computation overflowed"),
     (["samplesize", "--rho", "0.9999999999999999"], "Cholesky factorization failed"),
-], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1"])
+    (["samplesize", "--mu-scalar", "1e200,0.5,0,2,0,0,5,0,0,0", "--num", "20000"],
+     "the computation overflowed"),
+], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1", "mu-1e200"])
 def test_numeric_edge_exit_3(args, message):
-    """Inputs at the edge of the arithmetic end in one error line, never a traceback."""
+    """Inputs at the edge of the arithmetic end in one error line, never a traceback or a numpy
+    RuntimeWarning."""
     proc = run_cli(*args, check=False)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mu-scalar", "-1,0.5,0,2,0,0,5,0,0,0"), ("--a0", "-1e-3"), ("--cutoff", "-.5"),
+], ids=["mu-scalar-list", "a0-exponent", "cutoff-leading-dot"])
+def test_negative_value_parses_as_with_equals(flag, value):
+    """A negative value that is not a plain decimal is read as the flag's value: the output is
+    byte-identical to that of ``flag=value``."""
+    spaced = run_cli("samplesize", "--num", "20000", flag, value, timeout=120)
+    joined = run_cli("samplesize", "--num", "20000", f"{flag}={value}", timeout=120)
+    assert spaced.stdout == joined.stdout and spaced.stdout.startswith("N ")
 
 
 def test_bad_config_schema_exit_2(tmp_path):
@@ -580,10 +594,17 @@ def test_power_plug_in_variance_needs_two_clusters():
     (["power", *SIZED, "--n", "20", "--json", "OUT"], 2, "config error: cannot write OUT: "),
     (["power", *SIZED, "--n", "1", "--empirical-variance"], 3,
      "error: the plug-in variance (empirical_variance) needs n >= 2 clusters, got n = 1"),
-], ids=["samplesize-json", "sigma-csv", "power-json", "plug-in-n-1"])
+    # 1 - alpha/2 rounds to 1: the quantile would be infinite
+    (["samplesize", *SIZED, "--alpha", "1e-300"], 2,
+     "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-300"),
+    (["power", *SIZED, "--alpha", "1e-17"], 2,
+     "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-17"),
+], ids=["samplesize-json", "sigma-csv", "power-json", "plug-in-n-1", "alpha-1e-300",
+        "power-alpha-1e-17"])
 def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args, code, message):
-    """An output path that cannot be written, or a plug-in variance at n = 1, ends the command
-    before the moments pass, which here fails the test if it is called."""
+    """An output path that cannot be written, a plug-in variance at n = 1 or an alpha too small
+    for its quantile ends the command before the moments pass, which here fails the test if it
+    is called."""
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from smartp import (
 )
 from smartp._backend import ybar_and_count
 from smartp import moments
-from smartp.rngs import CHUNK
+from smartp.rngs import CHUNK, MOMENTS, substream
 from smartp.moments import _index_rows, _merge, _simulate_ybar, _simulate_z
 from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
@@ -338,18 +339,44 @@ def test_index_rows_match_masked_sum_reference(monkeypatch, a0):
 
 
 def test_moments_pass_allocates_little_beyond_the_chunk_rows():
-    """A one-chunk moments pass peaks, under tracemalloc, at no more than 1.25x the bytes of the
-    chunk's (CHUNK, T+1) rows z: the index kernel allocates z and k and one block of scratch,
-    never a whole chunk of normals or of their projection."""
+    """A four-chunk moments pass peaks, under tracemalloc, at no more than a quarter of the bytes
+    of one chunk's (CHUNK, T+1) rows, on one worker and on two: each block of index rows is
+    folded into the chunk's moments as it is drawn, so no array the size of a chunk exists."""
     model = make_model()
     model.cond_cov  # the cached projection is built outside the measurement
-    tracemalloc.start()
-    try:
-        estimate_path_moments(model, CHUNK, seed=5, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * CHUNK * (model.sigma.dim + 1) * 8
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            estimate_path_moments(model, 4 * CHUNK, seed=5, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * CHUNK * (model.sigma.dim + 1) * 8, workers
+
+
+@pytest.mark.parametrize("a0, block, size", [(-1.0, 7, 5000), (1.5, 7, 400), (2.0, 2, 60)])
+def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, block, size):
+    """The block-by-block chunk moments against the scatter of the whole z that ``_simulate_z``
+    draws from the same substream, with the conditional variances summed row by row: the same
+    count and redraws, mean and scatter within 1e-12 relative.  At a0 = 1.5 a tenth of the rows
+    are all-missing; at a0 = 2.0 with blocks of 2 rows whole blocks are, and are merged as none."""
+    model = make_model(a0=a0)
+    monkeypatch.setattr(moments, "BLOCK", block)
+    cond_cov, e1_mean = model.cond_cov, 0.3
+    n, mean, m2, n_redrawn = moments._chunk_moments(model, 9, 1, size, e1_mean, cond_cov)
+    first_k = _index_rows(model, size, substream(9, MOMENTS, 1))[1]
+    z, _, want_redrawn = _simulate_z(model, size, substream(9, MOMENTS, 1))
+    want_mean = z.mean(axis=0)
+    want_m2 = (z - want_mean).T @ (z - want_mean)
+    w = z[:, :-1]
+    want_m2[-1, -1] += np.einsum("it,ts,is->", w, cond_cov, w)
+    want_mean[-1] += e1_mean
+    assert n == size and n_redrawn == want_redrawn
+    assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+    assert np.max(np.abs(m2 - want_m2)) <= 1e-12 * np.max(np.abs(want_m2))
+    assert (n_redrawn > 0) == (a0 > 0)
+    if block == 2:  # 60 rows: 30 blocks of two
+        assert (first_k.reshape(-1, 2) == 0).all(axis=1).any()
 
 
 def _stub_index_rows(monkeypatch, counts):
@@ -391,6 +418,21 @@ def test_simulate_z_refuses_the_61st_redraw_before_drawing(monkeypatch):
     with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
         _simulate_z(None, 1000, None)
     assert asked == [1000] + [1] * 60
+
+
+def test_simulate_z_redraws_every_row_left_by_a_sweep(monkeypatch):
+    """Given n_rows, the n rows are the all-missing rows of an n_rows-row sweep: each is redrawn
+    from the first round on, and the limit counts n_rows, so 1% of 1000 rows plus 50 allows a row
+    that never fills 60 redraws."""
+    one_unit = SimpleNamespace(sigma=SimpleNamespace(dim=1))
+    asked = _stub_index_rows(monkeypatch, [[2, 0, 1], [3]])
+    z, k, n_redrawn = _simulate_z(one_unit, 3, None, 1000)
+    assert asked == [3, 1] and n_redrawn == 4
+    assert k.tolist() == [2, 3, 1] and z.tolist() == [[0, 0], [1, 0], [0, 2]]
+    asked = _stub_index_rows(monkeypatch, [[0]])
+    with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
+        _simulate_z(one_unit, 1, None, 1000)
+    assert asked == [1] * 60
 
 
 @pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, 1.0), (10.0, 5.0, 0.3)])
