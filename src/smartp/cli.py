@@ -43,7 +43,7 @@ from .engine import compute_effect, compute_sample_size
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
-from .power import TestSpec, exact_n, required_n
+from .power import ALPHA_RANGE, TestSpec, alpha_in_range, exact_n, required_n
 from .simtrial import mc_power, require_power_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
 
@@ -142,9 +142,7 @@ TABLE = (
     Row("self_adjacent", "--self-adjacent", "model", bool, None, None, MODELLED),
     Row("delta_std", "--delta-std", None, float, None, POSITIVE, {DELTA_STD}),
     Row("regime", "--regime", "test", _ints, (1,), None, SIMULATED),
-    # below 2^-53, 1 - alpha/2 rounds to 1 and the quantile z_{1-alpha/2} is infinite
-    Row("alpha", "--alpha", "test", float, 0.05,
-        (lambda a: 0 < a < 1 and 1 - a / 2 < 1, "in (0, 1) and above 1.1e-16"), SIZED),
+    Row("alpha", "--alpha", "test", float, 0.05, (alpha_in_range, ALPHA_RANGE), SIZED),
     Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
     Row("power", "--power", "test", float, None, UNIT, SIZED),
     Row("num", "--num", "mc", _int, 1_000_000, COUNT, SIMULATED),

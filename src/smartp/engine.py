@@ -22,7 +22,7 @@ from .moments import (
     regime_moments,
     require_same_units,
 )
-from .power import SampleSizeResult, exact_n, required_n
+from .power import SampleSizeResult, TestSpec, exact_n, required_n
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,17 @@ def compute_effect(
         moments = estimate_path_moments(model, num, seed, workers)
     with np.errstate(over="raise"):  # huge path means: FloatingPointError, not inf and NaN
         pm = {p.index: moments.for_path(p.mu, p.index) for p in design.paths}
-        means, ncov = regime_moments(
-            design, regime_ids, [m.mu for m in pm.values()], [m.sigma2 for m in pm.values()]
-        )
-        if len(regime_ids) == 1:
-            return EffectSummary(means[0], means[0], 0.0, ncov[0, 0], 0.0, 0.0, ncov[0, 0], pm)
+        mu = np.array([m.mu for m in pm.values()])
+        means, ncov = regime_moments(design, regime_ids, mu, [m.sigma2 for m in pm.values()])
+        # sum of |c_rp P_p mu_p| over both regimes: the weights and probabilities are >= 0
+        scale = regime_moments(design, regime_ids, np.abs(mu), np.zeros(mu.size))[0].sum()
+        if len(regime_ids) == 1:  # the second regime's block is zero
+            means, ncov = np.append(means, 0.0), np.pad(ncov, (0, 1))
+        delta = means[0] - means[1]
+        if abs(delta) <= len(design.paths) * np.finfo(float).eps * scale:
+            delta = 0.0  # rounding left over when the regime means are equal
         sig_e = ncov[0, 0] + ncov[1, 1] - 2.0 * ncov[0, 1]
-    return EffectSummary(
-        means[0] - means[1], *means, ncov[0, 0], ncov[1, 1], ncov[0, 1], sig_e, pm
-    )
+    return EffectSummary(delta, *means, ncov[0, 0], ncov[1, 1], ncov[0, 1], sig_e, pm)
 
 
 def compute_sample_size(
@@ -99,6 +101,7 @@ def compute_sample_size(
     workers: int = 1,
     moments: ModelMoments | None = None,
 ) -> tuple[SampleSizeResult, EffectSummary]:
+    TestSpec(alpha, beta)  # refuses an alpha or beta out of range before the pass
     eff = compute_effect(design, model, regime_ids, num, seed, workers, moments)
     sizing = (eff.delta, eff.sigma_sq, alpha, beta)
     return SampleSizeResult(required_n(*sizing), eff.delta, eff.delta_std, exact_n(*sizing)), eff

@@ -11,16 +11,17 @@ rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
 sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
 variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
 quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
-``_simulate_z`` redraws the index of all-missing replicates from the same generator
-(and counts them); the outcome error is independent of (Q, eps0), so redrawing the
-index alone conditions on k >= 1.  Work proceeds in fixed 65536-replicate chunks,
-each on its own RNG substream keyed by (seed, MOMENTS, chunk), so the result is
-bit-identical for any worker count.  The index is drawn in fixed blocks of BLOCK = 1024
-rows, whose scratch stays in cache; ``_chunk_moments`` merges each block as it is drawn,
-so no chunk-sized z exists.  The draws do not depend on the block size.
-``_simulate_ybar``, the trials' kernel, draws ``w . Q | v`` as one normal on top of
-the same index rows.  Normal errors (skew 0, dof inf) fold into that normal, whose
-variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per sub-unit first.
+``_index_sweep`` draws the index rows in fixed blocks of BLOCK = 1024 rows, whose
+scratch stays in cache, and redraws the index of all-missing replicates from the same
+generator (and counts them); the outcome error is independent of (Q, eps0), so
+redrawing the index alone conditions on k >= 1.  The draws do not depend on the block
+size.  Work proceeds in fixed 65536-replicate chunks, each on its own RNG substream
+keyed by (seed, MOMENTS, chunk), so the result is bit-identical for any worker count.
+``_chunk_moments`` merges each block as it is drawn, so no chunk-sized z exists.
+``_simulate_ybar``, the trials' kernel, scatters the same index rows into z and draws
+``w . Q | v`` as one normal on top of them.  Normal errors (skew 0, dof inf) fold into
+that normal, whose variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per
+sub-unit first.
 ``_backend`` holds the brute-force reference kernel for tests.
 
 ``regime_moments`` converts per-path moments into the means and the
@@ -42,7 +43,7 @@ from .missing import MissingnessParams
 from .rngs import CHUNK, MOMENTS, REDRAW_SLACK, check_redraws, chunk_map, substream
 from .spatial import CarModel, SpdMatrix, car_covariance
 
-#: index rows per block of ``_index_blocks``: one block's scratch (about 0.9 MB at T = 28)
+#: index rows per block of ``_index_sweep``: one block's scratch (about 0.9 MB at T = 28)
 #: stays in cache; fixed, and the draws do not depend on it
 BLOCK = 1024
 
@@ -135,61 +136,54 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     return n, mean, m2
 
 
-def _index_blocks(model: OutcomeModel, n: int, rng: np.random.Generator, z=None):
-    """Yield n index rows ``[w, w . E[Q|v]]`` block by block with their float counts k (NaN rows
-    at k = 0), in z's slices if given, else in one reused block.  Consecutive fills draw the
-    stream of one ``(n, T)`` draw, and the GEMM rounds each row alike in any block, so the rows
-    are bit for bit one block's.  The last block takes up to BLOCK + 1 rows: numpy sends a
-    one-row block to its matrix-vector product instead, which rounds differently."""
+def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator):
+    """Yield n index rows ``[w, w . E[Q|v]]``, every one with k >= 1, block by block in one
+    reused scratch, as (positions, rows, float k, all-missing rows left out).  Consecutive
+    fills draw the stream of one ``(n, T)`` draw, and the GEMM rounds each row alike in any
+    block, so the rows are bit for bit one block's.  The last block of a round takes up to
+    BLOCK + 1 rows: numpy sends a one-row block to its matrix-vector product instead, which
+    rounds differently.  The positions left out are redrawn in rounds through the same loop
+    until none is left; ``check_redraws`` with REDRAW_SLACK bounds the redraws before each
+    round."""
     mp, proj = model.mp, model.index_projection[0]
     t_dim, rows = model.sigma.dim, min(n, BLOCK + 1)
     zeta, v_and_q, k = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim)), np.empty(rows)
-    block = np.empty((rows, t_dim + 1)) if z is None else None
-    start = 0
-    while start < n:
-        m = n - start if n - start <= BLOCK + 1 else BLOCK
-        zb, kb = (block[:m] if z is None else z[start:start + m]), k[:m]
-        start += m
-        rng.standard_normal(out=zeta[:m])
-        np.matmul(zeta[:m], proj, out=v_and_q[:m])
-        w = zb[:, :-1]
-        np.less_equal(v_and_q[:m, :t_dim], mp.cutoff - mp.intercept, out=w)
-        np.add.reduce(w, axis=1, out=kb)
-        np.einsum("it,it->i", w, v_and_q[:m, t_dim:], out=zb[:, -1])
-        with np.errstate(invalid="ignore"):
-            zb /= kb[:, None]
-        yield zb, kb
-
-
-def _index_rows(model: OutcomeModel, n: int, rng: np.random.Generator):
-    """``_index_blocks``'s rows in one (n, T+1) array z, and the integer counts k."""
-    z, k, start = np.empty((n, model.sigma.dim + 1)), np.empty(n, dtype=np.intp), 0
-    for _, kb in _index_blocks(model, n, rng, z):
-        k[start:start + kb.size] = kb
-        start += kb.size
-    return z, k
-
-
-def _simulate_z(model: OutcomeModel, n: int, rng: np.random.Generator, n_rows: int = 0):
-    """``_index_rows`` with every k >= 1: (z, k, redraws).  All-missing rows are redrawn from
-    ``rng`` until none is left; ``check_redraws`` with REDRAW_SLACK bounds the rounds.  Given
-    n_rows, the n rows are all-missing rows of an n_rows-row sweep, and the bound is on n_rows."""
-    z, k = ((np.empty((n, model.sigma.dim + 1)), np.zeros(n, dtype=np.intp)) if n_rows
-            else _index_rows(model, n, rng))
-    bad, n_redrawn = np.flatnonzero(k == 0), 0
-    while bad.size:
-        n_redrawn += bad.size
-        check_redraws(n_redrawn, n_rows or n, REDRAW_SLACK)
-        z[bad], k[bad] = _index_rows(model, bad.size, rng)
-        bad = bad[k[bad] == 0]
-    return z, k, n_redrawn
+    block, todo, n_redrawn = np.empty((rows, t_dim + 1)), None, 0
+    while todo is None or todo.size:
+        size, left, start = n if todo is None else todo.size, [], 0
+        while start < size:
+            m = size - start if size - start <= BLOCK + 1 else BLOCK
+            # the first round (todo None) makes its positions block by block: all n at once
+            # would add 8 bytes a row to the peak memory
+            pos = np.arange(start, start + m) if todo is None else todo[start:start + m]
+            zb, kb = block[:m], k[:m]
+            start += m
+            rng.standard_normal(out=zeta[:m])
+            np.matmul(zeta[:m], proj, out=v_and_q[:m])
+            w = zb[:, :-1]
+            np.less_equal(v_and_q[:m, :t_dim], mp.cutoff - mp.intercept, out=w)
+            np.add.reduce(w, axis=1, out=kb)
+            np.einsum("it,it->i", w, v_and_q[:m, t_dim:], out=zb[:, -1])
+            with np.errstate(invalid="ignore"):
+                zb /= kb[:, None]
+            full = kb > 0
+            left.append(pos[~full])
+            if left[-1].size:
+                pos, zb, kb = pos[full], zb[full], kb[full]
+            yield pos, zb, kb, left[-1].size
+        todo = np.concatenate(left)
+        n_redrawn += todo.size
+        check_redraws(n_redrawn, n, REDRAW_SLACK)
 
 
 def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
     """(ybar, k, redraws) for the (n, T) means ``mu2d``: the index rows (k >= 1), then
     ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``.  Normal errors join that
     normal (``w . e1 ~ N(0, sigma1^2 w'w)``); other errors are drawn per sub-unit first."""
-    z, k, n_redrawn = _simulate_z(model, mu2d.shape[0], rng)
+    z, k, n_redrawn = np.empty((len(mu2d), model.sigma.dim + 1)), np.empty(len(mu2d), np.intp), 0
+    for pos, rows, kb, n_left in _index_sweep(model, k.size, rng):
+        z[pos], k[pos] = rows, kb
+        n_redrawn += n_left
     w = z[:, :-1]
     if model.st.skew == 0.0 and model.st.is_normal_limit:
         cov = model.cond_cov
@@ -201,24 +195,17 @@ def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generat
     return ybar, k, n_redrawn
 
 
-def _fold(acc: tuple, rows: np.ndarray, k: np.ndarray) -> tuple:
-    """``acc`` (count, mean, centred scatter) with the rows of k > 0 merged in; centres rows."""
-    rows = rows if k.all() else rows[k > 0]
-    if not rows.shape[0]:
-        return acc
-    mean = rows.mean(axis=0)
-    rows -= mean
-    return _merge(*acc, rows.shape[0], mean, rows.T @ rows)
-
-
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
     """(size, mean, scatter, redraws) of z = [w, r] over one chunk; cond_cov is Cov(Q + e1 | v).
-    Each block is merged as it is drawn; its all-missing rows are redrawn after the sweep."""
-    rng, acc = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0)
-    for rows, k in _index_blocks(model, size, rng):
-        acc = _fold(acc, rows, k)
-    z, k, n_redrawn = _simulate_z(model, size - acc[0], rng, size)
-    n, mean, m2 = _fold(acc, z, k)
+    Each block of ``_index_sweep`` is centred and merged as it is drawn."""
+    rng, acc, n_redrawn = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0), 0
+    for _, rows, _, n_left in _index_sweep(model, size, rng):
+        n_redrawn += n_left
+        if rows.shape[0]:  # a block can be all-missing
+            mean = rows.mean(axis=0)
+            rows -= mean
+            acc = _merge(*acc, rows.shape[0], mean, rows.T @ rows)
+    n, mean, m2 = acc
     # sum_i w_i' cond_cov w_i, with sum_i w_i w_i' the uncentred w-block of the scatter
     m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
     mean[-1] += e1_mean

@@ -16,6 +16,14 @@ import numpy as np
 from .missing import normal_cdf, normal_quantile
 
 
+ALPHA_RANGE = "in (0, 1) and above 1.1e-16"  # ``alpha_in_range`` in words
+
+
+def alpha_in_range(alpha: float) -> bool:
+    """0 < alpha < 1 and 1 - alpha/2 < 1: below 2^-53 the quantile z_{1-alpha/2} is infinite."""
+    return 0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0
+
+
 @dataclass(frozen=True)
 class TestSpec:
     __test__ = False  # not a pytest class
@@ -24,8 +32,8 @@ class TestSpec:
     beta: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if not alpha_in_range(self.alpha):
+            raise ValueError(f"alpha must be {ALPHA_RANGE}, got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0,1), got {self.beta}")
 

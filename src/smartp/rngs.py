@@ -5,7 +5,7 @@ by (seed, domain tag, *indices).  Work split into fixed-size chunks keyed
 this way gives results that do not depend on execution order or on how
 many workers process the chunks: ``chunk_map`` runs the chunks and hands
 back their results in key order.  ``check_redraws`` says when there are too
-many all-missing redraws, which ``moments._simulate_z`` makes within a chunk.
+many all-missing redraws, which ``moments._index_sweep`` makes within a chunk.
 """
 
 from __future__ import annotations

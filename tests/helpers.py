@@ -62,10 +62,11 @@ def brute_force_ybar(model, mu2d, rng):
 
 
 def index_rows_reference(model, n, rng):
-    """The index rows by a masked sum, the oracle for ``moments._index_rows``.
+    """The index rows of one (n, T) draw by a masked sum, the oracle for the rows of
+    ``moments._index_sweep``.
 
-    Same draws, same return: (n, T+1) rows ``[w, w . E[Q|v]]`` and the
-    counts k, NaN rows at k = 0.
+    Returns the (n, T+1) rows ``[w, w . E[Q|v]]`` and the integer counts k,
+    NaN rows at k = 0.
     """
     mp = model.mp
     t_dim = model.sigma.dim
@@ -78,6 +79,19 @@ def index_rows_reference(model, n, rng):
     with np.errstate(invalid="ignore"):
         z /= k[:, None]
     return z, k
+
+
+def simulate_z_reference(model, n, rng):
+    """``index_rows_reference`` with every k >= 1, the oracle for ``moments._index_sweep``:
+    (z, k, redraws).  The rows left all-missing are redrawn, in order, in rounds from the same
+    generator until none is left."""
+    z, k = index_rows_reference(model, n, rng)
+    bad, n_redrawn = np.flatnonzero(k == 0), 0
+    while bad.size:
+        n_redrawn += bad.size
+        z[bad], k[bad] = index_rows_reference(model, bad.size, rng)
+        bad = bad[k[bad] == 0]
+    return z, k, n_redrawn
 
 
 def sample_mvn(cov, n, rng):

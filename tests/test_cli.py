@@ -1,5 +1,6 @@
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from smartp import cli, engine
 from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
+from smartp.moments import estimate_path_moments
 from smartp.power import required_n
 from smartp.simtrial import TrialDataset
 
@@ -613,6 +615,34 @@ def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args
     assert cli.main([out if a == "OUT" else a for a in args]) == code
     printed = capsys.readouterr()
     assert printed.err.startswith(message.replace("OUT", out)) and printed.out == ""
+
+
+ZERO_MEANS = ["--mu-scalar", "0,0,0,0,0,0,0,0,0,0", "--num", "20000", "--seed", "1"]
+
+
+def test_equal_regime_means_give_a_zero_effect(monkeypatch, capsys):
+    """With every path mean 0 each regime's mean is the same missingness bias, so the effect is
+    0 however the IPW sums round: every regime pair under six gamma pairs and the three stage-1
+    modes exits 3 (effect size must be nonzero), where some printed an N near 1e34 from a
+    rounded Del of 2.8e-17.  ``power`` at a given n reports Del 0.  The design does not change
+    the outcome model, so one moments pass serves every command."""
+    passes = []
+
+    def one_pass(*args, **kwargs):
+        passes[:] = passes or [estimate_path_moments(*args, **kwargs)]
+        return passes[0]
+
+    monkeypatch.setattr(engine, "estimate_path_moments", one_pass)
+    for gamma, mode, pair in itertools.product(
+        ["0.1,0.7", "0.25,0.5", "0.3,0.3", "0.5,0.9", "0.05,0.95", "0.6,0.2"],
+        ["balanced", "max", "equal"], itertools.combinations(range(1, 9), 2),
+    ):
+        argv = ["samplesize", "--regime", "%d,%d" % pair, "--gamma", gamma, "--stage1-mode", mode]
+        assert cli.main(argv + ZERO_MEANS) == 3, argv
+        assert capsys.readouterr().err == "error: effect size must be nonzero\n", argv
+    argv = ["power", "--regime", "1,5", "--gamma", "0.1,0.7", "--n", "50", "--reps", "200"]
+    assert cli.main(argv + ZERO_MEANS) == 0
+    assert "\nDel             0\n" in capsys.readouterr().out
 
 
 def test_delta_std_refuses_config_it_ignores(tmp_path):

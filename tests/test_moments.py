@@ -34,7 +34,7 @@ from smartp import (
 from smartp._backend import ybar_and_count
 from smartp import moments
 from smartp.rngs import CHUNK, MOMENTS, substream
-from smartp.moments import _index_rows, _merge, _simulate_ybar, _simulate_z
+from smartp.moments import _index_sweep, _merge, _simulate_ybar
 from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
     block_jackknife_se,
@@ -43,6 +43,7 @@ from helpers import (
     fd_se,
     index_rows_reference,
     qe0_model_moments,
+    simulate_z_reference,
     smart_design,
     st_kurtosis,
     welford_reference,
@@ -50,6 +51,16 @@ from helpers import (
 )
 
 INF = math.inf
+
+
+def sweep_rows(model, n, rng):
+    """``_index_sweep``'s rows scattered by position: (z, integer k, redraws); a position the
+    sweep never yields stays NaN."""
+    z, k, n_redrawn = np.full((n, model.sigma.dim + 1), np.nan), np.zeros(n, dtype=np.intp), 0
+    for pos, rows, kb, n_left in _index_sweep(model, n, rng):
+        z[pos], k[pos] = rows, kb
+        n_redrawn += n_left
+    return z, k, n_redrawn
 
 
 def reference_ybar(model, mu_vec, num, seed):
@@ -139,7 +150,7 @@ def test_conditional_moments_match_kernel_given_index():
     rows, batch, batches, t_dim = 6, 5_000, 4, 28
     mu_vec = np.random.default_rng(3).uniform(-1.0, 5.0, t_dim)
     # the pass's first rows and, from the same draws, their index v = L_v zeta
-    z, k = _index_rows(model, rows, np.random.default_rng(5))
+    z, k, _ = sweep_rows(model, rows, np.random.default_rng(5))
     sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
     v = np.random.default_rng(5).standard_normal((rows, t_dim)) @ np.linalg.cholesky(sigma_v).T
     # Q | v by the Schur complement of the joint covariance [[S, b0 S], [b0 S, S_v]]
@@ -286,12 +297,7 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     ybar, k, n_redrawn = _simulate_ybar(model, mu2d, rng)
 
     ref = np.random.default_rng(71)
-    z, want_k = index_rows_reference(model, n, ref)
-    bad, want_redrawn = np.flatnonzero(want_k == 0), 0
-    while bad.size:
-        want_redrawn += bad.size
-        z[bad], want_k[bad] = index_rows_reference(model, bad.size, ref)
-        bad = bad[want_k[bad] == 0]
+    z, want_k, want_redrawn = simulate_z_reference(model, n, ref)
     normal = st.skew == 0.0 and st.is_normal_limit
     e1 = 0.0 if normal else sample_st(st, n * t_dim, ref).reshape(n, t_dim)
     g = ref.standard_normal(n)
@@ -312,30 +318,32 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
 
 @pytest.mark.parametrize("a0", [-1.0, 1.5])
 def test_index_rows_match_masked_sum_reference(monkeypatch, a0):
-    """The blocked index rows against the masked-sum reference on the same draws, for blocks of
-    7, 1024 and more than n rows, at n = 2 BLOCK + 3, 16351 (a trial chunk) and 20000: the same
-    integer counts, NaN in the same (all-missing) rows, rows within 1e-12, and the generator
-    where one (n, T) draw leaves it.  The rows are also bit for bit those of one block.  The last
-    block takes a trailing single row with it (n = 2 BLOCK + 1): numpy sends a one-row product
-    to its matrix-vector path, which rounds differently from the GEMM, by 6.7e-16 in one
-    measurement."""
+    """The sweep's rows, scattered by position, against the masked-sum reference and its redraw
+    loop on the same draws, for blocks of 7, 1024 and more than n rows, at n = 2 BLOCK + 3,
+    16351 (a trial chunk) and 20000: every position filled with k >= 1, the same integer counts
+    and redraws, rows within 1e-12, and the generator left in the same state.  The rows are also
+    bit for bit those of one block.  The last block of a round takes a trailing single row with
+    it (n = 2 BLOCK + 1): numpy sends a one-row product to its matrix-vector path, which rounds
+    differently from the GEMM, by 6.7e-16 in one measurement.  At a0 = 1.5 a tenth of the rows
+    are all-missing, past the redraw limit, so the limit (pinned by the scripted tests below) is
+    lifted here."""
     model = make_model(a0=a0)
+    monkeypatch.setattr(moments, "REDRAW_SLACK", 10_000)
     cases = [(7, 17), (7, 15), (7, 16_351), (1024, 2051), (1024, 2049), (1024, 16_351),
              (1024, 20_000), (20_001, 20_000)]
     for block, n in cases:
         monkeypatch.setattr(moments, "BLOCK", block)
         rng, ref = np.random.default_rng(61), np.random.default_rng(61)
-        z, k = _index_rows(model, n, rng)
-        want, want_k = index_rows_reference(model, n, ref)
+        z, k, n_redrawn = sweep_rows(model, n, rng)
+        want, want_k, want_redrawn = simulate_z_reference(model, n, ref)
         assert rng.bit_generator.state == ref.bit_generator.state, (block, n)
-        assert k.dtype.kind == "i" and np.array_equal(k, want_k), (block, n)
-        assert np.array_equal(np.isnan(z), np.isnan(want)), (block, n)
-        assert np.array_equal(np.isnan(z).any(axis=1), k == 0), (block, n)
-        assert np.nanmax(np.abs(z - want)) <= 1e-12, (block, n)
+        assert np.array_equal(k, want_k) and (k >= 1).all(), (block, n)
+        assert n_redrawn == want_redrawn, (block, n)
+        assert np.max(np.abs(z - want)) <= 1e-12, (block, n)
         monkeypatch.setattr(moments, "BLOCK", n)
-        one_block, _ = _index_rows(model, n, np.random.default_rng(61))
+        one_block, _, _ = sweep_rows(model, n, np.random.default_rng(61))
         assert one_block.tobytes() == z.tobytes(), (block, n)
-    assert (k == 0).any() == (a0 > 0)
+    assert (n_redrawn > 0) == (a0 > 0)
 
 
 def test_moments_pass_allocates_little_beyond_the_chunk_rows():
@@ -356,16 +364,17 @@ def test_moments_pass_allocates_little_beyond_the_chunk_rows():
 
 @pytest.mark.parametrize("a0, block, size", [(-1.0, 7, 5000), (1.5, 7, 400), (2.0, 2, 60)])
 def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, block, size):
-    """The block-by-block chunk moments against the scatter of the whole z that ``_simulate_z``
-    draws from the same substream, with the conditional variances summed row by row: the same
-    count and redraws, mean and scatter within 1e-12 relative.  At a0 = 1.5 a tenth of the rows
-    are all-missing; at a0 = 2.0 with blocks of 2 rows whole blocks are, and are merged as none."""
+    """The block-by-block chunk moments against the scatter of the whole z that
+    ``simulate_z_reference`` draws from the same substream, with the conditional variances
+    summed row by row: the same count and redraws, mean and scatter within 1e-12 relative.  At
+    a0 = 1.5 a tenth of the rows are all-missing; at a0 = 2.0 with blocks of 2 rows whole blocks
+    are, and are merged as none."""
     model = make_model(a0=a0)
     monkeypatch.setattr(moments, "BLOCK", block)
     cond_cov, e1_mean = model.cond_cov, 0.3
     n, mean, m2, n_redrawn = moments._chunk_moments(model, 9, 1, size, e1_mean, cond_cov)
-    first_k = _index_rows(model, size, substream(9, MOMENTS, 1))[1]
-    z, _, want_redrawn = _simulate_z(model, size, substream(9, MOMENTS, 1))
+    first_k = index_rows_reference(model, size, substream(9, MOMENTS, 1))[1]
+    z, _, want_redrawn = simulate_z_reference(model, size, substream(9, MOMENTS, 1))
     want_mean = z.mean(axis=0)
     want_m2 = (z - want_mean).T @ (z - want_mean)
     w = z[:, :-1]
@@ -379,60 +388,57 @@ def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, b
         assert (first_k.reshape(-1, 2) == 0).all(axis=1).any()
 
 
-def _stub_index_rows(monkeypatch, counts):
-    """Make ``_index_rows`` return ``counts[c]`` on call c (the last entry from then on), with
-    row i of call c set to z = [c, i]; returns the list of row counts it is asked for."""
-    asked = []
+class ScriptedNormals:
+    """Stands in for the generator: ``standard_normal(out=...)`` fills one value a row from
+    ``values`` (the last one from then on) and records how many rows each call asks for."""
 
-    def index_rows(model, n, rng):
-        asked.append(n)
-        k = np.array(counts[min(len(asked), len(counts)) - 1])
-        assert k.size == n
-        return np.column_stack([np.full(n, len(asked) - 1.0), np.arange(n, dtype=float)]), k
+    def __init__(self, values):
+        self.values, self.asked = list(values), []
 
-    monkeypatch.setattr(moments, "_index_rows", index_rows)
-    return asked
+    def standard_normal(self, out):
+        self.asked.append(out.shape[0])
+        for row in out:
+            row[:] = self.values.pop(0) if len(self.values) > 1 else self.values[0]
 
 
-def test_simulate_z_redraws_only_the_empty_rows(monkeypatch):
-    """Rows 0, 2 and 4 are empty; their redraw leaves row 2 empty once more."""
-    asked = _stub_index_rows(monkeypatch, [[0, 3, 0, 2, 0], [1, 0, 1], [4]])
-    z, k, n_redrawn = _simulate_z(None, 5, None)
-    assert asked == [5, 3, 1] and n_redrawn == 4
-    assert k.tolist() == [1, 3, 4, 2, 1]
-    assert z.tolist() == [[1, 0], [0, 1], [2, 0], [0, 3], [1, 2]]
+#: one sub-unit with v = E[Q|v] = zeta: a row is available (k = 1, z = [1, zeta]) at zeta <= 0
+ONE_UNIT = SimpleNamespace(
+    mp=SimpleNamespace(cutoff=0.0, intercept=0.0),
+    index_projection=(np.ones((1, 2)), None),
+    sigma=SimpleNamespace(dim=1),
+)
 
 
-def test_simulate_z_without_empty_rows_draws_once(monkeypatch):
-    asked = _stub_index_rows(monkeypatch, [[1, 2]])
-    z, k, n_redrawn = _simulate_z(None, 2, None)
-    assert asked == [2] and n_redrawn == 0 and k.tolist() == [1, 2]
+def test_index_sweep_redraws_only_the_empty_rows():
+    """Rows 2 and 4 are empty; their redraw leaves row 2 empty once more.  Each round yields
+    the filled positions and leaves the empty ones out, and the next round draws only those."""
+    rng = ScriptedNormals([-1, -2, 3, -4, 5, 6, -7, -8])
+    out = [(pos.tolist(), rows.tolist(), kb.tolist(), n_left)
+           for pos, rows, kb, n_left in _index_sweep(ONE_UNIT, 5, rng)]
+    assert rng.asked == [5, 2, 1]
+    assert out == [([0, 1, 3], [[1, -1], [1, -2], [1, -4]], [1, 1, 1], 2),
+                   ([4], [[1, -7]], [1], 1),
+                   ([2], [[1, -8]], [1], 0)]
+    z, k, n_redrawn = sweep_rows(ONE_UNIT, 5, ScriptedNormals([-1, -2, 3, -4, 5, 6, -7, -8]))
+    assert n_redrawn == 3 and k.tolist() == [1] * 5
+    assert z.tolist() == [[1, -1], [1, -2], [1, -8], [1, -4], [1, -7]]
 
 
-def test_simulate_z_refuses_the_61st_redraw_before_drawing(monkeypatch):
-    """1% of 1000 rows plus 50 allows 60 redraws: a row that never fills is redrawn 60 times
-    and refused at its 61st redraw, before that draw."""
-    counts = np.ones(1000, dtype=int)
-    counts[7] = 0
-    asked = _stub_index_rows(monkeypatch, [counts, [0]])
+def test_index_sweep_without_empty_rows_draws_once():
+    rng = ScriptedNormals([-1, -2])
+    z, k, n_redrawn = sweep_rows(ONE_UNIT, 2, rng)
+    assert rng.asked == [2] and n_redrawn == 0 and k.tolist() == [1, 1]
+
+
+def test_index_sweep_refuses_the_61st_redraw_before_drawing():
+    """1% of the sweep's 1000 rows plus 50 allows 60 redraws, however few rows are left over: a
+    row that never fills is redrawn 60 times and refused at its 61st redraw, before that draw."""
+    values = [-1.0] * 1000
+    values[7] = 1.0
+    rng = ScriptedNormals(values + [1.0])
     with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
-        _simulate_z(None, 1000, None)
-    assert asked == [1000] + [1] * 60
-
-
-def test_simulate_z_redraws_every_row_left_by_a_sweep(monkeypatch):
-    """Given n_rows, the n rows are the all-missing rows of an n_rows-row sweep: each is redrawn
-    from the first round on, and the limit counts n_rows, so 1% of 1000 rows plus 50 allows a row
-    that never fills 60 redraws."""
-    one_unit = SimpleNamespace(sigma=SimpleNamespace(dim=1))
-    asked = _stub_index_rows(monkeypatch, [[2, 0, 1], [3]])
-    z, k, n_redrawn = _simulate_z(one_unit, 3, None, 1000)
-    assert asked == [3, 1] and n_redrawn == 4
-    assert k.tolist() == [2, 3, 1] and z.tolist() == [[0, 0], [1, 0], [0, 2]]
-    asked = _stub_index_rows(monkeypatch, [[0]])
-    with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
-        _simulate_z(one_unit, 1, None, 1000)
-    assert asked == [1] * 60
+        sweep_rows(ONE_UNIT, 1000, rng)
+    assert rng.asked == [1000] + [1] * 60
 
 
 @pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, 1.0), (10.0, 5.0, 0.3)])

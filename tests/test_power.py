@@ -7,6 +7,8 @@ from smartp import (
     TestSpec,
     analytic_power,
     compute_effect,
+    compute_sample_size,
+    engine,
     mc_power,
     normal_quantile,
     reject,
@@ -75,3 +77,19 @@ def test_null_rejection_rate_matches_alpha():
     est = mc_power(design, model, spec, (0, 4), 100, eff.sigma_sq, reps=5000, seed=17, workers=4)
     se = math.sqrt(0.05 * 0.95 / est.reps)
     assert abs(est.power - 0.05) < 3 * se
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1e-300, 1e-17, math.nan])
+def test_alpha_out_of_range_refused_before_the_moments_pass(monkeypatch, alpha):
+    """``TestSpec`` and ``compute_sample_size`` refuse an alpha outside (0, 1) or so small that
+    1 - alpha/2 rounds to 1, naming alpha, before any Monte Carlo work."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    message = f"alpha must be in \\(0, 1\\) and above 1.1e-16, got {alpha}"
+    with pytest.raises(ValueError, match=message):
+        TestSpec(alpha, 0.2)
+    with pytest.raises(ValueError, match=message):
+        compute_sample_size(make_design({1: 1.0}), make_model(), (0,), alpha=alpha, num=20_000)
+    TestSpec(1.2e-16, 0.2)
