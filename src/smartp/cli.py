@@ -42,7 +42,7 @@ from .dists import SkewTParams
 from .engine import compute_effect, compute_sample_size
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
-from .moments import OutcomeModel
+from .moments import BLOCK, OutcomeModel
 from .power import ALPHA_RANGE, TestSpec, alpha_in_range, exact_n, required_n
 from .simtrial import mc_power, require_power_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
@@ -146,7 +146,7 @@ TABLE = (
     Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
     Row("power", "--power", "test", float, None, UNIT, SIZED),
     Row("num", "--num", "mc", _int, 1_000_000, COUNT, SIMULATED),
-    Row("reps", "--reps", "mc", _int, 5000, COUNT, {POWER}),
+    Row("reps", "--reps", "mc", _int, 5000, (lambda n: n >= 2, "at least 2"), {POWER}),
     Row("seed", "--seed", "mc", _int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
     Row("workers", "--workers", "mc", _int, 1, COUNT, SIMULATED),
     Row("n", "--n", None, _int, None, COUNT, {POWER}),
@@ -168,7 +168,7 @@ def _fmt(x) -> str:
 
 
 def _jsonable(obj):
-    """Recursively convert to JSON-storable values; non-finite floats become strings."""
+    """Recursively convert to JSON-storable values; infinities become strings, NaN stays."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -177,7 +177,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if isinstance(obj, float) and math.isinf(obj):
         return "Inf" if obj > 0 else "-Inf"
     return obj
 
@@ -341,7 +341,9 @@ def _setup(args, cfg: dict, command: str):
 
 def _report(json_fh, command: str, inputs: dict, result: dict) -> None:
     """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to the
-    open --json file, if any."""
+    open --json file, if any.  A NaN anywhere in ``result`` is an error naming its key."""
+    if undefined := [key for key, value in result.items() if np.isnan(value).any()]:
+        raise ValueError(f"the result is not a number (NaN): {', '.join(undefined)}")
     scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
     width = max(map(len, scalars), default=0) + 1
     for key, value in scalars.items():
@@ -395,16 +397,17 @@ def _trial_writer(fh, design: SmartDesign, n: int):
     fh.write("rep,i,arm,R,path,Ybar,n_teeth\r\n")
     middles = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}," for p in design.paths]
     clusters = [f",{i}," for i in range(1, n + 1)]
+    step = max(1, BLOCK // n) * n  # rows per write: whole reps, about BLOCK rows
 
     def write(first_rep: int, ds) -> None:
-        paths = ds.path.tolist()
-        ybar, n_units = ds.ybar.tolist(), ds.n_units.tolist()
-        lines, j = [], 0
-        for rep in range(first_rep + 1, first_rep + 1 + ds.n_clusters // n):
-            for i in clusters:
-                lines.append(f"{rep}{i}{middles[paths[j]]}{ybar[j]!r},{n_units[j]}\r\n")
-                j += 1
-        fh.write("".join(lines))
+        for start in range(0, ds.n_clusters, step):
+            part = slice(start, start + step)
+            rows = zip(ds.path[part].tolist(), ds.ybar[part].tolist(), ds.n_units[part].tolist())
+            first = first_rep + 1 + start // n
+            # zip stops at the end of ``clusters`` without taking a row: n rows per rep
+            fh.write("".join([f"{rep}{i}{middles[p]}{y!r},{k}\r\n"
+                              for rep in range(first, first + ds.path[part].size // n)
+                              for i, (p, y, k) in zip(clusters, rows)]))
 
     return write
 

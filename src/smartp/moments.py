@@ -17,11 +17,11 @@ generator (and counts them); the outcome error is independent of (Q, eps0), so
 redrawing the index alone conditions on k >= 1.  The draws do not depend on the block
 size.  Work proceeds in fixed 65536-replicate chunks, each on its own RNG substream
 keyed by (seed, MOMENTS, chunk), so the result is bit-identical for any worker count.
-``_chunk_moments`` merges each block as it is drawn, so no chunk-sized z exists.
-``_simulate_ybar``, the trials' kernel, scatters the same index rows into z and draws
-``w . Q | v`` as one normal on top of them.  Normal errors (skew 0, dof inf) fold into
-that normal, whose variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per
-sub-unit first.
+``_chunk_moments`` merges each block as it is drawn; ``_simulate_ybar``, the trials' kernel,
+keeps each block's conditional mean and variance of ``w . Q | v`` per cluster and then draws
+it as one normal, so no pass holds an (n, T) array.  Normal errors (skew 0, dof inf) fold
+into that normal, whose variance is then ``w' Cov(Q + e1 | v) w``; other errors draw e1 per
+sub-unit with each block.
 ``_backend`` holds the brute-force reference kernel for tests.
 
 ``regime_moments`` converts per-path moments into the means and the
@@ -176,23 +176,30 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator):
         check_redraws(n_redrawn, n, REDRAW_SLACK)
 
 
-def _simulate_ybar(model: OutcomeModel, mu2d: np.ndarray, rng: np.random.Generator):
-    """(ybar, k, redraws) for the (n, T) means ``mu2d``: the index rows (k >= 1), then
-    ``w . Q | v`` as one normal of variance ``w' Cov(Q|v) w``.  Normal errors join that
-    normal (``w . e1 ~ N(0, sigma1^2 w'w)``); other errors are drawn per sub-unit first."""
-    z, k, n_redrawn = np.empty((len(mu2d), model.sigma.dim + 1)), np.empty(len(mu2d), np.intp), 0
-    for pos, rows, kb, n_left in _index_sweep(model, k.size, rng):
-        z[pos], k[pos] = rows, kb
+def _simulate_ybar(model: OutcomeModel, path_mu: np.ndarray, path: np.ndarray,
+                   rng: np.random.Generator):
+    """(ybar, k, redraws) for clusters on ``path`` of the (P, T) path means ``path_mu``.  For
+    each block of index rows (k >= 1) it keeps the mean ``w . mu + r`` and the variance
+    ``w' C w`` of ``w . Q | v``; then ybar is one normal per cluster.  Normal errors join that
+    normal (C = Cov(Q + e1 | v)); other errors are drawn with their block, C = Cov(Q|v)."""
+    normal = model.st.skew == 0.0 and model.st.is_normal_limit
+    cov = model.cond_cov if normal else model.index_projection[1]
+    n = path.size
+    mean, var, k, n_redrawn = np.empty(n), np.empty(n), np.empty(n, np.intp), 0
+    wc = np.empty((BLOCK + 2, model.sigma.dim))  # one block's w @ cov
+    for pos, rows, kb, n_left in _index_sweep(model, n, rng):
         n_redrawn += n_left
-    w = z[:, :-1]
-    if model.st.skew == 0.0 and model.st.is_normal_limit:
-        cov = model.cond_cov
-    else:
-        cov = model.index_projection[1]
-        mu2d = mu2d + sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
-    sd = np.sqrt(np.einsum("it,it->i", w @ cov, w))
-    ybar = np.einsum("it,it->i", w, mu2d) + z[:, -1] + sd * rng.standard_normal(k.size)
-    return ybar, k, n_redrawn
+        if not pos.size:  # a block can be all-missing
+            continue
+        w, mu = rows[:, :-1], path_mu[path[pos]]
+        if not normal:
+            mu += sample_st(model.st, mu.size, rng).reshape(mu.shape)
+        # numpy sends a one-row product to its matrix-vector path, which rounds differently
+        np.matmul(w if pos.size > 1 else np.vstack([w, w]), cov, out=wc[:max(pos.size, 2)])
+        k[pos], var[pos] = kb, np.einsum("it,it->i", wc[:pos.size], w)
+        mean[pos] = np.einsum("it,it->i", w, mu) + rows[:, -1]
+    mean += np.sqrt(var, out=var) * rng.standard_normal(n)
+    return mean, k, n_redrawn
 
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):

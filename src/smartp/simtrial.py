@@ -4,9 +4,10 @@ A simulated trial draws, per cluster: the treatment path (one uniform
 against the cumulative ``design.path_probs``, the law the IPW formula
 inverts; arm and response are the path's), then the sub-unit
 outcomes/missingness with the path's mean vector through
-``moments._simulate_ybar``: the missingness index, the per-sub-unit error
-unless it is normal, and ``w . Q`` given the index as one normal, into which
-normal errors fold; exact in distribution.
+``moments._simulate_ybar``, block by block: the missingness index, the
+per-sub-unit errors unless they are normal, then ``w . Q`` given the index
+as one normal per cluster, into which normal errors fold; exact in
+distribution.  Path means stay one (P, T) table: no (n, T) array exists.
 A cluster whose sub-units are all missing has its index redrawn, from the
 chunk's generator, before its errors are drawn.
 
@@ -85,7 +86,7 @@ def _simulate_clusters(
     ``_simulate_ybar``'s draws."""
     path = _pick_paths(design, rng.random(n_rows))
     mu_matrix = np.array([p.mu for p in design.paths])
-    return TrialDataset(path, *_simulate_ybar(model, mu_matrix[path], rng))
+    return TrialDataset(path, *_simulate_ybar(model, mu_matrix, path, rng))
 
 
 def simulate_trial(
@@ -184,6 +185,8 @@ def mc_power(
     """
     require_power_n(n_clusters, empirical_variance)
     require_same_units(design, model)
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for the Monte Carlo SD, got {reps}")
     if reps < 100:
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)
     contrast = _contrast_weights(design, regime_ids)

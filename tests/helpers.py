@@ -41,19 +41,19 @@ def ybar_loop_reference(zq, e0, e1, chol, mu, a0, b0, sigma0, cutoff):
     return ybar, n_avail
 
 
-def brute_force_ybar(model, mu2d, rng):
+def brute_force_ybar(model, path_mu, path, rng):
     """Cluster outcomes drawn tooth by tooth, the oracle for ``moments._simulate_ybar``.
 
     Draws the spatial-effect normals, the missingness noise eps0 and the error
-    e1 for every sub-unit and averages ``mu + Q + e1`` over the available ones
-    with ``_backend.ybar_and_count``.  Same signature as the kernel, but it
-    returns only (ybar, k), NaN at k = 0: it leaves all-missing rows to the
-    caller, where the kernel redraws them.
+    e1 for every sub-unit of the (n, T) means ``path_mu[path]`` and averages
+    ``mu + Q + e1`` over the available ones with ``_backend.ybar_and_count``.
+    Same signature as the kernel, but it returns only (ybar, k), NaN at k = 0:
+    it leaves all-missing rows to the caller, where the kernel redraws them.
     """
     from smartp import sample_st
     from smartp._backend import ybar_and_count
 
-    mp = model.mp
+    mp, mu2d = model.mp, path_mu[path]
     zq, e0 = rng.standard_normal(mu2d.shape), rng.standard_normal(mu2d.shape)
     e1 = sample_st(model.st, mu2d.size, rng).reshape(mu2d.shape)
     return ybar_and_count(
@@ -92,6 +92,34 @@ def simulate_z_reference(model, n, rng):
         z[bad], k[bad] = index_rows_reference(model, bad.size, rng)
         bad = bad[k[bad] == 0]
     return z, k, n_redrawn
+
+
+def blocked_trial_reference(model, n, rng, block):
+    """The trial kernel's draws for skew-t errors, the oracle for the order of
+    ``moments._simulate_ybar``: (z, k, redraws, e1).  Rounds of index rows in blocks of
+    ``block`` rows (the last block of a round takes up to ``block + 1``), each block's rows
+    drawn by ``index_rows_reference`` and followed by the errors of its rows with k >= 1; the
+    all-missing rows are redrawn, in order, in the next round."""
+    from smartp import sample_st
+
+    t_dim = model.sigma.dim
+    z, k, e1 = np.empty((n, t_dim + 1)), np.empty(n, dtype=np.intp), np.empty((n, t_dim))
+    todo, n_redrawn = np.arange(n), 0
+    while todo.size:
+        left, start = [], 0
+        while start < todo.size:
+            m = todo.size - start if todo.size - start <= block + 1 else block
+            pos = todo[start:start + m]
+            start += m
+            zb, kb = index_rows_reference(model, m, rng)
+            full = kb > 0
+            z[pos[full]], k[pos[full]] = zb[full], kb[full]
+            if full.any():
+                e1[pos[full]] = sample_st(model.st, full.sum() * t_dim, rng).reshape(-1, t_dim)
+            left.append(pos[~full])
+        todo = np.concatenate(left)
+        n_redrawn += todo.size
+    return z, k, n_redrawn, e1
 
 
 def sample_mvn(cov, n, rng):
@@ -290,12 +318,12 @@ def simulate_trial_reference(design, model, n_clusters, seed, key=()):
             rows = (arm == a.index) & (responder == resp)
             path[rows] = opts[np.minimum((u[rows] * opts.size).astype(np.int64), opts.size - 1)]
     mu_matrix = np.array([p.mu for p in design.paths])
-    ybar, n_avail = brute_force_ybar(model, mu_matrix[path], rng)
+    ybar, n_avail = brute_force_ybar(model, mu_matrix, path, rng)
     bad = np.flatnonzero(n_avail == 0)
     n_redrawn = 0
     while bad.size:
         n_redrawn += bad.size
-        yb, na = brute_force_ybar(model, mu_matrix[path[bad]], rng)
+        yb, na = brute_force_ybar(model, mu_matrix, path[bad], rng)
         ybar[bad] = yb
         n_avail[bad] = na
         bad = bad[na == 0]

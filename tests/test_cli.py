@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from smartp import cli, engine
 from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
 from smartp.moments import estimate_path_moments
 from smartp.power import required_n
-from smartp.simtrial import TrialDataset
+from smartp.simtrial import PowerEstimate, TrialDataset
 
 BASE_ARGS = [sys.executable, "-m", "smartp.cli"]
 WORKED = [
@@ -615,6 +616,43 @@ def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args
     assert cli.main([out if a == "OUT" else a for a in args]) == code
     printed = capsys.readouterr()
     assert printed.err.startswith(message.replace("OUT", out)) and printed.out == ""
+
+
+def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
+    """One rep has no Monte Carlo SD: ``--reps 1`` and ``"reps": 1`` exit 2 naming reps before
+    the moments pass, with no numpy RuntimeWarning, where they printed MCSD nan and wrote it as
+    "-Inf"."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema": 1, "mc": {"reps": 1}}))
+    for args, where in ((["--reps", "1"], "--reps"), (["--config", str(cfg)], "config mc.reps")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["power", *SIZED, "--n", "20", *args]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: reps ({where}) must be at least 2, got 1\n"
+        assert printed.out == ""
+
+
+def test_nan_in_a_result_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
+    """A NaN in the result exits 3 naming its key, before any output line; it is never written
+    as an infinity, which ``_jsonable`` keeps for the infinities alone."""
+    def nan_power(*_, **kwargs):
+        return PowerEstimate(0.5, kwargs["reps"], 1.0, math.nan)
+
+    monkeypatch.setattr(cli, "mc_power", nan_power)
+    out, dump = tmp_path / "p.json", tmp_path / "d.csv"
+    argv = ["power", *SIZED, "--n", "20", "--reps", "40", "--json", str(out),
+            "--dump-trials", str(dump)]
+    assert cli.main(argv) == 3
+    printed = capsys.readouterr()
+    assert printed.err == "error: the result is not a number (NaN): MCSD\n" and printed.out == ""
+    assert all("Inf" not in p.read_text() for p in tmp_path.iterdir())
+    assert cli._jsonable([math.inf, -math.inf, 1.5]) == ["Inf", "-Inf", 1.5]
+    assert math.isnan(cli._jsonable({"x": math.nan})["x"])
 
 
 ZERO_MEANS = ["--mu-scalar", "0,0,0,0,0,0,0,0,0,0", "--num", "20000", "--seed", "1"]

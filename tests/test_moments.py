@@ -35,9 +35,11 @@ from smartp._backend import ybar_and_count
 from smartp import moments
 from smartp.rngs import CHUNK, MOMENTS, substream
 from smartp.moments import _index_sweep, _merge, _simulate_ybar
+from smartp.simtrial import TRIAL_ROWS, _simulate_clusters
 from conftest import GOLDEN_C, GOLDEN_P, make_model
 from helpers import (
     block_jackknife_se,
+    blocked_trial_reference,
     brute_force_ybar,
     closed_form_regime_moments,
     fd_se,
@@ -247,7 +249,8 @@ def test_dual_implementation_cross_check(normal_model):
 def _observed_ybar(kernel, model, mu_vec, n, seed):
     """``kernel``'s cluster outcomes and counts over n rows of one path, all-missing rows (the
     brute-force kernel's; the trial kernel redraws them) dropped."""
-    ybar, k = kernel(model, np.tile(mu_vec, (n, 1)), np.random.default_rng(seed))[:2]
+    path = np.zeros(n, dtype=np.intp)
+    ybar, k = kernel(model, mu_vec[None, :], path, np.random.default_rng(seed))[:2]
     return ybar[k > 0], k[k > 0]
 
 
@@ -283,23 +286,27 @@ def test_conditional_trial_kernel_matches_brute_force(lam, nu, sparse):
 @pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
 def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     """After n rows the trial kernel has drawn the n x T index normals, the index normals of
-    the all-missing rows' redraws, the n x T errors unless they are normal, and then n normals g,
-    in that order; every row has k >= 1, and ybar = w . (mu + e1) + w . E[Q|v] + sd g with
-    sd^2 = w' C w.  C is Cov(Q|v) from the Schur complement of the joint (Q, v) covariance, plus
-    sigma1^2 I for normal errors, which join the one normal instead."""
+    the all-missing rows' redraws, and then n normals g, in that order; errors that are not
+    normal are drawn with each block of index rows, for its rows with k >= 1.  Every row has
+    k >= 1, and ybar = w . (mu + e1) + w . E[Q|v] + sd g with sd^2 = w' C w.  C is Cov(Q|v)
+    from the Schur complement of the joint (Q, v) covariance, plus sigma1^2 I for normal
+    errors, which join the one normal instead."""
     st = SkewTParams(0.0, 0.95, lam, nu)
     model = OutcomeModel(default_car_model(), st,
                          solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st,
                                            sigma0=0.7))
     mp, sig, n, t_dim = model.mp, model.sigma.matrix, 5_000, 28
-    mu2d = np.random.default_rng(3).uniform(-1.0, 5.0, (n, t_dim))
+    path_mu = np.random.default_rng(3).uniform(-1.0, 5.0, (10, t_dim))
+    path = np.random.default_rng(4).integers(0, 10, n)
     rng = np.random.default_rng(71)
-    ybar, k, n_redrawn = _simulate_ybar(model, mu2d, rng)
+    ybar, k, n_redrawn = _simulate_ybar(model, path_mu, path, rng)
 
     ref = np.random.default_rng(71)
-    z, want_k, want_redrawn = simulate_z_reference(model, n, ref)
     normal = st.skew == 0.0 and st.is_normal_limit
-    e1 = 0.0 if normal else sample_st(st, n * t_dim, ref).reshape(n, t_dim)
+    if normal:
+        (z, want_k, want_redrawn), e1 = simulate_z_reference(model, n, ref), 0.0
+    else:
+        z, want_k, want_redrawn, e1 = blocked_trial_reference(model, n, ref, moments.BLOCK)
     g = ref.standard_normal(n)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(k, want_k) and (k >= 1).all()
@@ -312,8 +319,40 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
         cond_cov += st.scale**2 * np.eye(t_dim)
     w = z[:, :-1]
     sd = np.sqrt(np.einsum("it,ts,is->i", w, cond_cov, w))
-    want = np.einsum("it,it->i", w, mu2d + e1) + z[:, -1] + sd * g
+    want = np.einsum("it,it->i", w, path_mu[path] + e1) + z[:, -1] + sd * g
     np.testing.assert_allclose(ybar, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("a0, block, n", [(-1.0, 7, 2000), (2.0, 7, 2000), (1.5, 1024, 20_000)])
+def test_streamed_trial_kernel_matches_the_whole_chunk_draw(monkeypatch, a0, block, n):
+    """With normal errors the trial kernel, which keeps each block's conditional mean and
+    variance, against the whole-chunk arithmetic on ``simulate_z_reference``'s rows: ybar
+    ``w . mu + r + sqrt(w' C w) g`` within 1e-12 of the largest |ybar|, the same counts and
+    redraws, and the generator left in the same state.  At a0 = 2.0 with blocks of 7 rows, the redraw rounds yield one-row
+    blocks and all-missing ones."""
+    model = make_model(a0=a0)
+    monkeypatch.setattr(moments, "REDRAW_SLACK", 10_000)
+    monkeypatch.setattr(moments, "BLOCK", block)
+    sizes, sweep = [], moments._index_sweep
+
+    def recording(*args):
+        for out in sweep(*args):
+            sizes.append(out[0].size)
+            yield out
+
+    monkeypatch.setattr(moments, "_index_sweep", recording)
+    path_mu = np.random.default_rng(3).uniform(-1.0, 5.0, (10, 28))
+    path = np.random.default_rng(4).integers(0, 10, n)
+    rng, ref = np.random.default_rng(81), np.random.default_rng(81)
+    ybar, k, n_redrawn = _simulate_ybar(model, path_mu, path, rng)
+    z, want_k, want_redrawn = simulate_z_reference(model, n, ref)
+    w = z[:, :-1]
+    sd = np.sqrt(np.einsum("it,it->i", w @ model.cond_cov, w))
+    want = np.einsum("it,it->i", w, path_mu[path]) + z[:, -1] + sd * ref.standard_normal(n)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(k, want_k) and n_redrawn == want_redrawn
+    assert np.max(np.abs(ybar - want)) <= 1e-12 * np.max(np.abs(want))
+    assert (1 in sizes and 0 in sizes) == (a0 == 2.0)
 
 
 @pytest.mark.parametrize("a0", [-1.0, 1.5])
@@ -360,6 +399,26 @@ def test_moments_pass_allocates_little_beyond_the_chunk_rows():
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * CHUNK * (model.sigma.dim + 1) * 8, workers
+
+
+@pytest.mark.parametrize("n", [TRIAL_ROWS, 40_000])
+@pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
+def test_trial_kernel_allocates_blocks_and_cluster_vectors(lam, nu, n):
+    """One ``_simulate_clusters`` call of n rows (one trial chunk, and a rep larger than one)
+    peaks, under tracemalloc, within 16 blocks of index rows plus six n-vectors: each block's
+    errors, mean and variance are formed as it is drawn, so no (n, T) array exists.  The
+    whole-chunk kernel this replaced peaked at 11.8 (normal) and 30.0 MB (skew-t) at n = 16384."""
+    model, design = make_model(lam=lam, nu=nu), periodontitis_default()
+    model.cond_cov  # the cached projection is built outside the measurement
+    tracemalloc.start()
+    try:
+        _simulate_clusters(design, model, n, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t_dim = model.sigma.dim
+    bound = 16 * moments.BLOCK * (t_dim + 1) * 8 + 6 * n * 8
+    assert peak <= bound < peak + n * t_dim * 8  # one (n, T) array more would break the bound
 
 
 @pytest.mark.parametrize("a0, block, size", [(-1.0, 7, 5000), (1.5, 7, 400), (2.0, 2, 60)])
@@ -472,7 +531,8 @@ def test_conditional_trial_kernel_finite_at_extreme_loadings(b0):
     model = make_model(lam=10.0, nu=5.0, b0=b0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ybar, k, n_redrawn = _simulate_ybar(model, np.ones((20_000, 28)), np.random.default_rng(51))
+        ybar, k, n_redrawn = _simulate_ybar(model, np.ones((1, 28)), np.zeros(20_000, np.intp),
+                                            np.random.default_rng(51))
     assert (k >= 1).all() and np.isfinite(ybar).all() and n_redrawn > 0
 
 

@@ -80,8 +80,8 @@ def test_tracer_finds_the_functions_it_wraps():
         module = importlib.import_module(f"smartp.{'_' if module == 'backend' else ''}{module}")
         assert inspect.isfunction(getattr(module, function)), name
     assert simtrial._simulate_ybar is moments._simulate_ybar
-    ybar, k, n_redrawn = moments._simulate_ybar(make_model(), np.zeros((5, 28)),
-                                                np.random.default_rng(2))
+    ybar, k, n_redrawn = moments._simulate_ybar(make_model(), np.zeros((1, 28)),
+                                                np.zeros(5, np.intp), np.random.default_rng(2))
     assert ybar.shape == k.shape == (5,) and n_redrawn >= 0
     for module, function, argument in (("simtrial", "simulate_trial", "n_clusters"),
                                        ("simtrial", "ipw_weights", "ds"),

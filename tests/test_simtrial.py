@@ -304,6 +304,12 @@ def test_unit_count_mismatch_raises_everywhere():
             call()
 
 
+def test_mc_power_refuses_a_single_rep():
+    """One rep has no Monte Carlo SD: refused before any trial, where it gave MCSD NaN."""
+    with pytest.raises(ValueError, match="reps must be >= 2 for the Monte Carlo SD, got 1"):
+        mc_power(make_design({2: 2.0}), make_model(), TestSpec(), (0,), 20, 8.0, reps=1)
+
+
 def test_few_redraws_at_small_n_are_accepted():
     """One all-missing redraw among 40 clusters is not degenerate missingness."""
     design = make_design({2: 0.5, 4: 2.0})
