@@ -35,7 +35,7 @@ from .design import (
     Stage1Mode,
     design_from_matrices,
     path_tables,
-    periodontitis_default,
+    periodontitis_matrices,
     stage1_probs,
 )
 from .dists import SkewTParams
@@ -271,22 +271,18 @@ def _build_design(v: dict) -> SmartDesign:
     st1, dtr, gamma, n_units = v["st1"], v["dtr"], v["gamma"], v["n_units"]
     if (st1 is None) != (dtr is None):
         raise ConfigError("custom designs need both st1 and dtr")
-    if st1 is None and v["name"] != "periodontitis-default":
-        raise ConfigError(f"unknown design {v['name']!r}; built-ins: periodontitis-default")
-    n_arms = 2 if st1 is None else st1.shape[0]
-    if gamma is not None and len(gamma) != n_arms:
-        raise ConfigError(f"gamma needs {n_arms} rates")
-    n_paths = 10 if st1 is None else int(dtr[:, 1:3].max())
-    mu = np.zeros((n_paths, n_units)) if v["mu"] is None else v["mu"]
+    if st1 is None:
+        if v["name"] != "periodontitis-default":
+            raise ConfigError(f"unknown design {v['name']!r}; built-ins: periodontitis-default")
+        st1, dtr = periodontitis_matrices()
+    if gamma is not None:
+        if len(gamma) != st1.shape[0]:
+            raise ConfigError(f"gamma needs {st1.shape[0]} rates")
+        st1[:, 2] = gamma
+    mu = np.zeros((int(dtr[:, 1:3].max()), n_units)) if v["mu"] is None else v["mu"]
     if mu.shape[1] != n_units:
         raise ConfigError(f"mu has {mu.shape[1]} columns but the design has {n_units} sub-units")
     try:
-        if st1 is None:
-            rates = () if gamma is None else gamma
-            return periodontitis_default(*rates, mu=mu, n_units=n_units,
-                                         stage1_mode=v["stage1_mode"], pi1_literal=v["pi1_literal"])
-        if gamma is not None:
-            st1[:, 2] = gamma
         return design_from_matrices(mu, st1, dtr, v["stage1_mode"], v["pi1_literal"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

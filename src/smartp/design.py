@@ -204,23 +204,16 @@ def design_from_matrices(
     return SmartDesign(mu.shape[1], arms, paths, regimes, mode, pi1_literal)
 
 
-def periodontitis_default(
-    gamma1: float = 0.25,
-    gamma2: float = 0.5,
-    mu: np.ndarray | None = None,
-    n_units: int = 28,
-    stage1_mode: Stage1Mode | str = Stage1Mode.BALANCED,
-    pi1_literal: bool = False,
-) -> SmartDesign:
-    """The built-in two-arm design: 10 paths, 8 regimes.
+def periodontitis_matrices(
+    gamma1: float = 0.25, gamma2: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """(st1, dtr) of the built-in two-arm design: 10 paths, 8 regimes.
 
     Arm 1 (e.g. scaling/root planing) and arm 2 (e.g. laser) each keep
     responders on the initial treatment (1 option) and re-randomize
     non-responders over 4 adjunct options.  Path order: arm-1 responder,
     arm-1 non-responders x4, arm-2 responder, arm-2 non-responders x4.
     """
-    if mu is None:
-        mu = np.zeros((10, n_units))
     st1 = np.array([[1, 4, gamma1, 1], [1, 4, gamma2, 2]])
     dtr = np.column_stack(
         [
@@ -230,4 +223,19 @@ def periodontitis_default(
             np.repeat([1, 2], 4),
         ]
     )
-    return design_from_matrices(mu, st1, dtr, stage1_mode, pi1_literal)
+    return st1, dtr
+
+
+def periodontitis_default(
+    gamma1: float = 0.25,
+    gamma2: float = 0.5,
+    mu: np.ndarray | None = None,
+    n_units: int = 28,
+    stage1_mode: Stage1Mode | str = Stage1Mode.BALANCED,
+    pi1_literal: bool = False,
+) -> SmartDesign:
+    """The built-in design of ``periodontitis_matrices``, with path means ``mu`` (0 if None)."""
+    if mu is None:
+        mu = np.zeros((10, n_units))
+    return design_from_matrices(mu, *periodontitis_matrices(gamma1, gamma2), stage1_mode,
+                                pi1_literal)

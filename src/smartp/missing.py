@@ -76,12 +76,18 @@ def max_corr(sigma: SpdMatrix, st: SkewTParams) -> float:
     return float(np.mean(np.sqrt(diag / (diag + var1))))
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) and f(hi) have opposite signs.
-
-    Returns the midpoint of a bracket no wider than ``1e-13 + 1e-15 |x|``.
+def _bracket_root(f, centre: float, lo: float, hi: float, what: str) -> float:
+    """Root of the monotone f: double the distances of [lo, hi] from ``centre`` until f changes
+    sign on it, then bisect to a bracket no wider than ``1e-13 + 1e-15 |x|`` and return its
+    midpoint.  Raises InfeasibleTargetError after _MAX_DOUBLINGS widenings without a sign change.
     """
-    lo_positive = f(lo) > 0
+    for _ in range(_MAX_DOUBLINGS):
+        f_lo, f_hi = f(lo), f(hi)
+        if min(f_lo, f_hi) <= 0 <= max(f_lo, f_hi):
+            break
+        lo, hi = lo * 2 - centre, hi * 2 - centre
+    else:
+        raise InfeasibleTargetError(f"could not bracket {what}")
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-13 + 1e-15 * abs(mid) or mid in (lo, hi):
@@ -89,7 +95,7 @@ def _bisect(f, lo: float, hi: float) -> float:
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if (f_mid > 0) == lo_positive:
+        if (f_mid > 0) == (f_lo > 0):
             lo = mid
         else:
             hi = mid
@@ -116,29 +122,15 @@ def solve_missingness(
     def corr_at(b0: float) -> float:
         return corr_y_m(MissingnessParams(0.0, b0, sigma0, cutoff), sigma, st)
 
+    # the correlation is 0 at b0 = 0 and increases with b0 >= 0
     c_abs = abs(c_target)
-    if c_abs == 0.0:
-        b0 = 0.0
-    else:
-        hi = 1.0
-        for _ in range(_MAX_DOUBLINGS):
-            if corr_at(hi) >= c_abs:
-                break
-            hi *= 2.0
-        else:
-            raise InfeasibleTargetError(f"could not bracket the loading for c={c_target}")
-        b0 = _bisect(lambda b: corr_at(b) - c_abs, 0.0, hi)
-        if c_target < 0:
-            b0 = -b0
+    b0 = 0.0 if c_abs == 0.0 else math.copysign(_bracket_root(
+        lambda b: corr_at(b) - c_abs, 0.0, 0.0, 1.0, f"the loading for c={c_target}"), c_target)
 
     def p_at(a0: float) -> float:
         return prob_available(MissingnessParams(a0, b0, sigma0, cutoff), sigma)
 
-    lo, hi = cutoff - _A0_BRACKET, cutoff + _A0_BRACKET
-    # p is decreasing in a0; widen the bracket if the target sits outside
-    for _ in range(_MAX_DOUBLINGS):
-        if p_at(lo) > p_target > p_at(hi):
-            break
-        lo, hi = lo * 2 - cutoff, hi * 2 - cutoff
-    a0 = _bisect(lambda a: p_at(a) - p_target, lo, hi)
+    # p decreases in a0
+    a0 = _bracket_root(lambda a: p_at(a) - p_target, cutoff, cutoff - _A0_BRACKET,
+                       cutoff + _A0_BRACKET, f"the intercept for p={p_target}")
     return MissingnessParams(a0, b0, sigma0, cutoff)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def _simulate_ybar(model: OutcomeModel, path_mu: np.ndarray, path: np.ndarray,
     cov = model.cond_cov if normal else model.index_projection[1]
     n = path.size
     mean, var, k, n_redrawn = np.empty(n), np.empty(n), np.empty(n, np.intp), 0
-    wc = np.empty((BLOCK + 2, model.sigma.dim))  # one block's w @ cov
+    wc = np.empty((BLOCK + 1, model.sigma.dim))  # one block's w @ cov
     for pos, rows, kb, n_left in _index_sweep(model, n, rng):
         n_redrawn += n_left
         if not pos.size:  # a block can be all-missing
@@ -194,17 +194,16 @@ def _simulate_ybar(model: OutcomeModel, path_mu: np.ndarray, path: np.ndarray,
         w, mu = rows[:, :-1], path_mu[path[pos]]
         if not normal:
             mu += sample_st(model.st, mu.size, rng).reshape(mu.shape)
-        # numpy sends a one-row product to its matrix-vector path, which rounds differently
-        np.matmul(w if pos.size > 1 else np.vstack([w, w]), cov, out=wc[:max(pos.size, 2)])
+        np.matmul(w, cov, out=wc[:pos.size])
         k[pos], var[pos] = kb, np.einsum("it,it->i", wc[:pos.size], w)
         mean[pos] = np.einsum("it,it->i", w, mu) + rows[:, -1]
     mean += np.sqrt(var, out=var) * rng.standard_normal(n)
     return mean, k, n_redrawn
 
 
-def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mean, cond_cov):
-    """(size, mean, scatter, redraws) of z = [w, r] over one chunk; cond_cov is Cov(Q + e1 | v).
-    Each block of ``_index_sweep`` is centred and merged as it is drawn."""
+def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
+    """(size, mean, scatter, redraws) of z = [w, w . E[Q|v]] over one chunk, each block of
+    ``_index_sweep`` centred and merged as it is drawn."""
     rng, acc, n_redrawn = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0), 0
     for _, rows, _, n_left in _index_sweep(model, size, rng):
         n_redrawn += n_left
@@ -212,11 +211,7 @@ def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int, e1_mea
             mean = rows.mean(axis=0)
             rows -= mean
             acc = _merge(*acc, rows.shape[0], mean, rows.T @ rows)
-    n, mean, m2 = acc
-    # sum_i w_i' cond_cov w_i, with sum_i w_i w_i' the uncentred w-block of the scatter
-    m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
-    mean[-1] += e1_mean
-    return n, mean, m2, n_redrawn
+    return *acc, n_redrawn
 
 
 def estimate_path_moments(
@@ -238,17 +233,17 @@ def estimate_path_moments(
     if num < 10_000:
         warnings.warn(f"num={num} is small; moment estimates will be noisy", stacklevel=2)
     cond_cov = model.cond_cov  # first: dof <= 2 fails here, before any draw
-    e1_mean = st_mean(model.st)
-
-    def run(chunk: int, size: int):
-        return _chunk_moments(model, seed, chunk, size, e1_mean, cond_cov)
-
-    n_tot, mean, m2, redrawn = 0, 0.0, 0.0, 0
-    for n_c, mean_c, m2_c, red_c in chunk_map(run, num, CHUNK, workers):
-        n_tot, mean, m2 = _merge(n_tot, mean, m2, n_c, mean_c, m2_c)
+    chunks = chunk_map(partial(_chunk_moments, model, seed), num, CHUNK, workers)
+    n, mean, m2, redrawn = 0, 0.0, 0.0, 0
+    for n_c, mean_c, m2_c, red_c in chunks:
+        n, mean, m2 = _merge(n, mean, m2, n_c, mean_c, m2_c)
         redrawn += red_c
     check_redraws(redrawn, num)
-    return ModelMoments(n_tot, mean, m2, redrawn)
+    # r adds st_mean, and its scatter sum_i w_i' cond_cov w_i: sum_i w_i w_i' is the uncentred
+    # w-block of the scatter
+    m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
+    mean[-1] += st_mean(model.st)
+    return ModelMoments(n, mean, m2, redrawn)
 
 
 def regime_moments(

@@ -30,6 +30,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,10 +137,10 @@ def _power_chunk(
     model: OutcomeModel,
     contrast: np.ndarray,
     n_clusters: int,
-    reps: int,
     seed: int,
-    chunk: int,
     empirical_variance: bool,
+    chunk: int,
+    reps: int,
 ) -> tuple[TrialDataset, np.ndarray, np.ndarray | None]:
     """Simulate ``reps`` trials as one block: (trials, per-rep estimate, per-rep plug-in sigma^2).
 
@@ -189,14 +190,14 @@ def mc_power(
         raise ValueError(f"reps must be >= 2 for the Monte Carlo SD, got {reps}")
     if reps < 100:
         warnings.warn(f"reps={reps} is small; the power estimate will be noisy", stacklevel=2)
-    contrast = _contrast_weights(design, regime_ids)
+    if not sigma_sq > 0:  # refused before any trial; every rep's plug-in sigma^2 is 0 then too
+        ids = " and ".join(str(r + 1) for r in regime_ids)
+        raise ValueError(f"the design-stage sigma^2 of regime{'s' * (len(regime_ids) - 1)} {ids} "
+                         f"is {sigma_sq}" + ("; their estimators coincide, so no trial can tell "
+                                             "them apart" if len(regime_ids) == 2 else ""))
+    run = partial(_power_chunk, design, model, _contrast_weights(design, regime_ids), n_clusters,
+                  seed, empirical_variance)
     per_chunk = max(1, TRIAL_ROWS // n_clusters)
-
-    def run(chunk: int, size: int):
-        return _power_chunk(
-            design, model, contrast, n_clusters, size, seed, chunk, empirical_variance
-        )
-
     deltas, s_sqs, n_redrawn = [], [], 0
     # chunks reach on_chunk in rep order while the pool simulates later ones
     for chunk, (ds, d_hat, s_sq) in enumerate(chunk_map(run, reps, per_chunk, workers)):
@@ -207,7 +208,13 @@ def mc_power(
         n_redrawn += ds.n_redrawn
     check_redraws(n_redrawn, reps * n_clusters)
     deltas = np.concatenate(deltas)
-    z = wald_z(deltas, np.concatenate(s_sqs) if empirical_variance else sigma_sq, n_clusters)
+    if empirical_variance:
+        sigma_sq = np.concatenate(s_sqs)
+        if zero := np.count_nonzero(sigma_sq <= 0):
+            raise ValueError(f"{zero} of {reps} reps have a plug-in sigma^2 of 0 (no cluster on "
+                             f"a path the contrast weighs, at n = {n_clusters}); use a larger n "
+                             "(--n) or drop the plug-in variance (--empirical-variance)")
+    z = wald_z(deltas, sigma_sq, n_clusters)
     return PowerEstimate(
         power=float(np.mean(reject(z, test.alpha))),
         reps=reps,

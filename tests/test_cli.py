@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smartp import cli, engine
+from smartp import cli, engine, simtrial
 from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
 from smartp.moments import estimate_path_moments
 from smartp.power import required_n
@@ -635,6 +636,70 @@ def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
         printed = capsys.readouterr()
         assert printed.err == f"config error: reps ({where}) must be at least 2, got 1\n"
         assert printed.out == ""
+
+
+def test_power_refuses_coinciding_regimes_before_any_trial(monkeypatch, capsys):
+    """At gamma 1, 1 every cluster responds, so regimes 2 and 3 (arm 1, one responder path) have
+    one estimator and the design-stage sigma^2 is 0.  In both variance modes power exits 3 naming
+    the two regimes before any trial (the trials here fail the test if they run), where it
+    simulated all 1,000,000 clusters and then stopped at ``sigma^2 must be > 0, got 0.0``."""
+    def trials(*_, **__):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simtrial, "_power_chunk", trials)
+    argv = ["power", "--regime", "2,3", "--gamma", "1,1", *WORKED[2:], "--n", "200",
+            "--reps", "5000", "--num", "20000", "--seed", "1"]
+    for extra in ([], ["--empirical-variance"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv + extra) == 3
+        printed = capsys.readouterr()
+        assert printed.err == ("error: the design-stage sigma^2 of regimes 2 and 3 is 0.0; their "
+                               "estimators coincide, so no trial can tell them apart\n")
+        assert printed.out == ""
+
+
+def test_zero_plug_in_variance_is_refused_with_its_count(capsys):
+    """At n = 3 some reps have no cluster on path 3 or 4, the only paths on which the estimators
+    of regimes 2 and 3 differ, so their plug-in sigma^2 is 0: exit 3 with the count of those
+    reps and the two ways out, no numpy warning, where it ended with ``sigma^2 must be > 0``."""
+    argv = ["power", "--empirical-variance", "--regime", "2,3", *WORKED[2:6], "--n", "3",
+            "--reps", "200", "--num", "20000", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 3
+    printed = capsys.readouterr()
+    zero = re.fullmatch(r"error: (\d+) of 200 reps have a plug-in sigma\^2 of 0 \(no cluster on "
+                        r"a path the contrast weighs, at n = 3\); use a larger n \(--n\) or drop "
+                        r"the plug-in variance \(--empirical-variance\)\n", printed.err)
+    assert zero and 0 < int(zero[1]) < 200 and printed.out == ""
+
+
+def test_gamma_sets_the_rates_of_the_built_in_and_a_custom_design(tmp_path, capsys):
+    """--gamma gives one response rate per arm to the built-in design and to a custom st1/dtr
+    one alike; a wrong count is refused with the message it had.  The built-in design the CLI
+    builds is ``periodontitis_default``'s."""
+    out, cfg = tmp_path / "d.json", tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema": 1, "design": FOUR_NR}))
+
+    def rates(*args):
+        assert cli.main(["describe-design", *args, "--json", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())["result"]["ga"]
+
+    assert rates() == [0.25] * 5 + [0.5] * 5
+    assert rates("--gamma", "0.3,0.6") == [0.3] * 5 + [0.6] * 5
+    assert rates("--config", str(cfg)) == [0.3] * 5
+    assert rates("--config", str(cfg), "--gamma", "0.7") == [0.7] * 5
+    for args, n in ((["--gamma", "0.3"], 2), (["--config", str(cfg), "--gamma", "0.3,0.6"], 1)):
+        assert cli.main(["describe-design", *args]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"config error: gamma needs {n} rates\n" and printed.out == ""
+    args = cli.build_parser().parse_args(["describe-design", "--gamma", "0.3,0.6",
+                                          "--stage1-mode", "max", "--pi1-literal"])
+    values, _ = cli._resolve(args, {}, cli.DESCRIBE)
+    assert cli._build_design(values) == periodontitis_default(0.3, 0.6, stage1_mode="max",
+                                                              pi1_literal=True)
 
 
 def test_nan_in_a_result_is_an_error_naming_it(tmp_path, monkeypatch, capsys):

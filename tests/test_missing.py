@@ -18,6 +18,7 @@ from smartp import (
     solve_missingness,
     st_variance,
 )
+from smartp import missing
 from conftest import GOLDEN_C, GOLDEN_P
 from helpers import sample_mvn
 
@@ -112,6 +113,22 @@ def test_solve_infeasible_target(default_cov):
         solve_missingness(0.8, bound + 0.01, default_cov, NORMAL_ST)
     with pytest.raises(InfeasibleTargetError):
         solve_missingness(1.0, 0.2, default_cov, NORMAL_ST)
+
+
+def test_solve_refuses_a_target_it_cannot_bracket(default_cov, monkeypatch):
+    """Both unknowns are bracketed by one widening rule.  With one bracket allowed, the loading
+    of c = corr at b0 = 1.5 (outside [0, 1]) and the intercept of p = 1e-300 (near 46.5, outside
+    [-20, 20]) are refused; the intercept search used to bisect the unchecked [-40, 40] and
+    return a0 = 40, where p is 1.7e-223."""
+    c = corr_y_m(MissingnessParams(0.0, 1.5), default_cov, NORMAL_ST)
+    assert solve_missingness(0.5, c, default_cov, NORMAL_ST).loading == pytest.approx(1.5)
+    assert 40 < solve_missingness(1e-300, 0.4, default_cov, NORMAL_ST).intercept < 80
+    monkeypatch.setattr(missing, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(InfeasibleTargetError, match=f"could not bracket the loading for c={c}$"):
+        solve_missingness(0.5, c, default_cov, NORMAL_ST)
+    with pytest.raises(InfeasibleTargetError,
+                       match="could not bracket the intercept for p=1e-300$"):
+        solve_missingness(1e-300, 0.4, default_cov, NORMAL_ST)
 
 
 @settings(max_examples=30, deadline=None)

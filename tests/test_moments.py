@@ -424,27 +424,45 @@ def test_trial_kernel_allocates_blocks_and_cluster_vectors(lam, nu, n):
 @pytest.mark.parametrize("a0, block, size", [(-1.0, 7, 5000), (1.5, 7, 400), (2.0, 2, 60)])
 def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, block, size):
     """The block-by-block chunk moments against the scatter of the whole z that
-    ``simulate_z_reference`` draws from the same substream, with the conditional variances
-    summed row by row: the same count and redraws, mean and scatter within 1e-12 relative.  At
-    a0 = 1.5 a tenth of the rows are all-missing; at a0 = 2.0 with blocks of 2 rows whole blocks
-    are, and are merged as none."""
+    ``simulate_z_reference`` draws from the same substream: the same count and redraws, mean and
+    scatter within 1e-12 relative.  At a0 = 1.5 a tenth of the rows are all-missing; at a0 = 2.0
+    with blocks of 2 rows whole blocks are, and are merged as none."""
     model = make_model(a0=a0)
     monkeypatch.setattr(moments, "BLOCK", block)
-    cond_cov, e1_mean = model.cond_cov, 0.3
-    n, mean, m2, n_redrawn = moments._chunk_moments(model, 9, 1, size, e1_mean, cond_cov)
+    n, mean, m2, n_redrawn = moments._chunk_moments(model, 9, 1, size)
     first_k = index_rows_reference(model, size, substream(9, MOMENTS, 1))[1]
     z, _, want_redrawn = simulate_z_reference(model, size, substream(9, MOMENTS, 1))
     want_mean = z.mean(axis=0)
     want_m2 = (z - want_mean).T @ (z - want_mean)
-    w = z[:, :-1]
-    want_m2[-1, -1] += np.einsum("it,ts,is->", w, cond_cov, w)
-    want_mean[-1] += e1_mean
     assert n == size and n_redrawn == want_redrawn
     assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
     assert np.max(np.abs(m2 - want_m2)) <= 1e-12 * np.max(np.abs(want_m2))
     assert (n_redrawn > 0) == (a0 > 0)
     if block == 2:  # 60 rows: 30 blocks of two
         assert (first_k.reshape(-1, 2) == 0).all(axis=1).any()
+
+
+@pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, -1.0), (10.0, 5.0, 0.8)])
+def test_multi_chunk_moments_match_the_reference_finish(monkeypatch, lam, nu, a0):
+    """A pass of four chunks (the last one short), each on its own substream, against the
+    scatter of their ``simulate_z_reference`` rows stacked, finished row by row: r's scatter
+    gains ``sum_i w_i' Cov(Q + e1 | v) w_i`` and its mean ``st_mean``.  The pass adds both once,
+    after the merge; the count, redraws, mean and scatter agree within 1e-12 relative."""
+    model = make_model(lam=lam, nu=nu, a0=a0)
+    monkeypatch.setattr(moments, "CHUNK", 500)
+    with pytest.warns(UserWarning, match="num=1700 is small"):
+        got = estimate_path_moments(model, 1700, seed=9)
+    parts = [simulate_z_reference(model, size, substream(9, MOMENTS, chunk))
+             for chunk, size in enumerate([500, 500, 500, 200])]
+    z = np.vstack([part[0] for part in parts])
+    want_mean = z.mean(axis=0)
+    want_m2 = (z - want_mean).T @ (z - want_mean)
+    want_m2[-1, -1] += np.einsum("it,ts,is->", z[:, :-1], model.cond_cov, z[:, :-1])
+    want_mean[-1] += st_mean(model.st)
+    assert got.n_samples == 1700 and got.n_redrawn == sum(part[2] for part in parts)
+    assert (got.n_redrawn > 0) == (a0 > 0) and (st_mean(model.st) != 0) == (lam != 0)
+    assert np.max(np.abs(got.mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+    assert np.max(np.abs(got.m2 - want_m2)) <= 1e-12 * np.max(np.abs(want_m2))
 
 
 class ScriptedNormals:

@@ -20,7 +20,7 @@ from smartp import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smartp import DegenerateMissingnessError, reject, wald_z
+from smartp import DegenerateMissingnessError, reject, simtrial, wald_z
 from smartp.simtrial import (
     TRIAL_ROWS,
     TrialDataset,
@@ -251,7 +251,7 @@ def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
     n, sigma_sq, alpha = 60, 20.0, 0.05
     reps = TRIAL_ROWS // n
     contrast = _contrast_weights(design, regime_ids)
-    ds, d_hat, s_sq = _power_chunk(design, model, contrast, n, reps, 21, 0, empirical)
+    ds, d_hat, s_sq = _power_chunk(design, model, contrast, n, 21, empirical, 0, reps)
     assert ds.n_clusters == reps * n and d_hat.shape == (reps,)
     assert (s_sq is not None) == empirical
     trials = [
@@ -336,3 +336,23 @@ def test_near_total_missingness_raises(runner):
             mc_power(design, model, TestSpec(), (0,), 40, 1.0, reps=200, seed=1)
         else:
             estimate_path_moments(model, 20_000, seed=1)
+
+
+def test_mc_power_refuses_a_zero_design_variance_before_any_trial(monkeypatch):
+    """sigma^2 <= 0 leaves the Wald statistic undefined in both variance modes: refused, naming
+    the regimes, before any trial is simulated."""
+    def trials(*_, **__):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simtrial, "_power_chunk", trials)
+    design, model = make_design({2: 2.0}), make_model()
+    for regime_ids, sigma_sq, message in (
+        ((1, 2), 0.0, "the design-stage sigma^2 of regimes 2 and 3 is 0.0; their estimators "
+                      "coincide, so no trial can tell them apart"),
+        ((0,), -1e-18, "the design-stage sigma^2 of regime 1 is -1e-18"),
+    ):
+        for empirical in (False, True):
+            with pytest.raises(ValueError) as info:
+                mc_power(design, model, TestSpec(), regime_ids, 20, sigma_sq, reps=100,
+                         empirical_variance=empirical)
+            assert str(info.value) == message
