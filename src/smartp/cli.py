@@ -22,8 +22,9 @@ import json
 import math
 import os
 import re
+import stat
 import sys
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,7 +43,7 @@ from .dists import SkewTParams
 from .engine import compute_effect, compute_sample_size
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
-from .moments import BLOCK, OutcomeModel
+from .moments import OutcomeModel
 from .power import ALPHA_RANGE, TestSpec, alpha_in_range, exact_n, required_n
 from .simtrial import mc_power, require_power_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
@@ -351,17 +352,23 @@ def _report(json_fh, command: str, inputs: dict, result: dict) -> None:
 
 
 @contextmanager
-def _outputs(*paths: str | None):
-    """Open the output files (--json, --dump-trials, --sigma-csv; None for one not given) and
-    yield them, closing them on the way out.  Commands open theirs before any Monte Carlo work,
-    so a path that cannot be written fails first, as a config error."""
+def _outputs(**paths: str | None):
+    """Open the output files, each given by its flag's name (``json``, ``dump_trials``,
+    ``sigma_csv``; None for one not given), and yield them in that order, closing them on the
+    way out.  Commands open theirs before any Monte Carlo work, so a path that cannot be
+    written, or two flags that name one file, fail first, as a config error."""
     with ExitStack() as stack:
-        handles = []
-        for path in paths:
+        handles, seen = [], {}
+        for name, path in paths.items():
             try:
-                handles.append(stack.enter_context(open(path, "w", newline="")) if path else None)
+                fh = stack.enter_context(open(path, "w", newline="")) if path else None
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            handles.append(fh)
+            if fh and stat.S_ISREG((st := os.fstat(fh.fileno())).st_mode):
+                flag = "--" + name.replace("_", "-")
+                if (other := seen.setdefault((st.st_dev, st.st_ino), flag)) != flag:
+                    raise ConfigError(f"{other} and {flag} name the same file {path}")
         yield handles
 
 
@@ -383,29 +390,45 @@ def _write_sigma_csv(fh, sigma: np.ndarray) -> None:
             writer.writerow([repr(float(x)) for x in row])
 
 
+@contextmanager
 def _trial_writer(fh, design: SmartDesign, n: int):
-    """``mc_power`` chunk callback writing one CSV row per simulated cluster.
+    """Yield the ``mc_power`` chunk callback that has the helper ``_dump`` write one CSV row per
+    simulated cluster to the open file ``fh``, formatting chunk c while the trials of chunk c+1
+    run; close the helper's input and wait for it on the way out.  A helper that stops early or
+    fails to write is a config error naming the file."""
+    # imported here, not at the top, so that no other command's start-up pays for them
+    import subprocess
 
-    The rows are byte-identical to ``csv.writer`` output with ``repr`` for
-    Ybar.  The ``arm,R,path,`` field of a row is looked up by its path and
-    the ``,i,`` field by cluster number.
-    """
-    fh.write("rep,i,arm,R,path,Ybar,n_teeth\r\n")
-    middles = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}," for p in design.paths]
-    clusters = [f",{i}," for i in range(1, n + 1)]
-    step = max(1, BLOCK // n) * n  # rows per write: whole reps, about BLOCK rows
+    from . import _dump
 
-    def write(first_rep: int, ds) -> None:
-        for start in range(0, ds.n_clusters, step):
-            part = slice(start, start + step)
-            rows = zip(ds.path[part].tolist(), ds.ybar[part].tolist(), ds.n_units[part].tolist())
-            first = first_rep + 1 + start // n
-            # zip stops at the end of ``clusters`` without taking a row: n rows per rep
-            fh.write("".join([f"{rep}{i}{middles[p]}{y!r},{k}\r\n"
-                              for rep in range(first, first + ds.path[part].size // n)
-                              for i, (p, y, k) in zip(clusters, rows)]))
+    fields = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}" for p in design.paths]
+    helper = subprocess.Popen([sys.executable, "-I", "-S", _dump.__file__, str(n), *fields],
+                              stdin=subprocess.PIPE, stdout=fh)
 
-    return write
+    def failed() -> ConfigError:
+        status = helper.wait()
+        # an OSError's errno, or 1 when the helper itself failed, or minus a signal
+        reason = (os.strerror(status) if status > 1
+                  else f"the dump writer exited with status {status}")
+        return ConfigError(f"cannot write {fh.name}: {reason}")
+
+    def send(first_rep: int, ds) -> None:
+        try:
+            helper.stdin.write(_dump.HEAD.pack(first_rep, ds.n_clusters))
+            for column in (ds.path.astype(np.int32), ds.n_units.astype(np.int32),
+                           np.ascontiguousarray(ds.ybar, np.float64)):
+                helper.stdin.write(column)
+        except BrokenPipeError:
+            raise failed() from None
+
+    try:
+        yield send
+    finally:
+        with suppress(BrokenPipeError):
+            helper.stdin.close()
+        helper.wait()
+    if helper.returncode:
+        raise failed()
 
 
 def _print_path_table(tables: dict[str, np.ndarray]) -> None:
@@ -426,12 +449,12 @@ def cmd_samplesize(args) -> int:
         v, _ = _resolve(args, cfg, DELTA_STD)
         sizing = (v["delta_std"], 1.0, v["alpha"], v["beta"])
         result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": v["delta_std"]}
-        with _outputs(args.json) as (json_fh,):
+        with _outputs(json=args.json) as (json_fh,):
             _report(json_fh, "samplesize", _inputs(v), result)
         return 0
 
     v, design, model, model_echo, regime_ids = _setup(args, cfg, SAMPLESIZE)
-    with _outputs(args.json, v["sigma_csv"]) as (json_fh, sigma_fh):
+    with _outputs(json=args.json, sigma_csv=v["sigma_csv"]) as (json_fh, sigma_fh):
         size, eff = compute_sample_size(
             design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
             workers=v["workers"],
@@ -463,10 +486,10 @@ def cmd_power(args) -> int:
     if v["n"] is not None:
         require_power_n(v["n"], v["empirical_variance"])
 
-    with _outputs(args.json, v["dump_trials"]) as (json_fh, dump_fh):
+    with _outputs(json=args.json, dump_trials=v["dump_trials"]) as (json_fh, dump_fh):
         eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
         n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
-        with _writing(dump_fh) if dump_fh else nullcontext():
+        with _trial_writer(dump_fh, design, n) if dump_fh else nullcontext() as on_chunk:
             est = mc_power(
                 design,
                 model,
@@ -478,7 +501,7 @@ def cmd_power(args) -> int:
                 seed=seed,
                 workers=workers,
                 empirical_variance=v["empirical_variance"],
-                on_chunk=_trial_writer(dump_fh, design, n) if dump_fh else None,
+                on_chunk=on_chunk,
             )
         result = {
             "N": n,
@@ -504,7 +527,7 @@ def cmd_solve_missing(args) -> int:
         "p_i": prob_available(model.mp, model.sigma),
         "c_i": corr_y_m(model.mp, model.sigma, model.st),
     }
-    with _outputs(args.json) as (json_fh,):
+    with _outputs(json=args.json) as (json_fh,):
         _report(json_fh, "solve-missing", {"p_i": v["p_i"], "c_i": v["c_i"]}, result)
     return 0
 
@@ -530,7 +553,7 @@ def cmd_describe_design(args) -> int:
     tables = path_tables(design)
     _print_path_table(tables)
     print("design ok")
-    with _outputs(args.json) as (json_fh,):
+    with _outputs(json=args.json) as (json_fh,):
         _report(json_fh, DESCRIBE, {}, {name: column.tolist() for name, column in tables.items()})
     return 0
 

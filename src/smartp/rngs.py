@@ -10,6 +10,7 @@ many all-missing redraws, which ``moments._index_sweep`` makes within a chunk.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,10 +39,28 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 def chunk_map(run: Callable[[int, int], object], total: int, per_chunk: int, workers: int) -> Iterator:
     """``run(chunk, size)`` over ``total`` items in chunks of ``per_chunk`` (the last takes the
-    rest) on ``workers`` threads; results come in chunk order whatever order they finish in."""
+    rest) on ``workers`` threads; results come in chunk order whatever order they finish in.
+
+    With more than one worker, at most ``workers + 1`` chunks are submitted beyond the one
+    being yielded, so a slow consumer holds a bounded number of results; the chunks not yet
+    started are cancelled when the consumer stops.
+    """
     sizes = [min(per_chunk, total - start) for start in range(0, total, per_chunk)]
+    if workers == 1:
+        yield from map(run, range(len(sizes)), sizes)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from (pool.map if workers > 1 else map)(run, range(len(sizes)), sizes)
+        pending = deque()
+        try:
+            for chunk, size in enumerate(sizes):
+                pending.append(pool.submit(run, chunk, size))
+                if len(pending) > workers + 1:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def check_redraws(n_redrawn: int, n_rows: int, slack: int = 0) -> None:

@@ -1,8 +1,10 @@
 """Shared test utilities: reference estimators and kernels, the skew-t shape moments, jackknife
-SEs, a normality test and a strategy for random designs."""
+SEs, a normality test, a strategy for random designs and the trial dump's rows."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -287,6 +289,18 @@ def empirical_sigma_sq_reference(ds, design, regime_ids):
     for sign, rid in zip((1.0, -1.0), regime_ids):
         contrast += sign * ipw_weights_reference(ds, design, design.regimes[rid]) * ds.ybar
     return float(np.var(contrast, ddof=1)) / 2.0
+
+
+def dump_rows_reference(fields, n, first_rep, path, ybar, units) -> str:
+    """A chunk's ``--dump-trials`` rows as ``csv.writer`` writes them with ``repr`` for Ybar: the
+    oracle for the ``_dump`` helper.  The chunk holds whole reps of ``n`` rows from rep
+    ``first_rep`` (0-based); ``fields[p]`` is path p's ``arm,R,path``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row, (p, y, k) in enumerate(zip(path, ybar, units)):
+        writer.writerow([first_rep + 1 + row // n, row % n + 1, *fields[p].split(","),
+                         repr(float(y)), int(k)])
+    return buf.getvalue()
 
 
 def simulate_trial_reference(design, model, n_clusters, seed, key=()):

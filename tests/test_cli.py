@@ -250,6 +250,45 @@ def test_dump_reproduces_power_from_the_same_draws(tmp_path):
         assert result["MCSD"] == pytest.approx(np.std(deltas, ddof=1), rel=1e-12)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("n, reps", [(20, 100), (197, 200)], ids=["within-pipe", "past-pipe"])
+def test_dump_to_a_full_disk_exits_2(capsys, n, reps):
+    """A dump the disk cannot take is a config error naming the file and the errno, with nothing
+    printed; the helper fails on its first write, whether the trials fit in the pipe to it and
+    finish first (32 kB) or not (630 kB, a broken pipe in the middle of the trials)."""
+    assert cli.main(["power", *SIZED, "--n", str(n), "--reps", str(reps),
+                     "--dump-trials", "/dev/full"]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == "config error: cannot write /dev/full: No space left on device\n"
+    assert printed.out == ""
+
+
+def test_every_dump_writer_has_exited_when_main_returns(tmp_path, monkeypatch, capsys):
+    """Each helper that ``power --dump-trials`` starts has exited when ``cli.main`` returns: on
+    success, on a failure after the trials, and when the helper exits at once, which is a
+    config error naming the dump file (never the closed-stdout exit 1).  That helper's input,
+    16351 rows of 16 bytes in the first chunk, is more than a pipe holds, so it breaks."""
+    started, popen, replacement = [], subprocess.Popen, {}
+
+    def start(args, **kwargs):
+        started.append(popen(replacement.get("args", args), **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", start)
+    dump = str(tmp_path / "trials.csv")
+    zero_plug_in = ["power", "--empirical-variance", "--regime", "2,3", *WORKED[2:6], "--n", "3",
+                    "--reps", "200", "--num", "20000", "--seed", "1"]
+    for argv, code in ((["power", *SIZED, "--n", "20", "--reps", "100"], 0), (zero_plug_in, 3)):
+        assert cli.main(argv + ["--dump-trials", dump]) == code
+        assert len(started) == 1 and started.pop().poll() is not None
+
+    replacement["args"] = [sys.executable, "-c", "pass"]
+    argv = ["power", *SIZED, "--n", "197", "--reps", "200", "--dump-trials", dump]
+    assert cli.main(argv) in (2, 3)
+    assert len(started) == 1 and started.pop().poll() is not None
+    assert f"cannot write {dump}: " in capsys.readouterr().err
+
+
 def test_power_small_n_with_a_few_redraws_succeeds():
     """About 0.09% of clusters are redrawn: a handful per run, more than 1% of one 40-cluster trial."""
     proc = run_cli(
@@ -594,6 +633,11 @@ def test_power_plug_in_variance_needs_two_clusters():
 
 @pytest.mark.parametrize("args, code, message", [
     (["samplesize", *SIZED, "--json", "OUT"], 2, "config error: cannot write OUT: "),
+    # two flags that name one file, spelt alike or not
+    (["power", *SIZED, "--n", "20", "--json", "SAME", "--dump-trials", "SAME"], 2,
+     "config error: --json and --dump-trials name the same file SAME\n"),
+    (["samplesize", *SIZED, "--json", "SAME", "--sigma-csv", "ALIAS"], 2,
+     "config error: --json and --sigma-csv name the same file ALIAS\n"),
     (["samplesize", *SIZED, "--sigma-csv", "OUT"], 2, "config error: cannot write OUT: "),
     (["power", *SIZED, "--n", "20", "--json", "OUT"], 2, "config error: cannot write OUT: "),
     (["power", *SIZED, "--n", "1", "--empirical-variance"], 3,
@@ -603,20 +647,24 @@ def test_power_plug_in_variance_needs_two_clusters():
      "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-300"),
     (["power", *SIZED, "--alpha", "1e-17"], 2,
      "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-17"),
-], ids=["samplesize-json", "sigma-csv", "power-json", "plug-in-n-1", "alpha-1e-300",
-        "power-alpha-1e-17"])
+], ids=["samplesize-json", "power-json-dump-same", "json-sigma-csv-same", "sigma-csv",
+        "power-json", "plug-in-n-1", "alpha-1e-300", "power-alpha-1e-17"])
 def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args, code, message):
-    """An output path that cannot be written, a plug-in variance at n = 1 or an alpha too small
+    """An output path that cannot be written, two output flags that name one file (the JSON
+    was written over the start of the dump), a plug-in variance at n = 1 or an alpha too small
     for its quantile ends the command before the moments pass, which here fails the test if it
     is called."""
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 
     monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
-    out = str(tmp_path / "missing" / "out")
-    assert cli.main([out if a == "OUT" else a for a in args]) == code
+    paths = {"OUT": str(tmp_path / "missing" / "out"), "SAME": str(tmp_path / "same"),
+             "ALIAS": f"{tmp_path}/./same"}
+    assert cli.main([paths.get(a, a) for a in args]) == code
     printed = capsys.readouterr()
-    assert printed.err.startswith(message.replace("OUT", out)) and printed.out == ""
+    for placeholder, path in paths.items():
+        message = message.replace(placeholder, path)
+    assert printed.err.startswith(message) and printed.out == ""
 
 
 def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
