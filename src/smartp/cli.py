@@ -356,20 +356,43 @@ def _outputs(**paths: str | None):
     """Open the output files, each given by its flag's name (``json``, ``dump_trials``,
     ``sigma_csv``; None for one not given), and yield them in that order, closing them on the
     way out.  Commands open theirs before any Monte Carlo work, so a path that cannot be
-    written, or two flags that name one file, fail first, as a config error."""
+    written, or two flags that name one file, fail first, as a config error.  Files are
+    emptied only once every one is open and checked: a refused call leaves the files that
+    existed as they were and removes those it created."""
     with ExitStack() as stack:
-        handles, seen = [], {}
-        for name, path in paths.items():
-            try:
-                fh = stack.enter_context(open(path, "w", newline="")) if path else None
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-            handles.append(fh)
-            if fh and stat.S_ISREG((st := os.fstat(fh.fileno())).st_mode):
-                flag = "--" + name.replace("_", "-")
-                if (other := seen.setdefault((st.st_dev, st.st_ino), flag)) != flag:
-                    raise ConfigError(f"{other} and {flag} name the same file {path}")
+        handles, regular, seen, created = [], [], {}, []
+        try:
+            for name, path in paths.items():
+                handles.append(stack.enter_context(_open_kept(path, created)) if path else None)
+                if handles[-1] and stat.S_ISREG((st := os.fstat(handles[-1].fileno())).st_mode):
+                    regular.append(handles[-1])
+                    flag = "--" + name.replace("_", "-")
+                    if (other := seen.setdefault((st.st_dev, st.st_ino), flag)) != flag:
+                        raise ConfigError(f"{other} and {flag} name the same file {path}")
+        except ConfigError:
+            stack.close()
+            for path in created:
+                with suppress(OSError):
+                    os.remove(path)
+            raise
+        for fh in regular:
+            fh.truncate(0)
         yield handles
+
+
+def _open_kept(path: str, created: list[str]):
+    """Open ``path`` for writing without truncating it, and append it to ``created`` if this
+    call creates it.  An OSError is a config error."""
+    try:
+        try:
+            fh = open(path, "x", newline="")
+        except FileExistsError:
+            return open(path, "w", newline="",
+                        opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC))
+        created.append(path)
+        return fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager

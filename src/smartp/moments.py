@@ -5,18 +5,19 @@ is at most the cutoff.  With ``w = mask / k`` the availability weights of
 one replicate (k sub-units available), a path with per-sub-unit mean ``mu``
 has cluster mean ``ybar = w . (mu + Q + eps1)``.  ``estimate_path_moments``
 simulates an outcome model once for every path (common random numbers) and
-draws only the index, ``v = L_v zeta`` with ``zeta ~ N(0, I_T)`` (T normals
-per replicate) and ``L_v L_v' = Sigma_v = b0^2 Sigma + sigma0^2 I``.  The
-rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
+draws only the index, ``v = L_v zeta`` with ``zeta ~ N(0, I_T)`` and ``L_v L_v' =
+Sigma_v = b0^2 Sigma + sigma0^2 I``, in mirrored pairs (zeta, -zeta), so T/2 normals per
+replicate.  The rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
 sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
 variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
 quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 ``_index_sweep`` draws the index rows in fixed blocks of BLOCK = 1024 rows, whose
 scratch stays in cache, and redraws the index of all-missing replicates from the same
 generator (and counts them); the outcome error is independent of (Q, eps0), so
-redrawing the index alone conditions on k >= 1.  The draws do not depend on the block
-size.  Work proceeds in fixed 65536-replicate chunks, each on its own RNG substream
-keyed by (seed, MOMENTS, chunk), so the result is bit-identical for any worker count.
+redrawing the index alone conditions on k >= 1.  The pass pairs rows within a block; the
+trials' draws, iid, do not depend on the block size.  Work proceeds in fixed 65536-replicate
+chunks, each on its own RNG substream keyed by (seed, MOMENTS, chunk), so the result is
+bit-identical for any worker count.
 ``_chunk_moments`` merges each block as it is drawn; ``_simulate_ybar``, the trials' kernel,
 keeps each block's conditional mean and variance of ``w . Q | v`` per cluster and then draws
 it as one normal, so no pass holds an (n, T) array.  Normal errors (skew 0, dof inf) fold
@@ -136,7 +137,7 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
     return n, mean, m2
 
 
-def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator):
+def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: bool = False):
     """Yield n index rows ``[w, w . E[Q|v]]``, every one with k >= 1, block by block in one
     reused scratch, as (positions, rows, float k, all-missing rows left out).  Consecutive
     fills draw the stream of one ``(n, T)`` draw, and the GEMM rounds each row alike in any
@@ -144,7 +145,9 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator):
     BLOCK + 1 rows: numpy sends a one-row block to its matrix-vector product instead, which
     rounds differently.  The positions left out are redrawn in rounds through the same loop
     until none is left; ``check_redraws`` with REDRAW_SLACK bounds the redraws before each
-    round."""
+    round.  ``paired`` (mirrored pairs) draws and projects ceil(m/2) rows zeta of a block of m
+    and fills the other m // 2 with the first rows of the product negated, the index of -zeta:
+    negation is exact, so the rows are bit for bit those of [zeta, -zeta] projected whole."""
     mp, proj = model.mp, model.index_projection[0]
     t_dim, rows = model.sigma.dim, min(n, BLOCK + 1)
     zeta, v_and_q, k = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim)), np.empty(rows)
@@ -158,8 +161,13 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator):
             pos = np.arange(start, start + m) if todo is None else todo[start:start + m]
             zb, kb = block[:m], k[:m]
             start += m
-            rng.standard_normal(out=zeta[:m])
-            np.matmul(zeta[:m], proj, out=v_and_q[:m])
+            h = (m + 1) // 2 if paired else m
+            rng.standard_normal(out=zeta[:h])
+            if h == 1 < m:  # one row would take numpy's matrix-vector product: mirror
+                np.negative(zeta[:1], out=zeta[1:2])  # the pair in zeta and project both
+                h = 2
+            np.matmul(zeta[:h], proj, out=v_and_q[:h])
+            np.negative(v_and_q[:m - h], out=v_and_q[h:m])
             w = zb[:, :-1]
             np.less_equal(v_and_q[:m, :t_dim], mp.cutoff - mp.intercept, out=w)
             np.add.reduce(w, axis=1, out=kb)
@@ -203,9 +211,11 @@ def _simulate_ybar(model: OutcomeModel, path_mu: np.ndarray, path: np.ndarray,
 
 def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
     """(size, mean, scatter, redraws) of z = [w, w . E[Q|v]] over one chunk, each block of
-    ``_index_sweep`` centred and merged as it is drawn."""
+    ``_index_sweep`` centred and merged as it is drawn.  The rows come in mirrored pairs
+    (zeta, -zeta): each is a draw of the index, and r, nearly odd in zeta, cancels much of
+    its noise within a pair."""
     rng, acc, n_redrawn = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0), 0
-    for _, rows, _, n_left in _index_sweep(model, size, rng):
+    for _, rows, _, n_left in _index_sweep(model, size, rng, paired=True):
         n_redrawn += n_left
         if rows.shape[0]:  # a block can be all-missing
             mean = rows.mean(axis=0)

@@ -70,9 +70,14 @@ def index_rows_reference(model, n, rng):
     Returns the (n, T+1) rows ``[w, w . E[Q|v]]`` and the integer counts k,
     NaN rows at k = 0.
     """
+    return index_rows_of(model, rng.standard_normal((n, model.sigma.dim)))
+
+
+def index_rows_of(model, zeta):
+    """``index_rows_reference``'s (z, k) for the given (n, T) index normals ``zeta``."""
     mp = model.mp
-    t_dim = model.sigma.dim
-    v_and_q = rng.standard_normal((n, t_dim)) @ model.index_projection[0]
+    n, t_dim = zeta.shape
+    v_and_q = zeta @ model.index_projection[0]
     avail = mp.intercept + v_and_q[:, :t_dim] <= mp.cutoff
     k = avail.sum(axis=1)
     z = np.empty((n, t_dim + 1))
@@ -94,6 +99,54 @@ def simulate_z_reference(model, n, rng):
         z[bad], k[bad] = index_rows_reference(model, bad.size, rng)
         bad = bad[k[bad] == 0]
     return z, k, n_redrawn
+
+
+def paired_z_reference(model, n, rng, block):
+    """The moments pass's mirrored rows, the oracle for ``moments._index_sweep(...,
+    paired=True)``: (z, k, redraws).  Rounds of blocks of ``block`` rows (the last block of a
+    round takes up to ``block + 1``); a block of m rows draws ceil(m/2) rows zeta and projects
+    ``[zeta, -zeta[:m // 2]]`` by ``index_rows_of``, the negated normals included.  The
+    all-missing rows are redrawn, in order, in the next round."""
+    t_dim = model.sigma.dim
+    z, k = np.empty((n, t_dim + 1)), np.empty(n, dtype=np.intp)
+    todo, n_redrawn = np.arange(n), 0
+    while todo.size:
+        left, start = [], 0
+        while start < todo.size:
+            m = todo.size - start if todo.size - start <= block + 1 else block
+            pos = todo[start:start + m]
+            start += m
+            zeta = rng.standard_normal(((m + 1) // 2, t_dim))
+            zb, kb = index_rows_of(model, np.vstack([zeta, -zeta[:m // 2]]))
+            full = kb > 0
+            z[pos[full]], k[pos[full]] = zb[full], kb[full]
+            left.append(pos[~full])
+        todo = np.concatenate(left)
+        n_redrawn += todo.size
+    return z, k, n_redrawn
+
+
+def reference_model_moments(model, num, seed, paired=True):
+    """The moments pass from reference rows: ``paired_z_reference``'s chunk by chunk on the
+    pass's substreams (``moments.CHUNK`` and ``moments.BLOCK`` read at the call), stacked and
+    finished row by row: r's scatter gains ``sum_i w_i' Cov(Q + e1 | v) w_i`` and its mean
+    ``st_mean``.  ``paired=False`` takes iid rows from ``simulate_z_reference`` on the same
+    substreams instead: the unpaired oracle for the precision of the mirrored pairs.  Returns a
+    ``ModelMoments``."""
+    from smartp import ModelMoments, moments, st_mean
+    from smartp.rngs import MOMENTS, substream
+
+    parts = []
+    for chunk, start in enumerate(range(0, num, moments.CHUNK)):
+        rng, size = substream(seed, MOMENTS, chunk), min(moments.CHUNK, num - start)
+        parts.append(paired_z_reference(model, size, rng, moments.BLOCK) if paired
+                     else simulate_z_reference(model, size, rng))
+    z = np.vstack([part[0] for part in parts])
+    mean = z.mean(axis=0)
+    m2 = (z - mean).T @ (z - mean)
+    m2[-1, -1] += np.einsum("it,ts,is->", z[:, :-1], model.cond_cov, z[:, :-1])
+    mean[-1] += st_mean(model.st)
+    return ModelMoments(z.shape[0], mean, m2, sum(part[2] for part in parts))
 
 
 def blocked_trial_reference(model, n, rng, block):

@@ -70,7 +70,8 @@ def test_closed_pipe_exits_1_without_a_traceback():
     proc = subprocess.Popen(BASE_ARGS + ["describe-design"], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert err == b""
 
@@ -665,6 +666,29 @@ def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args
     for placeholder, path in paths.items():
         message = message.replace(placeholder, path)
     assert printed.err.startswith(message) and printed.out == ""
+
+
+@pytest.mark.parametrize("json_name, dump_name", [
+    ("keep.json", "keep.json"), ("keep.json", "missing/x.csv"),
+    ("new.json", "new.json"), ("new.json", "missing/x.csv"),
+], ids=["same-file", "unwritable", "same-new-file", "new-and-unwritable"])
+def test_refused_outputs_leave_the_files_as_they_were(tmp_path, monkeypatch, capsys, json_name,
+                                                      dump_name):
+    """A refused ``--json F --dump-trials G`` (G is F, or cannot be written) exits 2 before the
+    moments pass with F as it was: an existing F keeps its bytes, where it was left empty, and
+    an F the call created is removed."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    keep = tmp_path / "keep.json"
+    keep.write_text('{"old": 1}\n')
+    argv = ["power", *SIZED, "--n", "20", "--json", str(tmp_path / json_name),
+            "--dump-trials", str(tmp_path / dump_name)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert keep.read_text() == '{"old": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
 
 
 def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
