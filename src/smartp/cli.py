@@ -45,7 +45,6 @@ from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
 from .moments import OutcomeModel
 from .power import ALPHA_RANGE, TestSpec, alpha_in_range, exact_n, required_n
-from .simtrial import mc_power, require_power_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
 
 SCHEMA_VERSION = 1
@@ -504,6 +503,8 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_power(args) -> int:
+    from .simtrial import mc_power, require_power_n  # imported here: only power runs trials
+
     v, design, model, model_echo, regime_ids = _setup(args, _load_config(args.config), POWER)
     alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
     if v["n"] is not None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .dists import SkewTParams, st_variance
 from .errors import InfeasibleTargetError
 from .spatial import SpdMatrix
 
-_STD_NORMAL = NormalDist()
 _A0_BRACKET = 20.0
 _MAX_DOUBLINGS = 200
 
@@ -51,7 +49,9 @@ def normal_quantile(u: float) -> float:
     """Standard normal quantile on (0,1) (Wichura-style rational approximation)."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must be in (0,1), got {u}")
-    return _STD_NORMAL.inv_cdf(u)
+    from statistics import NormalDist  # imported here: commands that take no quantile skip it
+
+    return NormalDist().inv_cdf(u)
 
 
 def prob_available(mp: MissingnessParams, sigma: SpdMatrix) -> float:

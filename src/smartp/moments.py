@@ -145,12 +145,16 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: 
     BLOCK + 1 rows: numpy sends a one-row block to its matrix-vector product instead, which
     rounds differently.  The positions left out are redrawn in rounds through the same loop
     until none is left; ``check_redraws`` with REDRAW_SLACK bounds the redraws before each
-    round.  ``paired`` (mirrored pairs) draws and projects ceil(m/2) rows zeta of a block of m
-    and fills the other m // 2 with the first rows of the product negated, the index of -zeta:
-    negation is exact, so the rows are bit for bit those of [zeta, -zeta] projected whole."""
+    round.  ``paired`` (mirrored pairs) draws and projects ceil(m/2) rows zeta of a block of m;
+    the other m // 2 rows are those of -zeta for the first rows drawn, whose index is the
+    product negated: each is masked by ``v >= -(cutoff - a0)`` and takes the masked sum of
+    E[Q|v] negated as its r.  Negation is exact, so the rows are bit for bit those of
+    [zeta, -zeta] projected whole.  k is one matrix-vector product, and each row is scaled by
+    1/k."""
     mp, proj = model.mp, model.index_projection[0]
-    t_dim, rows = model.sigma.dim, min(n, BLOCK + 1)
-    zeta, v_and_q, k = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim)), np.empty(rows)
+    t_dim, rows, c = model.sigma.dim, min(n, BLOCK + 1), mp.cutoff - mp.intercept
+    zeta, v_and_q = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim))
+    k, inv_k, ones = np.empty(rows), np.empty(rows), np.ones(t_dim)
     block, todo, n_redrawn = np.empty((rows, t_dim + 1)), None, 0
     while todo is None or todo.size:
         size, left, start = n if todo is None else todo.size, [], 0
@@ -159,7 +163,7 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: 
             # the first round (todo None) makes its positions block by block: all n at once
             # would add 8 bytes a row to the peak memory
             pos = np.arange(start, start + m) if todo is None else todo[start:start + m]
-            zb, kb = block[:m], k[:m]
+            zb, kb, ikb = block[:m], k[:m], inv_k[:m]
             start += m
             h = (m + 1) // 2 if paired else m
             rng.standard_normal(out=zeta[:h])
@@ -167,13 +171,15 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: 
                 np.negative(zeta[:1], out=zeta[1:2])  # the pair in zeta and project both
                 h = 2
             np.matmul(zeta[:h], proj, out=v_and_q[:h])
-            np.negative(v_and_q[:m - h], out=v_and_q[h:m])
-            w = zb[:, :-1]
-            np.less_equal(v_and_q[:m, :t_dim], mp.cutoff - mp.intercept, out=w)
-            np.add.reduce(w, axis=1, out=kb)
-            np.einsum("it,it->i", w, v_and_q[:m, t_dim:], out=zb[:, -1])
-            with np.errstate(invalid="ignore"):
-                zb /= kb[:, None]
+            v, q, w, r = v_and_q[:h, :t_dim], v_and_q[:h, t_dim:], zb[:, :-1], zb[:, -1]
+            np.less_equal(v, c, out=w[:h])
+            np.greater_equal(v[:m - h], -c, out=w[h:])  # the mirrored rows: -v <= c
+            np.matmul(w, ones, out=kb)
+            np.einsum("it,it->i", w[:h], q, out=r[:h])
+            np.einsum("it,it->i", w[h:], q[:m - h], out=r[h:])
+            np.negative(r[h:], out=r[h:])
+            with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 rows are left out
+                zb *= np.reciprocal(kb, out=ikb)[:, None]
             full = kb > 0
             left.append(pos[~full])
             if left[-1].size:
@@ -215,12 +221,15 @@ def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
     (zeta, -zeta): each is a draw of the index, and r, nearly odd in zeta, cancels much of
     its noise within a pair."""
     rng, acc, n_redrawn = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0), 0
+    ones = np.ones(min(size, BLOCK + 1))
     for _, rows, _, n_left in _index_sweep(model, size, rng, paired=True):
         n_redrawn += n_left
-        if rows.shape[0]:  # a block can be all-missing
-            mean = rows.mean(axis=0)
+        m = rows.shape[0]
+        if m:  # a block can be all-missing
+            mean = ones[:m] @ rows
+            mean /= m
             rows -= mean
-            acc = _merge(*acc, rows.shape[0], mean, rows.T @ rows)
+            acc = _merge(*acc, m, mean, rows.T @ rows)
     return *acc, n_redrawn
 
 

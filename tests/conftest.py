@@ -1,8 +1,7 @@
 import math
 
-import numpy as np
-import pytest
-
+# smartp before numpy: it sets OPENBLAS_NUM_THREADS=1 unless set, which OpenBLAS reads when
+# numpy loads, and warns (an error under pyproject's filterwarnings) when numpy came first
 from smartp import (
     MissingnessParams,
     OutcomeModel,
@@ -11,6 +10,9 @@ from smartp import (
     default_car_model,
     periodontitis_default,
 )
+
+import numpy as np
+import pytest
 
 GOLDEN_P = 0.8027872
 GOLDEN_C = 0.4125813

@@ -780,7 +780,7 @@ def test_nan_in_a_result_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
     def nan_power(*_, **kwargs):
         return PowerEstimate(0.5, kwargs["reps"], 1.0, math.nan)
 
-    monkeypatch.setattr(cli, "mc_power", nan_power)
+    monkeypatch.setattr(simtrial, "mc_power", nan_power)  # cmd_power imports it when it runs
     out, dump = tmp_path / "p.json", tmp_path / "d.csv"
     argv = ["power", *SIZED, "--n", "20", "--reps", "40", "--json", str(out),
             "--dump-trials", str(dump)]
