@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_backend": ("active_backend",),
     "design": (
-        "Regime", "SmartDesign", "Stage1Arm", "Stage1Mode", "TreatmentPath",
+        "Regime", "SmartDesign", "Stage1Arm", "Stage1Mode", "TreatmentPath", "contrast_weights",
         "design_from_matrices", "ipw_path_weights", "path_probs", "path_tables",
         "periodontitis_default", "stage1_probs", "stage2_prob",
     ),

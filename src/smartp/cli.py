@@ -34,6 +34,7 @@ from . import __version__
 from .design import (
     SmartDesign,
     Stage1Mode,
+    contrast_weights,
     design_from_matrices,
     path_tables,
     periodontitis_matrices,
@@ -144,7 +145,8 @@ TABLE = (
     Row("regime", "--regime", "test", _ints, (1,), None, SIMULATED),
     Row("alpha", "--alpha", "test", float, 0.05, (alpha_in_range, ALPHA_RANGE), SIZED),
     Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
-    Row("power", "--power", "test", float, None, UNIT, SIZED),
+    Row("power", "--power", "test", float, None,
+        (lambda x: 0 < 1 - x < 1, "in (0, 1) and above 5.6e-17, so beta < 1"), SIZED),
     Row("num", "--num", "mc", _int, 1_000_000, COUNT, SIMULATED),
     Row("reps", "--reps", "mc", _int, 5000, (lambda n: n >= 2, "at least 2"), {POWER}),
     Row("seed", "--seed", "mc", _int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
@@ -326,12 +328,11 @@ def _setup(args, cfg: dict, command: str):
     if model.sigma.dim != design.n_units:
         raise ConfigError(f"graph ({v['graph']}) has {model.sigma.dim} sub-units "
                           f"but design.n_units is {design.n_units}")
-    n_regimes = len(design.regimes)
     ids = tuple(r - 1 for r in v["regime"])
-    if len(ids) not in (1, 2) or not all(0 <= i < n_regimes for i in ids):
-        raise ConfigError(f"regime must list one or two regime numbers in 1..{n_regimes}")
-    if len(ids) == 2 and ids[0] == ids[1]:
-        raise ConfigError("cannot compare a regime against itself")
+    try:
+        contrast_weights(design, ids)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return v, design, model, model_echo, ids
 
 

@@ -162,6 +162,24 @@ def ipw_path_weights(design: SmartDesign, regime: Regime) -> np.ndarray:
     return w
 
 
+def regime_weights(design: SmartDesign, regime_ids, rule="regime ids are 0-based, below {n}"):
+    """The ``ipw_path_weights`` rows of the 0-based ``regime_ids``, else ValueError(``rule``)."""
+    if not all(0 <= r < len(design.regimes) for r in regime_ids):
+        raise ValueError(rule.format(n=len(design.regimes)))
+    return np.array([ipw_path_weights(design, design.regimes[r]) for r in regime_ids])
+
+
+def contrast_weights(design: SmartDesign, regime_ids) -> np.ndarray:
+    """Per-path weights c_1 of one regime or c_1 - c_2 of two distinct ones, else ValueError."""
+    rule = "regime must list one or two regime numbers in 1..{n}"
+    c = regime_weights(design, regime_ids, rule)
+    if len(c) not in (1, 2):
+        raise ValueError(rule.format(n=len(design.regimes)))
+    if len(c) == 2 and regime_ids[0] == regime_ids[1]:
+        raise ValueError("cannot compare a regime against itself")
+    return np.subtract.reduce(c)  # c_1, or c_1 - c_2
+
+
 def _require_whole(m: np.ndarray, name: str) -> None:
     """Raise ValueError unless every entry of ``m`` is a finite whole number (no truncation)."""
     if not np.all(np.isfinite(m) & (m == np.round(m))):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SmartDesign
+from .design import SmartDesign, contrast_weights
 from .moments import (
     ModelMoments,
     OutcomeModel,
@@ -69,10 +69,7 @@ def compute_effect(
     without it the model is simulated once at (num, seed).
     """
     require_same_units(design, model)
-    if len(regime_ids) not in (1, 2):
-        raise ValueError("regime list must have one or two entries")
-    if len(regime_ids) == 2 and regime_ids[0] == regime_ids[1]:
-        raise ValueError("cannot compare a regime against itself")
+    contrast_weights(design, regime_ids)  # one regime or two distinct ones, before the pass
     if moments is None:
         moments = estimate_path_moments(model, num, seed, workers)
     with np.errstate(over="raise"):  # huge path means: FloatingPointError, not inf and NaN

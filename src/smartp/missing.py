@@ -56,13 +56,14 @@ def normal_quantile(u: float) -> float:
 
 def prob_available(mp: MissingnessParams, sigma: SpdMatrix) -> float:
     """Expected fraction of available sub-units, in (0,1)."""
-    diag = sigma.diagonal
-    z = (mp.cutoff - mp.intercept) / np.sqrt(mp.loading**2 * diag + mp.sigma0**2)
+    z = (mp.cutoff - mp.intercept) / np.sqrt(mp.loading**2 * sigma.diagonal + mp.sigma0**2)
     return float(np.mean([normal_cdf(v) for v in z]))
 
 
 def corr_y_m(mp: MissingnessParams, sigma: SpdMatrix, st: SkewTParams) -> float:
     """Mean per-unit Pearson correlation between outcome and latent missingness score."""
+    if mp.loading == 0.0:  # 0 without 0/0 where sigma0^2 underflows
+        return 0.0
     var1 = st_variance(st)
     diag = sigma.diagonal
     c = mp.loading * diag / np.sqrt((diag + var1) * (mp.loading**2 * diag + mp.sigma0**2))
@@ -109,7 +110,8 @@ def solve_missingness(
     sigma0: float = 1.0,
     cutoff: float = 0.0,
 ) -> MissingnessParams:
-    """Recover (a0, b0) from targets (p, c), each matched to ~1e-8."""
+    """Recover (a0, b0) from targets (p, c), each matched to ~1e-8, or raise
+    InfeasibleTargetError."""
     if not 0.0 < p_target < 1.0:
         raise InfeasibleTargetError(f"p target must be in (0,1), got {p_target}")
     bound = max_corr(sigma, st)
@@ -119,18 +121,19 @@ def solve_missingness(
             f"model is {bound:.6f}"
         )
 
-    def corr_at(b0: float) -> float:
-        return corr_y_m(MissingnessParams(0.0, b0, sigma0, cutoff), sigma, st)
-
-    # the correlation is 0 at b0 = 0 and increases with b0 >= 0
+    if not sigma0**2 >= np.finfo(float).tiny:
+        raise InfeasibleTargetError(f"sigma0={sigma0} is too small: sigma0^2 underflows")
+    # c and p see b0 and a0 - cutoff only over sigma0; c is 0 at b0 = 0 and rises with b0 >= 0
     c_abs = abs(c_target)
-    b0 = 0.0 if c_abs == 0.0 else math.copysign(_bracket_root(
-        lambda b: corr_at(b) - c_abs, 0.0, 0.0, 1.0, f"the loading for c={c_target}"), c_target)
-
-    def p_at(a0: float) -> float:
-        return prob_available(MissingnessParams(a0, b0, sigma0, cutoff), sigma)
-
+    b = 0.0 if c_abs == 0.0 else math.copysign(_bracket_root(
+        lambda b: corr_y_m(MissingnessParams(0.0, b), sigma, st) - c_abs, 0.0, 0.0, 1.0,
+        f"the loading for c={c_target}"), c_target)
     # p decreases in a0
-    a0 = _bracket_root(lambda a: p_at(a) - p_target, cutoff, cutoff - _A0_BRACKET,
-                       cutoff + _A0_BRACKET, f"the intercept for p={p_target}")
-    return MissingnessParams(a0, b0, sigma0, cutoff)
+    a = _bracket_root(lambda a: prob_available(MissingnessParams(a, b), sigma) - p_target, 0.0,
+                      -_A0_BRACKET, _A0_BRACKET, f"the intercept for p={p_target}")
+    mp = MissingnessParams(cutoff + a * sigma0, b * sigma0, sigma0, cutoff)
+    got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a huge cutoff can round a away
+    if not max(abs(got[0] - p_target), abs(got[1] - c_target)) <= 1e-8:
+        raise InfeasibleTargetError(f"the targets are lost to rounding at cutoff={cutoff}, "
+                                    f"sigma0={sigma0}: p={got[0]:.6g}, c={got[1]:.6g}")
+    return mp

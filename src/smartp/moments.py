@@ -38,7 +38,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .design import SmartDesign, ipw_path_weights, path_probs
+from .design import SmartDesign, path_probs, regime_weights
 from .dists import SkewTParams, sample_st, st_mean, st_variance
 from .missing import MissingnessParams
 from .rngs import CHUNK, MOMENTS, REDRAW_SLACK, check_redraws, chunk_map, substream
@@ -72,8 +72,10 @@ class OutcomeModel:
         ``P = [L_v' | (b0 K L_v)']``; ``Cov(Q|v) = sigma0^2 K`` keeps the positive
         definiteness that ``Sigma - b0^2 Sigma Sigma_v^-1 Sigma`` can lose to rounding."""
         mp, sig = self.mp, self.sigma.matrix
-        sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(sig.shape[0])
-        chol_v = np.linalg.cholesky(sigma_v)
+        with np.errstate(over="raise"):  # a huge b0: FloatingPointError, not inf and NaN
+            sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(sig.shape[0])
+        chol_v = SpdMatrix(sigma_v, "Sigma_v = b0^2 Sigma + sigma0^2 I at "
+                                    f"b0={mp.loading}, sigma0={mp.sigma0}").chol
         k = np.linalg.solve(sigma_v, sig)  # symmetric: Sigma and Sigma_v commute
         return np.hstack([chol_v.T, (mp.loading * k @ chol_v).T]), mp.sigma0**2 * k
 
@@ -277,7 +279,7 @@ def regime_moments(
     ``N Cov(r, s) = sum_p P_p c_rp c_sp (sigma2_p + mu_p^2) - mean_r mean_s``.
     """
     mu, sigma2 = np.asarray(mu, dtype=float), np.asarray(sigma2, dtype=float)
-    c = np.array([ipw_path_weights(design, design.regimes[r]) for r in regime_ids])
+    c = regime_weights(design, regime_ids)
     pc = c * path_probs(design)
     means = pc @ mu
     return means, (pc * (sigma2 + mu**2)) @ c.T - np.outer(means, means)

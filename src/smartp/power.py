@@ -50,13 +50,15 @@ class SampleSizeResult:
 
 def exact_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> float:
     """Unrounded N* = 2 (z_{1-alpha/2} - z_beta)^2 sigma^2 / delta^2."""
-    if delta == 0.0:
-        raise ValueError("effect size must be nonzero")
     if not sigma_sq > 0.0:
         raise ValueError(f"sigma^2 must be > 0, got {sigma_sq}")
     z_a = normal_quantile(1.0 - alpha / 2.0)
     z_b = normal_quantile(beta)
-    return 2.0 * (z_a - z_b) ** 2 * sigma_sq / delta**2
+    n = 2.0 * (z_a - z_b) ** 2 * float(sigma_sq) / float(delta) ** 2 if delta**2 else math.inf
+    if not n < math.inf:  # delta is 0, delta^2 underflows, or the quotient overflows
+        raise ValueError("effect size must be nonzero" if delta == 0.0 else "N is not finite: the "
+                         f"effect size {delta} is too small for sigma^2 = {sigma_sq}")
+    return n
 
 
 def required_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> int:

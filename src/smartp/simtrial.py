@@ -14,7 +14,7 @@ chunk's generator, before its errors are drawn.
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
 on the regime's two paths and 0 elsewhere, so weights are the per-path
 tables of ``design.ipw_path_weights`` (the ones ``regime_moments`` reads)
-indexed by each cluster's path.
+indexed by each cluster's path; ``mc_power`` weighs by ``design.contrast_weights``.
 
 Monte Carlo power simulates the ``reps`` trials in fixed chunks of whole
 reps (about ``TRIAL_ROWS`` clusters each); each chunk lives on its own RNG
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .design import Regime, SmartDesign, ipw_path_weights, path_probs
+from .design import Regime, SmartDesign, contrast_weights, ipw_path_weights, path_probs
 from .moments import OutcomeModel, _simulate_ybar, require_same_units
 from .power import TestSpec, reject, wald_z
 from .rngs import POWER, TRIAL, check_redraws, chunk_map, substream
@@ -124,14 +124,6 @@ def ipw_estimate(ds: TrialDataset, design: SmartDesign, regime_ids: tuple[int, .
     return est
 
 
-def _contrast_weights(design: SmartDesign, regime_ids: tuple[int, ...]) -> np.ndarray:
-    """Per-path weight of the estimated regime mean (one id) or difference (two ids)."""
-    return sum(
-        sign * ipw_path_weights(design, design.regimes[rid])
-        for sign, rid in zip((1.0, -1.0), regime_ids)
-    )
-
-
 def _power_chunk(
     design: SmartDesign,
     model: OutcomeModel,
@@ -186,6 +178,7 @@ def mc_power(
     """
     require_power_n(n_clusters, empirical_variance)
     require_same_units(design, model)
+    contrast = contrast_weights(design, regime_ids)
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for the Monte Carlo SD, got {reps}")
     if reps < 100:
@@ -195,8 +188,7 @@ def mc_power(
         raise ValueError(f"the design-stage sigma^2 of regime{'s' * (len(regime_ids) - 1)} {ids} "
                          f"is {sigma_sq}" + ("; their estimators coincide, so no trial can tell "
                                              "them apart" if len(regime_ids) == 2 else ""))
-    run = partial(_power_chunk, design, model, _contrast_weights(design, regime_ids), n_clusters,
-                  seed, empirical_variance)
+    run = partial(_power_chunk, design, model, contrast, n_clusters, seed, empirical_variance)
     per_chunk = max(1, TRIAL_ROWS // n_clusters)
     deltas, s_sqs, n_redrawn = [], [], 0
     # chunks reach on_chunk in rep order while the pool simulates later ones

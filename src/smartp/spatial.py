@@ -97,37 +97,21 @@ def load_edge_list(path: str | Path, size: int | None = None) -> AdjacencyGraph:
 
 
 class SpdMatrix:
-    """Dense SPD matrix with its lower Cholesky factor cached."""
+    """Dense SPD ``matrix`` with its lower Cholesky factor ``chol``, ``dim`` and ``diagonal``."""
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, name: str = "matrix"):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         scale = np.abs(m).max()
         if scale > 0 and np.abs(m - m.T).max() > SYM_TOL * scale:
-            raise NotPositiveDefiniteError("matrix is not symmetric")
-        m = (m + m.T) / 2.0
+            raise NotPositiveDefiniteError(f"{name} is not symmetric")
+        m = m / 2.0 + m.T / 2.0  # halves first: a sum near the largest double would overflow
         try:
-            self._chol = np.linalg.cholesky(m)
+            self.chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
-        self._matrix = m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self._matrix)
+            raise NotPositiveDefiniteError(f"{name}: Cholesky factorization failed: {exc}") from exc
+        self.matrix, self.dim, self.diagonal = m, m.shape[0], np.diag(m)
 
 
 @dataclass(frozen=True)
@@ -176,5 +160,5 @@ def car_covariance(model: CarModel) -> SpdMatrix:
         ) from exc
     ident = np.eye(model.graph.size)
     inv = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, ident))
-    return SpdMatrix(model.tau**2 * inv)
+    return SpdMatrix(model.tau**2 * inv, "Sigma = tau^2 (C - rho D)^-1")
 

@@ -42,6 +42,7 @@ def run_cli(*args, env_extra=None, check=True, timeout=None):
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stdout}\n{proc.stderr}")
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     return proc
 
 
@@ -368,7 +369,18 @@ def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
     (["samplesize", "--rho", "0.9999999999999999"], "Cholesky factorization failed"),
     (["samplesize", "--mu-scalar", "1e200,0.5,0,2,0,0,5,0,0,0", "--num", "20000"],
      "the computation overflowed"),
-], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1", "mu-1e200"])
+    # b0^2 Sigma overflows in numpy, not in Python: it used to warn and end in "got nan"
+    (["samplesize", "--b0", "1e154", "--num", "20000"], "the computation overflowed"),
+    # squares that underflow to 0: a ZeroDivisionError traceback, numpy's RuntimeWarning and a
+    # message about the loading, and numpy's bare "Matrix is not positive definite"
+    (["samplesize", "--delta-std", "1e-300"],
+     "N is not finite: the effect size 1e-300 is too small for sigma^2 = 1.0"),
+    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--sigma0", "1e-300"],
+     "sigma0=1e-300 is too small: sigma0^2 underflows"),
+    (["samplesize", "--sigma0", "1e-300", "--b0", "0", "--num", "20000"],
+     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=0.0, sigma0=1e-300: Cholesky factorization failed"),
+], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1", "mu-1e200",
+        "b0-1e154", "delta-std-1e-300", "solve-missing-sigma0-1e-300", "sigma-v-singular"])
 def test_numeric_edge_exit_3(args, message):
     """Inputs at the edge of the arithmetic end in one error line, never a traceback or a numpy
     RuntimeWarning."""
@@ -408,11 +420,22 @@ def test_identical_regimes_rejected():
     assert "itself" in proc.stderr
 
 
-@pytest.mark.parametrize("regime", ["0,5", "9", "1,1", "1,2,3", "a"])
-def test_regime_out_of_range_exit_2(regime):
-    proc = run_cli("samplesize", "--regime", regime, "--num", "20000", check=False)
+@pytest.mark.parametrize("regime, message", [
+    ("0,5", "regime must list one or two regime numbers in 1..8"),
+    ("9", "regime must list one or two regime numbers in 1..8"),
+    ("1,1", "cannot compare a regime against itself"),
+    ("1,2,3", "regime must list one or two regime numbers in 1..8"),
+    ("a", "regime (--regime): cannot read 'a'"),
+], ids=["0,5", "9", "1,1", "1,2,3", "a"])
+def test_regime_out_of_range_exit_2(tmp_path, regime, message):
+    """``design.contrast_weights`` owns the rule; the CLI reports it as a config error before it
+    opens an output file."""
+    out = tmp_path / "out.json"
+    proc = run_cli("samplesize", "--regime", regime, "--num", "20000", "--json", str(out),
+                   check=False)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("config error:") and proc.stdout == ""
+    assert proc.stderr == f"config error: {message}\n" and proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -648,13 +671,16 @@ def test_power_plug_in_variance_needs_two_clusters():
      "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-300"),
     (["power", *SIZED, "--alpha", "1e-17"], 2,
      "config error: alpha (--alpha) must be in (0, 1) and above 1.1e-16, got 1e-17"),
+    # beta = 1 - power rounds to 1: it ended in a quantile error, or "beta must be in (0,1)"
+    (["samplesize", *SIZED, "--power", "1e-300"], 2, "config error: power (--power) must be in "
+     "(0, 1) and above 5.6e-17, so beta < 1, got 1e-300"),
 ], ids=["samplesize-json", "power-json-dump-same", "json-sigma-csv-same", "sigma-csv",
-        "power-json", "plug-in-n-1", "alpha-1e-300", "power-alpha-1e-17"])
+        "power-json", "plug-in-n-1", "alpha-1e-300", "power-alpha-1e-17", "power-1e-300"])
 def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args, code, message):
     """An output path that cannot be written, two output flags that name one file (the JSON
-    was written over the start of the dump), a plug-in variance at n = 1 or an alpha too small
-    for its quantile ends the command before the moments pass, which here fails the test if it
-    is called."""
+    was written over the start of the dump), a plug-in variance at n = 1, an alpha too small
+    for its quantile or a power too small for beta < 1 ends the command before the moments pass,
+    which here fails the test if it is called."""
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 

@@ -11,6 +11,7 @@ from smartp import (
     Stage1Arm,
     Stage1Mode,
     TreatmentPath,
+    contrast_weights,
     design_from_matrices,
     ipw_path_weights,
     path_probs,
@@ -181,6 +182,28 @@ def test_path_probs_and_ipw_weights():
         w = ipw_path_weights(d, r)
         assert np.flatnonzero(w).tolist() == [r.responder_path, r.nonresp_path]
         assert probs @ w == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ids", [(0,), (3,), (0, 4), (0, 2), (7, 1)])
+def test_contrast_weights_are_the_signed_sum_of_the_regime_weights(ids):
+    """c_1, or c_1 - c_2, bit for bit the signed sum the trials' contrast has always been."""
+    d = periodontitis_default(0.3, 0.6)
+    want = sum(sign * ipw_path_weights(d, d.regimes[r]) for sign, r in zip((1.0, -1.0), ids))
+    assert contrast_weights(d, ids).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ids, message", [
+    ((), "regime must list one or two regime numbers in 1..8"),
+    ((0, 4, 2), "regime must list one or two regime numbers in 1..8"),
+    ((-1,), "regime must list one or two regime numbers in 1..8"),
+    ((0, -4), "regime must list one or two regime numbers in 1..8"),
+    ((8,), "regime must list one or two regime numbers in 1..8"),
+    ((0, 0), "cannot compare a regime against itself"),
+], ids=["none", "three", "negative", "negative-second", "past-last", "same"])
+def test_contrast_weights_refuses_all_but_one_or_two_distinct_regimes(ids, message):
+    with pytest.raises(ValueError) as err:
+        contrast_weights(periodontitis_default(), ids)
+    assert str(err.value) == message
 
 
 def test_treatment_path_fields():

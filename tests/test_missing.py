@@ -65,6 +65,33 @@ def test_corr_trivials(default_cov):
     assert -1.0 < c_neg < 0.0 < c_pos < 1.0
 
 
+def test_corr_is_zero_at_loading_zero_whatever_sigma0(default_cov):
+    """At b0 = 0 with sigma0^2 underflowing to 0, corr_y_m used to divide 0 by 0 (a numpy
+    RuntimeWarning and NaN)."""
+    assert corr_y_m(MissingnessParams(-1.0, 0.0, 1e-300), default_cov, NORMAL_ST) == 0.0
+
+
+@pytest.mark.parametrize("sigma0, cutoff", [(1e-8, 0.3), (1e-100, 0.0), (1e3, 0.3)])
+def test_solve_meets_its_targets_at_any_sigma0(default_cov, sigma0, cutoff):
+    """c and p depend on b0 / sigma0 and (a0 - cutoff) / sigma0 alone, which the solve finds;
+    bisecting b0 itself to 1e-13 gave c = 0.400001 at sigma0 1e-8, and the supremum of c at
+    sigma0 1e-100."""
+    mp = solve_missingness(0.8, 0.4, default_cov, NORMAL_ST, sigma0=sigma0, cutoff=cutoff)
+    assert prob_available(mp, default_cov) == pytest.approx(0.8, abs=1e-8)
+    assert corr_y_m(mp, default_cov, NORMAL_ST) == pytest.approx(0.4, abs=1e-8)
+    assert mp.loading / sigma0 == pytest.approx(0.479242, abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma0, cutoff, message", [
+    (1e-300, 0.0, "sigma0=1e-300 is too small: sigma0^2 underflows"),
+    (1.0, 1e20, "the targets are lost to rounding at cutoff=1e+20, sigma0=1.0: p=0.5, c=0.4"),
+], ids=["sigma0-underflows", "huge-cutoff"])
+def test_solve_refuses_targets_it_cannot_meet(default_cov, sigma0, cutoff, message):
+    with pytest.raises(InfeasibleTargetError) as err:
+        solve_missingness(0.8, 0.4, default_cov, NORMAL_ST, sigma0=sigma0, cutoff=cutoff)
+    assert str(err.value) == message
+
+
 def test_prob_available_limit(default_cov):
     assert prob_available(MissingnessParams(-30.0, 0.5), default_cov) == pytest.approx(1.0)
     assert prob_available(MissingnessParams(0.0, 0.0, 1.0, 0.0), default_cov) == 0.5

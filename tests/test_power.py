@@ -15,6 +15,7 @@ from smartp import (
     required_n,
     wald_z,
 )
+from smartp.power import exact_n
 from conftest import make_design, make_model
 
 
@@ -30,6 +31,15 @@ def test_required_n_edges():
         required_n(0.0, 1.0, 0.05, 0.2)
     with pytest.raises(ValueError):
         required_n(1.0, 0.0, 0.05, 0.2)
+
+
+@pytest.mark.parametrize("delta, sigma_sq", [(1e-300, 1.0), (1e-160, 1.0), (0.5, 1e308)],
+                         ids=["square-underflows", "quotient-overflows", "huge-variance"])
+def test_exact_n_refuses_an_n_that_is_not_finite(delta, sigma_sq):
+    """delta^2 underflowing to 0 used to end in ZeroDivisionError; an infinite N* in an
+    OverflowError from its ceiling."""
+    with pytest.raises(ValueError, match=r"^N is not finite: the effect size"):
+        exact_n(delta, sigma_sq, 0.05, 0.2)
 
 
 def test_required_n_monotone():

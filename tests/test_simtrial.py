@@ -8,23 +8,24 @@ from scipy import stats as sps
 from smartp import (
     TestSpec,
     compute_effect,
+    contrast_weights,
     design_from_matrices,
     estimate_path_moments,
     ipw_estimate,
     mc_power,
     path_probs,
     prob_available,
+    regime_moments,
     simulate_trial,
     stage1_probs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smartp import DegenerateMissingnessError, reject, simtrial, wald_z
+from smartp import DegenerateMissingnessError, engine, reject, simtrial, wald_z
 from smartp.simtrial import (
     TRIAL_ROWS,
     TrialDataset,
-    _contrast_weights,
     _pick_paths,
     _power_chunk,
     ipw_weights,
@@ -242,6 +243,28 @@ def test_per_path_ipw_table_matches_per_cluster_formula(data):
         assert np.array_equal(got, ipw_weights_reference(ds, design, regime))
 
 
+@pytest.mark.parametrize("ids", [(0, 4, 2), (0, 0), (-1,), (0, -4), (8,)],
+                         ids=["three", "same", "negative", "negative-second", "past-last"])
+def test_regime_misuse_is_refused_before_any_monte_carlo(ids, monkeypatch):
+    """mc_power, compute_effect and regime_moments refuse a regime list the design cannot answer
+    before any draw (the passes here fail the test if they run).  They used to answer: (0, 4, 2)
+    gave the power of (0, 4), (0, 0) a power of 0, a negative id wrapped to a regime from the
+    end, and an id past the last one ended in a bare IndexError."""
+    def ran(*_, **__):
+        raise AssertionError("a Monte Carlo pass ran")
+
+    monkeypatch.setattr(simtrial, "_power_chunk", ran)
+    monkeypatch.setattr(engine, "estimate_path_moments", ran)
+    design, model = make_design({2: 0.5, 4: 2.0, 7: 5.0}), make_model()
+    with pytest.raises(ValueError, match="regime"):
+        mc_power(design, model, TestSpec(), ids, 197, 56.4, reps=300, seed=1)
+    with pytest.raises(ValueError, match="regime"):
+        compute_effect(design, model, ids, 20000, 1)
+    if len(set(ids)) == len(ids) <= 2:  # regime_moments takes any list of regimes that exist
+        with pytest.raises(ValueError, match="regime ids are 0-based, below 8"):
+            regime_moments(design, ids, np.zeros(10), np.ones(10))
+
+
 @pytest.mark.parametrize("empirical", [False, True], ids=["design-var", "empirical-var"])
 @pytest.mark.parametrize("regime_ids", [(0,), (0, 2), (0, 4)], ids=["single", "shared", "distinct"])
 def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
@@ -250,7 +273,7 @@ def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
     model = make_model(lam=2.0, nu=8.0, a0=0.0, b0=0.7)
     n, sigma_sq, alpha = 60, 20.0, 0.05
     reps = TRIAL_ROWS // n
-    contrast = _contrast_weights(design, regime_ids)
+    contrast = contrast_weights(design, regime_ids)
     ds, d_hat, s_sq = _power_chunk(design, model, contrast, n, 21, empirical, 0, reps)
     assert ds.n_clusters == reps * n and d_hat.shape == (reps,)
     assert (s_sq is not None) == empirical
