@@ -356,28 +356,25 @@ def _outputs(**paths: str | None):
     """Open the output files, each given by its flag's name (``json``, ``dump_trials``,
     ``sigma_csv``; None for one not given), and yield them in that order, closing them on the
     way out.  Commands open theirs before any Monte Carlo work, so a path that cannot be
-    written, or two flags that name one file, fail first, as a config error.  Files are
-    emptied only once every one is open and checked: a refused call leaves the files that
-    existed as they were and removes those it created."""
+    written, or two flags that name one file, fail first, as a config error.  A file is
+    emptied only when it is written (``_emptied``): a failed run leaves the files that existed
+    as they were, unless it wrote them, and removes those it created."""
     with ExitStack() as stack:
-        handles, regular, seen, created = [], [], {}, []
+        handles, seen, created = [], {}, []
         try:
             for name, path in paths.items():
                 handles.append(stack.enter_context(_open_kept(path, created)) if path else None)
                 if handles[-1] and stat.S_ISREG((st := os.fstat(handles[-1].fileno())).st_mode):
-                    regular.append(handles[-1])
                     flag = "--" + name.replace("_", "-")
                     if (other := seen.setdefault((st.st_dev, st.st_ino), flag)) != flag:
                         raise ConfigError(f"{other} and {flag} name the same file {path}")
-        except ConfigError:
+            yield handles
+        except BaseException:
             stack.close()
             for path in created:
                 with suppress(OSError):
                     os.remove(path)
             raise
-        for fh in regular:
-            fh.truncate(0)
-        yield handles
 
 
 def _open_kept(path: str, created: list[str]):
@@ -397,13 +394,20 @@ def _open_kept(path: str, created: list[str]):
 
 @contextmanager
 def _writing(fh):
-    """Write to the output file ``fh`` in the block, then close it; an OSError in writing or
-    closing it is a config error."""
+    """Write to the output file ``fh``, emptied first, in the block, then close it; an OSError
+    in writing or closing it is a config error."""
     try:
-        with fh:
+        with _emptied(fh):
             yield
     except OSError as exc:
         raise ConfigError(f"cannot write {fh.name}: {exc.strerror or exc}") from exc
+
+
+def _emptied(fh):
+    """``fh`` emptied if it is a regular file; a device such as /dev/full is written in place."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
+    return fh
 
 
 def _write_sigma_csv(fh, sigma: np.ndarray) -> None:
@@ -426,7 +430,7 @@ def _trial_writer(fh, design: SmartDesign, n: int):
 
     fields = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}" for p in design.paths]
     helper = subprocess.Popen([sys.executable, "-I", "-S", _dump.__file__, str(n), *fields],
-                              stdin=subprocess.PIPE, stdout=fh)
+                              stdin=subprocess.PIPE, stdout=_emptied(fh))
 
     def failed() -> ConfigError:
         status = helper.wait()

@@ -117,8 +117,8 @@ def solve_missingness(
     bound = max_corr(sigma, st)
     if abs(c_target) >= bound:
         raise InfeasibleTargetError(
-            f"|c| target {abs(c_target)} is not attainable; the supremum for this "
-            f"model is {bound:.6f}"
+            f"|c| target {abs(c_target)} is not attainable; the supremum for this model is "
+            f"{bound:.6g}, and it falls as the error variance (sigma1, lambda, nu) grows"
         )
 
     if not sigma0**2 >= np.finfo(float).tiny:
@@ -132,7 +132,8 @@ def solve_missingness(
     a = _bracket_root(lambda a: prob_available(MissingnessParams(a, b), sigma) - p_target, 0.0,
                       -_A0_BRACKET, _A0_BRACKET, f"the intercept for p={p_target}")
     mp = MissingnessParams(cutoff + a * sigma0, b * sigma0, sigma0, cutoff)
-    got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a huge cutoff can round a away
+    with np.errstate(over="raise"):  # a huge sigma0: FloatingPointError, not inf and NaN
+        got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a huge cutoff rounds a away
     if not max(abs(got[0] - p_target), abs(got[1] - c_target)) <= 1e-8:
         raise InfeasibleTargetError(f"the targets are lost to rounding at cutoff={cutoff}, "
                                     f"sigma0={sigma0}: p={got[0]:.6g}, c={got[1]:.6g}")

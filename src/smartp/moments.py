@@ -12,12 +12,11 @@ sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
 variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
 quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 ``_index_sweep`` draws the index rows in fixed blocks of BLOCK = 1024 rows, whose
-scratch stays in cache, and redraws the index of all-missing replicates from the same
-generator (and counts them); the outcome error is independent of (Q, eps0), so
-redrawing the index alone conditions on k >= 1.  The pass pairs rows within a block; the
-trials' draws, iid, do not depend on the block size.  Work proceeds in fixed 65536-replicate
-chunks, each on its own RNG substream keyed by (seed, MOMENTS, chunk), so the result is
-bit-identical for any worker count.
+scratch stays in cache, and keeps the first n rows with k >= 1 (counting those it drops):
+rows are iid and the outcome error is independent of (Q, eps0), so this conditions on k >= 1.
+The pass pairs rows within a block; the trials' draws, iid, do not depend on the block
+size.  Work proceeds in fixed 65536-replicate chunks, each on its own RNG substream keyed
+by (seed, MOMENTS, chunk), so the result is bit-identical for any worker count.
 ``_chunk_moments`` merges each block as it is drawn; ``_simulate_ybar``, the trials' kernel,
 keeps each block's conditional mean and variance of ``w . Q | v`` per cluster and then draws
 it as one normal, so no pass holds an (n, T) array.  Normal errors (skew 0, dof inf) fold
@@ -140,79 +139,73 @@ def _merge(n_a: int, mean_a, m2_a, n_b: int, mean_b, m2_b):
 
 
 def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: bool = False):
-    """Yield n index rows ``[w, w . E[Q|v]]``, every one with k >= 1, block by block in one
-    reused scratch, as (positions, rows, float k, all-missing rows left out).  Consecutive
-    fills draw the stream of one ``(n, T)`` draw, and the GEMM rounds each row alike in any
-    block, so the rows are bit for bit one block's.  The last block of a round takes up to
-    BLOCK + 1 rows: numpy sends a one-row block to its matrix-vector product instead, which
-    rounds differently.  The positions left out are redrawn in rounds through the same loop
-    until none is left; ``check_redraws`` with REDRAW_SLACK bounds the redraws before each
-    round.  ``paired`` (mirrored pairs) draws and projects ceil(m/2) rows zeta of a block of m;
-    the other m // 2 rows are those of -zeta for the first rows drawn, whose index is the
-    product negated: each is masked by ``v >= -(cutoff - a0)`` and takes the masked sum of
-    E[Q|v] negated as its r.  Negation is exact, so the rows are bit for bit those of
-    [zeta, -zeta] projected whole.  k is one matrix-vector product, and each row is scaled by
-    1/k."""
+    """Yield the first n index rows ``[w, w . E[Q|v]]`` with k >= 1 that the stream gives, block
+    by block in one reused scratch, as (position of the block's first row, rows, float k,
+    all-missing rows dropped so far); a block with no such row yields nothing.  Each block draws
+    at most the rows still missing, so the sweep stops at the n-th row it keeps, and
+    ``check_redraws`` with REDRAW_SLACK bounds the drops after each block.  Consecutive fills
+    draw the stream of one ``(n, T)`` draw, and the GEMM rounds each row alike in any block, so
+    the rows are bit for bit one block's.  A block takes BLOCK rows, or up to BLOCK + 1 when
+    those are all that is missing: numpy sends a one-row block to its matrix-vector product
+    instead, which rounds differently.  ``paired`` (mirrored pairs) draws and projects
+    ceil(m/2) rows zeta of a block of m; the other m // 2 rows are those of -zeta for the first
+    rows drawn, whose index is the product negated: each is masked by ``v >= -(cutoff - a0)``
+    and takes the masked sum of E[Q|v] negated as its r.  Negation is exact, so the rows are
+    bit for bit those of [zeta, -zeta] projected whole.  k is one matrix-vector product, and
+    each row is scaled by 1/k."""
     mp, proj = model.mp, model.index_projection[0]
     t_dim, rows, c = model.sigma.dim, min(n, BLOCK + 1), mp.cutoff - mp.intercept
     zeta, v_and_q = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim))
     k, inv_k, ones = np.empty(rows), np.empty(rows), np.ones(t_dim)
-    block, todo, n_redrawn = np.empty((rows, t_dim + 1)), None, 0
-    while todo is None or todo.size:
-        size, left, start = n if todo is None else todo.size, [], 0
-        while start < size:
-            m = size - start if size - start <= BLOCK + 1 else BLOCK
-            # the first round (todo None) makes its positions block by block: all n at once
-            # would add 8 bytes a row to the peak memory
-            pos = np.arange(start, start + m) if todo is None else todo[start:start + m]
-            zb, kb, ikb = block[:m], k[:m], inv_k[:m]
-            start += m
-            h = (m + 1) // 2 if paired else m
-            rng.standard_normal(out=zeta[:h])
-            if h == 1 < m:  # one row would take numpy's matrix-vector product: mirror
-                np.negative(zeta[:1], out=zeta[1:2])  # the pair in zeta and project both
-                h = 2
-            np.matmul(zeta[:h], proj, out=v_and_q[:h])
-            v, q, w, r = v_and_q[:h, :t_dim], v_and_q[:h, t_dim:], zb[:, :-1], zb[:, -1]
-            np.less_equal(v, c, out=w[:h])
-            np.greater_equal(v[:m - h], -c, out=w[h:])  # the mirrored rows: -v <= c
-            np.matmul(w, ones, out=kb)
-            np.einsum("it,it->i", w[:h], q, out=r[:h])
-            np.einsum("it,it->i", w[h:], q[:m - h], out=r[h:])
-            np.negative(r[h:], out=r[h:])
-            with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 rows are left out
-                zb *= np.reciprocal(kb, out=ikb)[:, None]
+    block, kept, dropped = np.empty((rows, t_dim + 1)), 0, 0
+    while kept < n:
+        m = n - kept if n - kept <= BLOCK + 1 else BLOCK
+        zb, kb, ikb = block[:m], k[:m], inv_k[:m]
+        h = (m + 1) // 2 if paired else m
+        rng.standard_normal(out=zeta[:h])
+        if h == 1 < m:  # one row would take numpy's matrix-vector product: mirror
+            np.negative(zeta[:1], out=zeta[1:2])  # the pair in zeta and project both
+            h = 2
+        np.matmul(zeta[:h], proj, out=v_and_q[:h])
+        v, q, w, r = v_and_q[:h, :t_dim], v_and_q[:h, t_dim:], zb[:, :-1], zb[:, -1]
+        np.less_equal(v, c, out=w[:h])
+        np.greater_equal(v[:m - h], -c, out=w[h:])  # the mirrored rows: -v <= c
+        np.matmul(w, ones, out=kb)
+        np.einsum("it,it->i", w[:h], q, out=r[:h])
+        np.einsum("it,it->i", w[h:], q[:m - h], out=r[h:])
+        np.negative(r[h:], out=r[h:])
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 rows are dropped
+            zb *= np.reciprocal(kb, out=ikb)[:, None]
+        if not kb.all():
             full = kb > 0
-            left.append(pos[~full])
-            if left[-1].size:
-                pos, zb, kb = pos[full], zb[full], kb[full]
-            yield pos, zb, kb, left[-1].size
-        todo = np.concatenate(left)
-        n_redrawn += todo.size
-        check_redraws(n_redrawn, n, REDRAW_SLACK)
+            zb, kb = zb[full], kb[full]
+            dropped += m - kb.size
+            check_redraws(dropped, n, REDRAW_SLACK)
+        if kb.size:
+            yield kept, zb, kb, dropped
+            kept += kb.size
 
 
 def _simulate_ybar(model: OutcomeModel, path_mu: np.ndarray, path: np.ndarray,
                    rng: np.random.Generator):
-    """(ybar, k, redraws) for clusters on ``path`` of the (P, T) path means ``path_mu``.  For
-    each block of index rows (k >= 1) it keeps the mean ``w . mu + r`` and the variance
-    ``w' C w`` of ``w . Q | v``; then ybar is one normal per cluster.  Normal errors join that
-    normal (C = Cov(Q + e1 | v)); other errors are drawn with their block, C = Cov(Q|v)."""
+    """(ybar, k, redraws) for clusters on ``path`` of the (P, T) path means ``path_mu``; cluster
+    i takes the sweep's i-th row (k >= 1).  For each block of index rows it keeps the mean
+    ``w . mu + r`` and the variance ``w' C w`` of ``w . Q | v``; then ybar is one normal per
+    cluster.  Normal errors join that normal (C = Cov(Q + e1 | v)); other errors are drawn
+    with their block, C = Cov(Q|v)."""
     normal = model.st.skew == 0.0 and model.st.is_normal_limit
     cov = model.cond_cov if normal else model.index_projection[1]
     n = path.size
-    mean, var, k, n_redrawn = np.empty(n), np.empty(n), np.empty(n, np.intp), 0
+    mean, var, k = np.empty(n), np.empty(n), np.empty(n, np.intp)
     wc = np.empty((BLOCK + 1, model.sigma.dim))  # one block's w @ cov
-    for pos, rows, kb, n_left in _index_sweep(model, n, rng):
-        n_redrawn += n_left
-        if not pos.size:  # a block can be all-missing
-            continue
-        w, mu = rows[:, :-1], path_mu[path[pos]]
+    for start, rows, kb, n_redrawn in _index_sweep(model, n, rng):
+        at, w = slice(start, start + kb.size), rows[:, :-1]
+        mu = path_mu[path[at]]
         if not normal:
             mu += sample_st(model.st, mu.size, rng).reshape(mu.shape)
-        np.matmul(w, cov, out=wc[:pos.size])
-        k[pos], var[pos] = kb, np.einsum("it,it->i", wc[:pos.size], w)
-        mean[pos] = np.einsum("it,it->i", w, mu) + rows[:, -1]
+        np.matmul(w, cov, out=wc[:kb.size])
+        k[at], var[at] = kb, np.einsum("it,it->i", wc[:kb.size], w)
+        mean[at] = np.einsum("it,it->i", w, mu) + rows[:, -1]
     mean += np.sqrt(var, out=var) * rng.standard_normal(n)
     return mean, k, n_redrawn
 
@@ -222,16 +215,12 @@ def _chunk_moments(model: OutcomeModel, seed: int, chunk: int, size: int):
     ``_index_sweep`` centred and merged as it is drawn.  The rows come in mirrored pairs
     (zeta, -zeta): each is a draw of the index, and r, nearly odd in zeta, cancels much of
     its noise within a pair."""
-    rng, acc, n_redrawn = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0), 0
+    rng, acc = substream(seed, MOMENTS, chunk), (0, 0.0, 0.0)
     ones = np.ones(min(size, BLOCK + 1))
-    for _, rows, _, n_left in _index_sweep(model, size, rng, paired=True):
-        n_redrawn += n_left
-        m = rows.shape[0]
-        if m:  # a block can be all-missing
-            mean = ones[:m] @ rows
-            mean /= m
-            rows -= mean
-            acc = _merge(*acc, m, mean, rows.T @ rows)
+    for _, rows, kb, n_redrawn in _index_sweep(model, size, rng, paired=True):
+        mean = ones[:kb.size] @ rows / kb.size
+        rows -= mean
+        acc = _merge(*acc, kb.size, mean, rows.T @ rows)
     return *acc, n_redrawn
 
 
@@ -262,7 +251,8 @@ def estimate_path_moments(
     check_redraws(redrawn, num)
     # r adds st_mean, and its scatter sum_i w_i' cond_cov w_i: sum_i w_i w_i' is the uncentred
     # w-block of the scatter
-    m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
+    with np.errstate(over="raise"):  # a huge sigma1: FloatingPointError, not inf and NaN
+        m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
     mean[-1] += st_mean(model.st)
     return ModelMoments(n, mean, m2, redrawn)
 

@@ -5,8 +5,8 @@ by (seed, domain tag, *indices), which feeds numpy's normal sampler faster than
 PCG64.  Work split into fixed-size chunks keyed
 this way gives results that do not depend on execution order or on how
 many workers process the chunks: ``chunk_map`` runs the chunks and hands
-back their results in key order.  ``check_redraws`` says when there are too
-many all-missing redraws, which ``moments._index_sweep`` makes within a chunk.
+back their results in key order.  ``check_redraws`` says when too many
+all-missing index rows were dropped, each one a row drawn again by ``moments._index_sweep``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ outcomes/missingness with the path's mean vector through
 per-sub-unit errors unless they are normal, then ``w . Q`` given the index
 as one normal per cluster, into which normal errors fold; exact in
 distribution.  Path means stay one (P, T) table: no (n, T) array exists.
-A cluster whose sub-units are all missing has its index redrawn, from the
-chunk's generator, before its errors are drawn.
+Cluster i takes the i-th index row with an observed sub-unit that the
+chunk's generator gives; rows with none are dropped (and counted) before
+any error is drawn for them.
 
 A regime's IPW weight depends only on the observed path: ``1/(pi1 pi2)``
 on the regime's two paths and 0 elsewhere, so weights are the per-path
@@ -116,7 +117,9 @@ def ipw_weights(ds: TrialDataset, design: SmartDesign, regime: Regime) -> np.nda
 
 
 def ipw_estimate(ds: TrialDataset, design: SmartDesign, regime_ids: tuple[int, ...]) -> float:
-    """IPW estimate of the regime mean (one id) or mean difference (two ids, 0-based)."""
+    """IPW estimate of the regime mean (one id) or mean difference (two ids, 0-based);
+    ``contrast_weights`` refuses other ids first."""
+    contrast_weights(design, regime_ids)
     est = 0.0
     for sign, rid in zip((1.0, -1.0), regime_ids):
         w = ipw_weights(ds, design, design.regimes[rid])

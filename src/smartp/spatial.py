@@ -158,7 +158,8 @@ def car_covariance(model: CarModel) -> SpdMatrix:
         raise NotPositiveDefiniteError(
             f"C - rho*D is not positive definite (rho={model.rho} too large for this graph)"
         ) from exc
-    ident = np.eye(model.graph.size)
-    inv = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, ident))
-    return SpdMatrix(model.tau**2 * inv, "Sigma = tau^2 (C - rho D)^-1")
+    inv = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, np.eye(model.graph.size)))
+    with np.errstate(over="raise"):  # a huge tau: FloatingPointError, not inf and NaN
+        sigma = model.tau**2 * inv
+    return SpdMatrix(sigma, "Sigma = tau^2 (C - rho D)^-1")
 

@@ -88,42 +88,35 @@ def index_rows_of(model, zeta):
     return z, k
 
 
+def first_kept_rows(n, block, draw):
+    """The first n rows with k >= 1 of the (z, k) blocks that ``draw(m)`` gives, as
+    ``moments._index_sweep`` draws them: each block takes ``block`` of the rows still missing,
+    or up to ``block + 1`` when those are all that is missing.  Returns (z, k, rows dropped)."""
+    zs, ks, kept, drawn = [], [], 0, 0
+    while kept < n:
+        m = n - kept if n - kept <= block + 1 else block
+        zb, kb = draw(m)
+        zs.append(zb[kb > 0])
+        ks.append(kb[kb > 0])
+        kept, drawn = kept + ks[-1].size, drawn + m
+    return np.vstack(zs), np.concatenate(ks), drawn - n
+
+
 def simulate_z_reference(model, n, rng):
-    """``index_rows_reference`` with every k >= 1, the oracle for ``moments._index_sweep``:
-    (z, k, redraws).  The rows left all-missing are redrawn, in order, in rounds from the same
-    generator until none is left."""
-    z, k = index_rows_reference(model, n, rng)
-    bad, n_redrawn = np.flatnonzero(k == 0), 0
-    while bad.size:
-        n_redrawn += bad.size
-        z[bad], k[bad] = index_rows_reference(model, bad.size, rng)
-        bad = bad[k[bad] == 0]
-    return z, k, n_redrawn
+    """``index_rows_reference``'s first n rows with k >= 1, drawn in rounds of the rows still
+    missing from the same generator, the oracle for ``moments._index_sweep``: (z, k, drops)."""
+    return first_kept_rows(n, n, lambda m: index_rows_reference(model, m, rng))
 
 
 def paired_z_reference(model, n, rng, block):
     """The moments pass's mirrored rows, the oracle for ``moments._index_sweep(...,
-    paired=True)``: (z, k, redraws).  Rounds of blocks of ``block`` rows (the last block of a
-    round takes up to ``block + 1``); a block of m rows draws ceil(m/2) rows zeta and projects
-    ``[zeta, -zeta[:m // 2]]`` by ``index_rows_of``, the negated normals included.  The
-    all-missing rows are redrawn, in order, in the next round."""
-    t_dim = model.sigma.dim
-    z, k = np.empty((n, t_dim + 1)), np.empty(n, dtype=np.intp)
-    todo, n_redrawn = np.arange(n), 0
-    while todo.size:
-        left, start = [], 0
-        while start < todo.size:
-            m = todo.size - start if todo.size - start <= block + 1 else block
-            pos = todo[start:start + m]
-            start += m
-            zeta = rng.standard_normal(((m + 1) // 2, t_dim))
-            zb, kb = index_rows_of(model, np.vstack([zeta, -zeta[:m // 2]]))
-            full = kb > 0
-            z[pos[full]], k[pos[full]] = zb[full], kb[full]
-            left.append(pos[~full])
-        todo = np.concatenate(left)
-        n_redrawn += todo.size
-    return z, k, n_redrawn
+    paired=True)``: (z, k, drops).  A block of m rows draws ceil(m/2) rows zeta and projects
+    ``[zeta, -zeta[:m // 2]]`` by ``index_rows_of``, the negated normals included."""
+    def draw(m):
+        zeta = rng.standard_normal(((m + 1) // 2, model.sigma.dim))
+        return index_rows_of(model, np.vstack([zeta, -zeta[:m // 2]]))
+
+    return first_kept_rows(n, block, draw)
 
 
 def reference_model_moments(model, num, seed, paired=True):
@@ -151,30 +144,20 @@ def reference_model_moments(model, num, seed, paired=True):
 
 def blocked_trial_reference(model, n, rng, block):
     """The trial kernel's draws for skew-t errors, the oracle for the order of
-    ``moments._simulate_ybar``: (z, k, redraws, e1).  Rounds of index rows in blocks of
-    ``block`` rows (the last block of a round takes up to ``block + 1``), each block's rows
-    drawn by ``index_rows_reference`` and followed by the errors of its rows with k >= 1; the
-    all-missing rows are redrawn, in order, in the next round."""
+    ``moments._simulate_ybar``: (z, k, drops, e1).  Index rows in blocks of ``block`` rows (see
+    ``first_kept_rows``), each block drawn by ``index_rows_reference`` and followed by the
+    errors of its rows with k >= 1."""
     from smartp import sample_st
 
-    t_dim = model.sigma.dim
-    z, k, e1 = np.empty((n, t_dim + 1)), np.empty(n, dtype=np.intp), np.empty((n, t_dim))
-    todo, n_redrawn = np.arange(n), 0
-    while todo.size:
-        left, start = [], 0
-        while start < todo.size:
-            m = todo.size - start if todo.size - start <= block + 1 else block
-            pos = todo[start:start + m]
-            start += m
-            zb, kb = index_rows_reference(model, m, rng)
-            full = kb > 0
-            z[pos[full]], k[pos[full]] = zb[full], kb[full]
-            if full.any():
-                e1[pos[full]] = sample_st(model.st, full.sum() * t_dim, rng).reshape(-1, t_dim)
-            left.append(pos[~full])
-        todo = np.concatenate(left)
-        n_redrawn += todo.size
-    return z, k, n_redrawn, e1
+    t_dim, e1 = model.sigma.dim, []
+
+    def draw(m):
+        zb, kb = index_rows_reference(model, m, rng)
+        if kb.any():
+            e1.append(sample_st(model.st, np.count_nonzero(kb) * t_dim, rng).reshape(-1, t_dim))
+        return zb, kb
+
+    return *first_kept_rows(n, block, draw), np.vstack(e1)
 
 
 def sample_mvn(cov, n, rng):

@@ -717,6 +717,22 @@ def test_refused_outputs_leave_the_files_as_they_were(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
 
 
+def test_a_failed_run_keeps_the_files_it_did_not_write(tmp_path, capsys):
+    """A run that fails after the trials (exit 3: reps with a plug-in sigma^2 of 0) keeps the
+    bytes of an existing ``--json`` file, which it never wrote, and removes the
+    ``--dump-trials`` file it created, which the dump helper had written.  Both files used to be
+    emptied before the moments pass, which left the JSON at 0 bytes and an empty dump."""
+    keep = tmp_path / "keep.json"
+    keep.write_text('{"old": 1}\n')
+    argv = ["power", "--empirical-variance", "--regime", "2,3", *WORKED[2:6], "--n", "3",
+            "--reps", "200", "--num", "20000", "--seed", "1", "--json", str(keep),
+            "--dump-trials", str(tmp_path / "new.csv")]
+    assert cli.main(argv) == 3
+    assert "reps have a plug-in sigma^2 of 0" in capsys.readouterr().err
+    assert keep.read_text() == '{"old": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+
+
 def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
     """One rep has no Monte Carlo SD: ``--reps 1`` and ``"reps": 1`` exit 2 naming reps before
     the moments pass, with no numpy RuntimeWarning, where they printed MCSD nan and wrote it as

@@ -1,21 +1,25 @@
 """Edge-of-range sweep generated from ``cli.TABLE``: every row with a value flag, under every
-command that reads it, at zero, the extremes of double precision, NaN, the infinities, a small
-negative value and each range check's boundaries with the nearest value on each side.
+command that reads it, at zero, the extremes of double precision, ±1e154 (whose square is near
+the largest double), NaN, the infinities, a small negative value and each range check's
+boundaries with the nearest value on each side.
 
 Each case runs ``cli.main`` in-process on a small Monte Carlo (``--num 2000 --reps 20 --n 30``)
-and must exit 0, 2 or 3 without raising and without a RuntimeWarning.  On exit 0 every number
-it prints is finite; on exit 2 or 3 the message names the parameter or the quantity that failed.
+and must exit 0, 2 or 3 within TIME_BOUND seconds, without raising and without a
+RuntimeWarning.  On exit 0 every number it prints is finite; on exit 2 or 3 the message names
+the parameter or the quantity that failed.
 """
 
 import math
 import re
+import time
 import warnings
 
 import pytest
 
 from smartp import cli
 
-EXTREMES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-1e-3")
+EXTREMES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "1e154", "-1e154", "nan", "inf", "-inf",
+            "-1e-3")
 #: the boundaries of each row's range check; the sweep adds the nearest value on each side
 BOUNDS = {
     "tau": (0.0, math.inf), "sigma1": (0.0, math.inf), "sigma0": (0.0, math.inf),
@@ -35,6 +39,9 @@ QUANTITIES = {
 #: quantities any input can break: an overflow (the message names no input), a covariance that is
 #: not positive definite, and a missingness model that leaves no sub-unit
 ANY_QUANTITY = ("overflowed", "not positive definite", "missingness model")
+#: seconds one case may take: the slowest takes a few hundredths, so a case over this bound
+#: hangs or runs far more Monte Carlo than the sweep asks for
+TIME_BOUND = 2.0
 #: the base arguments of each command; the swept flag replaces its entry
 SIZED = {"--regime": "1,5", "--mu-scalar": "0,0.5,0,2,0,0,5,0,0,0", "--num": "2000"}
 BASE = {
@@ -79,8 +86,11 @@ def test_every_numeric_row_has_its_bounds():
 def test_edge_values_exit_cleanly(row, argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        start = time.perf_counter()
         code = cli.main(argv)
+        seconds = time.perf_counter() - start
     printed = capsys.readouterr()
+    assert seconds < TIME_BOUND, (argv, seconds)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert code in (0, 2, 3), (argv, printed.err)
     if code == 0:

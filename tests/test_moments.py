@@ -57,13 +57,38 @@ INF = math.inf
 
 
 def sweep_rows(model, n, rng):
-    """``_index_sweep``'s rows scattered by position: (z, integer k, redraws); a position the
-    sweep never yields stays NaN."""
+    """``_index_sweep``'s rows placed by the slice each block yields: (z, integer k, drops); a
+    position the sweep never yields stays NaN."""
     z, k, n_redrawn = np.full((n, model.sigma.dim + 1), np.nan), np.zeros(n, dtype=np.intp), 0
-    for pos, rows, kb, n_left in _index_sweep(model, n, rng):
-        z[pos], k[pos] = rows, kb
-        n_redrawn += n_left
+    for start, rows, kb, n_redrawn in _index_sweep(model, n, rng):
+        z[start:start + kb.size], k[start:start + kb.size] = rows, kb
     return z, k, n_redrawn
+
+
+def recorded_sweep(monkeypatch):
+    """Patch ``moments._index_sweep`` to record (kept rows, drops so far) of each yield."""
+    yields, sweep = [], moments._index_sweep
+
+    def recording(*args, **kwargs):
+        for out in sweep(*args, **kwargs):
+            yields.append((out[2].size, out[3]))
+            yield out
+
+    monkeypatch.setattr(moments, "_index_sweep", recording)
+    return yields
+
+
+def whole_blocks_dropped(yields, n, block):
+    """How many blocks a sweep of n rows that yielded ``yields`` dropped whole.  Between two
+    yields it keeps the same rows, so every block it draws has the same size m; the drops that
+    the yielded block's own m rows do not explain must be whole blocks of m."""
+    kept, dropped, whole = 0, 0, 0
+    for size, total in yields:
+        m = n - kept if n - kept <= block + 1 else block
+        extra = total - dropped - (m - size)
+        assert extra >= 0 and extra % m == 0, (kept, size, total)
+        kept, dropped, whole = kept + size, total, whole + extra // m
+    return whole
 
 
 def reference_ybar(model, mu_vec, num, seed):
@@ -122,7 +147,7 @@ def test_iid_limit():
 
 
 def test_determinism_and_worker_independence():
-    """Bit-identical across runs and worker counts, redraw rounds included."""
+    """Bit-identical across runs and worker counts, all-missing drops included."""
     for a0 in (-1.0, 0.5):  # next to no redraws; redraws in most chunks
         model = make_model(a0=a0, b0=1.0)
         a = estimate_path_moments(model, 150_000, seed=11, workers=1)
@@ -297,12 +322,12 @@ def test_conditional_trial_kernel_matches_brute_force(lam, nu, sparse):
 
 @pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
 def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
-    """After n rows the trial kernel has drawn the n x T index normals, the index normals of
-    the all-missing rows' redraws, and then n normals g, in that order; errors that are not
-    normal are drawn with each block of index rows, for its rows with k >= 1.  Every row has
-    k >= 1, and ybar = w . (mu + e1) + w . E[Q|v] + sd g with sd^2 = w' C w.  C is Cov(Q|v)
-    from the Schur complement of the joint (Q, v) covariance, plus sigma1^2 I for normal
-    errors, which join the one normal instead."""
+    """After n rows the trial kernel has drawn the index normals up to the n-th row with
+    k >= 1, and then n normals g, in that order; errors that are not normal are drawn with each
+    block of index rows, for its rows with k >= 1.  Every row has k >= 1, and
+    ybar = w . (mu + e1) + w . E[Q|v] + sd g with sd^2 = w' C w.  C is Cov(Q|v) from the Schur
+    complement of the joint (Q, v) covariance, plus sigma1^2 I for normal errors, which join
+    the one normal instead."""
     st = SkewTParams(0.0, 0.95, lam, nu)
     model = OutcomeModel(default_car_model(), st,
                          solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st,
@@ -340,19 +365,13 @@ def test_streamed_trial_kernel_matches_the_whole_chunk_draw(monkeypatch, a0, blo
     """With normal errors the trial kernel, which keeps each block's conditional mean and
     variance, against the whole-chunk arithmetic on ``simulate_z_reference``'s rows: ybar
     ``w . mu + r + sqrt(w' C w) g`` within 1e-12 of the largest |ybar|, the same counts and
-    redraws, and the generator left in the same state.  At a0 = 2.0 with blocks of 7 rows, the redraw rounds yield one-row
-    blocks and all-missing ones."""
+    drops, and the generator left in the same state.  At a0 = 2.0 with blocks of 7 rows the
+    sweep yields one-row blocks and drops a third of the rows, each counted in its block's
+    yield; no block of 7 is all-missing at this seed (about 0.2 expected)."""
     model = make_model(a0=a0)
     monkeypatch.setattr(moments, "REDRAW_SLACK", 10_000)
     monkeypatch.setattr(moments, "BLOCK", block)
-    sizes, sweep = [], moments._index_sweep
-
-    def recording(*args):
-        for out in sweep(*args):
-            sizes.append(out[0].size)
-            yield out
-
-    monkeypatch.setattr(moments, "_index_sweep", recording)
+    yields = recorded_sweep(monkeypatch)
     path_mu = np.random.default_rng(3).uniform(-1.0, 5.0, (10, 28))
     path = np.random.default_rng(4).integers(0, 10, n)
     rng, ref = np.random.default_rng(81), np.random.default_rng(81)
@@ -364,20 +383,22 @@ def test_streamed_trial_kernel_matches_the_whole_chunk_draw(monkeypatch, a0, blo
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(k, want_k) and n_redrawn == want_redrawn
     assert np.max(np.abs(ybar - want)) <= 1e-12 * np.max(np.abs(want))
-    assert (1 in sizes and 0 in sizes) == (a0 == 2.0)
+    assert yields[-1][1] == n_redrawn and all(size for size, _ in yields)
+    assert whole_blocks_dropped(yields, n, block) == 0  # each yield counts its block's drops
+    assert any(size == 1 for size, _ in yields) == (a0 == 2.0)
 
 
 @pytest.mark.parametrize("a0", [-1.0, 1.5])
 def test_index_rows_match_masked_sum_reference(monkeypatch, a0):
-    """The sweep's rows, scattered by position, against the masked-sum reference and its redraw
-    loop on the same draws, for blocks of 7, 1024 and more than n rows, at n = 2 BLOCK + 3,
-    16351 (a trial chunk) and 20000: every position filled with k >= 1, the same integer counts
-    and redraws, rows within 1e-12, and the generator left in the same state.  The rows are also
-    bit for bit those of one block.  The last block of a round takes a trailing single row with
-    it (n = 2 BLOCK + 1): numpy sends a one-row product to its matrix-vector path, which rounds
-    differently from the GEMM, by 6.7e-16 in one measurement.  At a0 = 1.5 a tenth of the rows
-    are all-missing, past the redraw limit, so the limit (pinned by the scripted tests below) is
-    lifted here."""
+    """The sweep's rows, placed by the slices it yields, against the masked-sum reference and
+    its first n rows with k >= 1 on the same draws, for blocks of 7, 1024 and more than n rows,
+    at n = 2 BLOCK + 3, 16351 (a trial chunk) and 20000: every position filled with k >= 1, the
+    same integer counts and drops, rows within 1e-12, and the generator left in the same state.
+    The rows are also bit for bit those of one block.  The last block takes a trailing single
+    row with it (n = 2 BLOCK + 1): numpy sends a one-row product to its matrix-vector path,
+    which rounds differently from the GEMM, by 6.7e-16 in one measurement.  At a0 = 1.5 a tenth
+    of the rows are all-missing, past the redraw limit, so the limit (pinned by the scripted
+    tests below) is lifted here."""
     model = make_model(a0=a0)
     monkeypatch.setattr(moments, "REDRAW_SLACK", 10_000)
     cases = [(7, 17), (7, 15), (7, 16_351), (1024, 2051), (1024, 2049), (1024, 16_351),
@@ -437,19 +458,12 @@ def test_trial_kernel_allocates_blocks_and_cluster_vectors(lam, nu, n):
 def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, block, size):
     """The block-by-block chunk moments against the scatter of the whole z that
     ``paired_z_reference`` draws from the same substream, in mirrored pairs within blocks of
-    the same size: the same count and redraws, mean and scatter within 1e-12 relative.  At
+    the same size: the same count and drops, mean and scatter within 1e-12 relative.  At
     a0 = 1.5 a tenth of the rows are all-missing; at a0 = 2.0 with blocks of 2 rows (one pair)
-    whole blocks are, and are merged as none."""
+    whole blocks are: they yield nothing, and the next yield counts their drops."""
     model = make_model(a0=a0)
     monkeypatch.setattr(moments, "BLOCK", block)
-    sizes, sweep = [], moments._index_sweep
-
-    def recording(*args, **kwargs):
-        for out in sweep(*args, **kwargs):
-            sizes.append(out[0].size)
-            yield out
-
-    monkeypatch.setattr(moments, "_index_sweep", recording)
+    yields = recorded_sweep(monkeypatch)
     n, mean, m2, n_redrawn = moments._chunk_moments(model, 9, 1, size)
     z, _, want_redrawn = paired_z_reference(model, size, substream(9, MOMENTS, 1), block)
     want_mean = z.mean(axis=0)
@@ -458,7 +472,8 @@ def test_streamed_chunk_moments_match_the_whole_chunk_scatter(monkeypatch, a0, b
     assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
     assert np.max(np.abs(m2 - want_m2)) <= 1e-12 * np.max(np.abs(want_m2))
     assert (n_redrawn > 0) == (a0 > 0)
-    assert (0 in sizes) == (block == 2)
+    assert yields[-1][1] == n_redrawn and all(size for size, _ in yields)
+    assert (whole_blocks_dropped(yields, size, block) > 0) == (block == 2)
 
 
 @pytest.mark.parametrize("lam, nu, a0", [(0.0, INF, -1.0), (10.0, 5.0, 0.8)])
@@ -535,19 +550,29 @@ ONE_UNIT = SimpleNamespace(
 )
 
 
-def test_index_sweep_redraws_only_the_empty_rows():
-    """Rows 2 and 4 are empty; their redraw leaves row 2 empty once more.  Each round yields
-    the filled positions and leaves the empty ones out, and the next round draws only those."""
+def test_index_sweep_keeps_the_first_n_filled_rows():
+    """Of the stream's rows, the 3rd, 5th and 6th are empty.  Each block draws only the rows
+    still missing and yields its filled ones at the next position, with the drops so far; the
+    sweep stops at the 5th filled row."""
     rng = ScriptedNormals([-1, -2, 3, -4, 5, 6, -7, -8])
-    out = [(pos.tolist(), rows.tolist(), kb.tolist(), n_left)
-           for pos, rows, kb, n_left in _index_sweep(ONE_UNIT, 5, rng)]
+    out = [(start, rows.tolist(), kb.tolist(), dropped)
+           for start, rows, kb, dropped in _index_sweep(ONE_UNIT, 5, rng)]
     assert rng.asked == [5, 2, 1]
-    assert out == [([0, 1, 3], [[1, -1], [1, -2], [1, -4]], [1, 1, 1], 2),
-                   ([4], [[1, -7]], [1], 1),
-                   ([2], [[1, -8]], [1], 0)]
+    assert out == [(0, [[1, -1], [1, -2], [1, -4]], [1, 1, 1], 2),
+                   (3, [[1, -7]], [1], 3),
+                   (4, [[1, -8]], [1], 3)]
     z, k, n_redrawn = sweep_rows(ONE_UNIT, 5, ScriptedNormals([-1, -2, 3, -4, 5, 6, -7, -8]))
     assert n_redrawn == 3 and k.tolist() == [1] * 5
-    assert z.tolist() == [[1, -1], [1, -2], [1, -8], [1, -4], [1, -7]]
+    assert z.tolist() == [[1, -1], [1, -2], [1, -4], [1, -7], [1, -8]]
+
+
+def test_index_sweep_counts_an_empty_block_in_the_next_yield():
+    """A block whose rows are all missing yields nothing; its drops show in the next yield."""
+    rng = ScriptedNormals([-1, 2, 3, 4, -5])
+    out = [(start, rows.tolist(), dropped)
+           for start, rows, _, dropped in _index_sweep(ONE_UNIT, 2, rng)]
+    assert rng.asked == [2, 1, 1, 1]
+    assert out == [(0, [[1, -1]], 1), (1, [[1, -5]], 3)]
 
 
 def test_index_sweep_without_empty_rows_draws_once():
@@ -557,14 +582,24 @@ def test_index_sweep_without_empty_rows_draws_once():
 
 
 def test_index_sweep_refuses_the_61st_redraw_before_drawing():
-    """1% of the sweep's 1000 rows plus 50 allows 60 redraws, however few rows are left over: a
-    row that never fills is redrawn 60 times and refused at its 61st redraw, before that draw."""
+    """1% of the sweep's 1000 rows plus 50 allows 60 drops, however few rows are left over: a
+    row that never fills is drawn again 60 times and refused after its 61st drop, before that
+    draw."""
     values = [-1.0] * 1000
     values[7] = 1.0
     rng = ScriptedNormals(values + [1.0])
     with pytest.raises(DegenerateMissingnessError, match="61 all-missing redraws for 1000 rows"):
         sweep_rows(ONE_UNIT, 1000, rng)
     assert rng.asked == [1000] + [1] * 60
+
+
+def test_index_sweep_refuses_a_degenerate_model_after_one_block():
+    """Every row is missing: the first block's 1024 drops pass 1% of 3000 rows plus 50, so the
+    sweep stops there instead of drawing the other 1976 rows first."""
+    rng = ScriptedNormals([1.0])
+    with pytest.raises(DegenerateMissingnessError, match="1024 all-missing redraws for 3000 rows"):
+        sweep_rows(ONE_UNIT, 3000, rng)
+    assert rng.asked == [1024]
 
 
 def _closed_form_without_loading(model, mu_vec):

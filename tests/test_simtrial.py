@@ -246,10 +246,11 @@ def test_per_path_ipw_table_matches_per_cluster_formula(data):
 @pytest.mark.parametrize("ids", [(0, 4, 2), (0, 0), (-1,), (0, -4), (8,)],
                          ids=["three", "same", "negative", "negative-second", "past-last"])
 def test_regime_misuse_is_refused_before_any_monte_carlo(ids, monkeypatch):
-    """mc_power, compute_effect and regime_moments refuse a regime list the design cannot answer
-    before any draw (the passes here fail the test if they run).  They used to answer: (0, 4, 2)
-    gave the power of (0, 4), (0, 0) a power of 0, a negative id wrapped to a regime from the
-    end, and an id past the last one ended in a bare IndexError."""
+    """mc_power, compute_effect, ipw_estimate and regime_moments refuse a regime list the design
+    cannot answer before any draw (the passes here fail the test if they run).  They used to
+    answer: (0, 4, 2) gave the power and the estimate of (0, 4), (0, 0) a power and an estimate
+    of 0, a negative id wrapped to a regime from the end, and an id past the last one ended in a
+    bare IndexError."""
     def ran(*_, **__):
         raise AssertionError("a Monte Carlo pass ran")
 
@@ -260,6 +261,9 @@ def test_regime_misuse_is_refused_before_any_monte_carlo(ids, monkeypatch):
         mc_power(design, model, TestSpec(), ids, 197, 56.4, reps=300, seed=1)
     with pytest.raises(ValueError, match="regime"):
         compute_effect(design, model, ids, 20000, 1)
+    ds = TrialDataset(np.arange(10), np.linspace(-1.0, 3.0, 10), np.ones(10, dtype=np.intp))
+    with pytest.raises(ValueError, match="regime"):
+        ipw_estimate(ds, design, ids)
     if len(set(ids)) == len(ids) <= 2:  # regime_moments takes any list of regimes that exist
         with pytest.raises(ValueError, match="regime ids are 0-based, below 8"):
             regime_moments(design, ids, np.zeros(10), np.ones(10))
