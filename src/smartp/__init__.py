@@ -44,7 +44,7 @@ _EXPORTS = {
         "ModelMoments", "OutcomeModel", "PathMoments", "estimate_path_moments", "regime_moments",
     ),
     "power": ("SampleSizeResult", "TestSpec", "analytic_power", "required_n", "reject", "wald_z"),
-    "simtrial": ("PowerEstimate", "TrialDataset", "ipw_estimate", "mc_power", "simulate_trial"),
+    "simtrial": ("PowerEstimate", "TrialDataset", "mc_power", "simulate_trial"),
     "spatial": (
         "AdjacencyGraph", "CarModel", "SpdMatrix", "car_covariance", "default_car_model",
         "dental_arches", "load_edge_list", "tooth_chain",

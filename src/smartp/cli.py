@@ -320,9 +320,8 @@ def _build_model(v: dict, given: dict) -> tuple[OutcomeModel, dict]:
     return OutcomeModel(car, st, mp), echo
 
 
-def _setup(args, cfg: dict, command: str):
-    """What ``samplesize`` and ``power`` simulate: (values, design, model, model echo, regime ids)."""
-    v, given = _resolve(args, cfg, command)
+def _setup(v: dict, given: dict):
+    """What ``samplesize`` and ``power`` simulate: (design, model, model echo, regime ids)."""
     design = _build_design(v)
     model, model_echo = _build_model(v, given)
     if model.sigma.dim != design.n_units:
@@ -333,88 +332,84 @@ def _setup(args, cfg: dict, command: str):
         contrast_weights(design, ids)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return v, design, model, model_echo, ids
+    return design, model, model_echo, ids
 
 
-def _report(json_fh, command: str, inputs: dict, result: dict) -> None:
-    """Print one aligned ``key value`` line per scalar of ``result``; write both dicts to the
-    open --json file, if any.  A NaN anywhere in ``result`` is an error naming its key."""
+def _report(json_fh, command: str, inputs: dict, result: dict, lines: list[str]) -> None:
+    """Print one aligned ``key value`` line per scalar of ``result``, then ``lines``; write both
+    dicts to the open --json file, if any.  A NaN anywhere in ``result`` is an error naming its
+    key, raised before anything is printed."""
     if undefined := [key for key, value in result.items() if np.isnan(value).any()]:
         raise ValueError(f"the result is not a number (NaN): {', '.join(undefined)}")
     scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
     width = max(map(len, scalars), default=0) + 1
     for key, value in scalars.items():
         print(f"{key:<{width}} {_fmt(value)}")
+    for line in lines:
+        print(line)
     if json_fh:
         payload = {"schema": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result}
-        with _writing(json_fh):
+        with _cannot_write(json_fh.name), json_fh:
             json_fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 @contextmanager
 def _outputs(**paths: str | None):
-    """Open the output files, each given by its flag's name (``json``, ``dump_trials``,
-    ``sigma_csv``; None for one not given), and yield them in that order, closing them on the
-    way out.  Commands open theirs before any Monte Carlo work, so a path that cannot be
-    written, or two flags that name one file, fail first, as a config error.  A file is
-    emptied only when it is written (``_emptied``): a failed run leaves the files that existed
-    as they were, unless it wrote them, and removes those it created."""
-    with ExitStack() as stack:
-        handles, seen, created = [], {}, []
-        try:
-            for name, path in paths.items():
-                handles.append(stack.enter_context(_open_kept(path, created)) if path else None)
-                if handles[-1] and stat.S_ISREG((st := os.fstat(handles[-1].fileno())).st_mode):
-                    flag = "--" + name.replace("_", "-")
-                    if (other := seen.setdefault((st.st_dev, st.st_ino), flag)) != flag:
-                        raise ConfigError(f"{other} and {flag} name the same file {path}")
-            yield handles
-        except BaseException:
-            stack.close()
-            for path in created:
-                with suppress(OSError):
-                    os.remove(path)
-            raise
-
-
-def _open_kept(path: str, created: list[str]):
-    """Open ``path`` for writing without truncating it, and append it to ``created`` if this
-    call creates it.  An OSError is a config error."""
+    """Open the output files, each given by its flag's name (``json``, ``sigma_csv``,
+    ``dump_trials``; None for one not given), and yield them in that order.  ``main`` opens them
+    before the plan runs, so a path that cannot be written, or two flags that name one file,
+    fail first, as a config error.  A regular file is written as a new file beside it
+    (``_open_output``), which replaces it only when the block succeeds; any other way out
+    removes the new files, so a run that fails leaves every output as it was."""
+    seen, moves = {}, []
     try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(_open_output(path, "--" + name.replace("_", "-"), seen,
+                                                    moves)) if path else None
+                   for name, path in paths.items()]
+        for new, target, path in moves:
+            with _cannot_write(path):
+                with suppress(FileNotFoundError):  # an existing target keeps its mode
+                    os.chmod(new, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(new, target)
+    except BaseException:
+        for new, _, _ in moves:
+            with suppress(OSError):
+                os.remove(new)
+        raise
+
+
+def _open_output(path: str, flag: str, seen: dict, moves: list):
+    """``path`` opened for writing: a device such as /dev/full in place, else a new file beside
+    the file ``path`` names (through any symlink), appended to ``moves`` as (new file, target,
+    path).  Two flags that name one file (by inode, or by real path for a new one) are refused,
+    and so is an existing file that cannot be written."""
+    target = os.path.realpath(path)
+    with _cannot_write(path):
         try:
-            fh = open(path, "x", newline="")
-        except FileExistsError:
-            return open(path, "w", newline="",
-                        opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC))
-        created.append(path)
+            st = os.stat(target)
+        except FileNotFoundError:
+            st = None
+        if st and not stat.S_ISREG(st.st_mode):
+            return open(path, "w", newline="")
+        if (other := seen.setdefault((st.st_dev, st.st_ino) if st else target, flag)) != flag:
+            raise ConfigError(f"{other} and {flag} name the same file {path}")
+        if st:
+            os.close(os.open(target, os.O_WRONLY))
+        new = f"{target}.{os.getpid()}.tmp"
+        # the handle is named by path, so every message names the file the user gave
+        fh = open(path, "x", newline="", opener=lambda _, flags: os.open(new, flags))
+        moves.append((new, target, path))
         return fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
-def _writing(fh):
-    """Write to the output file ``fh``, emptied first, in the block, then close it; an OSError
-    in writing or closing it is a config error."""
+def _cannot_write(path: str):
+    """An OSError in the block is a config error naming the output ``path``."""
     try:
-        with _emptied(fh):
-            yield
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {fh.name}: {exc.strerror or exc}") from exc
-
-
-def _emptied(fh):
-    """``fh`` emptied if it is a regular file; a device such as /dev/full is written in place."""
-    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.truncate(0)
-    return fh
-
-
-def _write_sigma_csv(fh, sigma: np.ndarray) -> None:
-    with _writing(fh):
-        writer = csv.writer(fh)
-        for row in sigma:
-            writer.writerow([repr(float(x)) for x in row])
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -430,7 +425,7 @@ def _trial_writer(fh, design: SmartDesign, n: int):
 
     fields = [f"{p.arm + 1},{int(p.responder)},{p.index + 1}" for p in design.paths]
     helper = subprocess.Popen([sys.executable, "-I", "-S", _dump.__file__, str(n), *fields],
-                              stdin=subprocess.PIPE, stdout=_emptied(fh))
+                              stdin=subprocess.PIPE, stdout=fh)
 
     def failed() -> ConfigError:
         status = helper.wait()
@@ -458,133 +453,106 @@ def _trial_writer(fh, design: SmartDesign, n: int):
         raise failed()
 
 
-def _print_path_table(tables: dict[str, np.ndarray]) -> None:
-    print("path  p_st1     p_st2     res  ga        initr")
-    for i in range(len(tables["res"])):
-        print(f"{i + 1:>4}  {tables['p_st1'][i]:<8.6g}  {tables['p_st2'][i]:<8.6g}  "
-              f"{tables['res'][i]:<3}  {tables['ga'][i]:<8.6g}  {tables['initr'][i]}")
+def _path_tables(design: SmartDesign) -> tuple[dict[str, list], list[str]]:
+    """The per-path tables as result lists, and as the lines of the printed table."""
+    t = {name: column.tolist() for name, column in path_tables(design).items()}
+    return t, ["path  p_st1     p_st2     res  ga        initr"] + [
+        f"{i + 1:>4}  {t['p_st1'][i]:<8.6g}  {t['p_st2'][i]:<8.6g}  {t['res'][i]:<3}  "
+        f"{t['ga'][i]:<8.6g}  {t['initr'][i]}" for i in range(len(t["res"]))]
 
 
-def cmd_samplesize(args) -> int:
-    cfg = _load_config(args.config)
-    if args.delta_std is not None:
-        refused = [_lookup(args, cfg, row)[1] for row in TABLE
-                   if SAMPLESIZE in row.commands and DELTA_STD not in row.commands]
-        ignored = [where for where in refused if where]
-        if ignored:
-            raise ConfigError(f"{', '.join(ignored)} ignored with --delta-std")
-        v, _ = _resolve(args, cfg, DELTA_STD)
-        sizing = (v["delta_std"], 1.0, v["alpha"], v["beta"])
-        result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": v["delta_std"]}
-        with _outputs(json=args.json) as (json_fh,):
-            _report(json_fh, "samplesize", _inputs(v), result)
-        return 0
+# A plan: (values, given) from ``_resolve``, and its command's open side output if any, to
+# (inputs, result, lines) for ``_report``.  It prints nothing and writes only to that output.
 
-    v, design, model, model_echo, regime_ids = _setup(args, cfg, SAMPLESIZE)
-    with _outputs(json=args.json, sigma_csv=v["sigma_csv"]) as (json_fh, sigma_fh):
-        size, eff = compute_sample_size(
-            design, model, regime_ids, v["alpha"], v["beta"], num=v["num"], seed=v["seed"],
-            workers=v["workers"],
-        )
-        tables = path_tables(design)
-        result = {
-            "N": size.n,
-            "N_exact": size.n_exact,
-            "Del": size.delta,
-            "Del_std": size.delta_std,
-            "ybard1": eff.ybard1,
-            "ybard2": eff.ybard2,
-            "sig.d1.sq": eff.sig_d1_sq,
-            "sig.d2.sq": eff.sig_d2_sq,
-            "sig.d1d2": eff.sig_d1d2,
-            "sig.e.sq": eff.sig_e_sq,
-            **{name: column.tolist() for name, column in tables.items()},
-        }
-        _report(json_fh, "samplesize", _inputs(v, model_echo), result)
-        _print_path_table(tables)
-        if sigma_fh:
-            _write_sigma_csv(sigma_fh, model.sigma.matrix)
-    return 0
+def plan_samplesize(v: dict, given: dict, sigma_csv=None) -> tuple[dict, dict, list[str]]:
+    """N for the regime effect or contrast, its moments and the path tables; the CAR covariance
+    goes to the open ``sigma_csv`` file, if any."""
+    design, model, model_echo, regime_ids = _setup(v, given)
+    size, eff = compute_sample_size(design, model, regime_ids, v["alpha"], v["beta"],
+                                    num=v["num"], seed=v["seed"], workers=v["workers"])
+    tables, table_lines = _path_tables(design)
+    result = {
+        "N": size.n,
+        "N_exact": size.n_exact,
+        "Del": size.delta,
+        "Del_std": size.delta_std,
+        "ybard1": eff.ybard1,
+        "ybard2": eff.ybard2,
+        "sig.d1.sq": eff.sig_d1_sq,
+        "sig.d2.sq": eff.sig_d2_sq,
+        "sig.d1d2": eff.sig_d1d2,
+        "sig.e.sq": eff.sig_e_sq,
+        **tables,
+    }
+    if sigma_csv:
+        with _cannot_write(sigma_csv.name), sigma_csv:
+            csv.writer(sigma_csv).writerows([repr(float(x)) for x in row]
+                                            for row in model.sigma.matrix)
+    return _inputs(v, model_echo), result, table_lines
 
 
-def cmd_power(args) -> int:
+def plan_delta_std(v: dict, given: dict) -> tuple[dict, dict, list[str]]:
+    """``samplesize --delta-std D``: N for a given standardized effect, with no simulation."""
+    sizing = (v["delta_std"], 1.0, v["alpha"], v["beta"])
+    result = {"N": required_n(*sizing), "N_exact": exact_n(*sizing), "Del_std": v["delta_std"]}
+    return _inputs(v), result, []
+
+
+def plan_power(v: dict, given: dict, dump_trials=None) -> tuple[dict, dict, list[str]]:
+    """Monte Carlo power of the Wald test at n, else at the formula's N; one CSV row per
+    simulated cluster goes to the open ``dump_trials`` file, if any."""
     from .simtrial import mc_power, require_power_n  # imported here: only power runs trials
 
-    v, design, model, model_echo, regime_ids = _setup(args, _load_config(args.config), POWER)
+    design, model, model_echo, regime_ids = _setup(v, given)
     alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
     if v["n"] is not None:
         require_power_n(v["n"], v["empirical_variance"])
-
-    with _outputs(json=args.json, dump_trials=v["dump_trials"]) as (json_fh, dump_fh):
-        eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
-        n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
-        with _trial_writer(dump_fh, design, n) if dump_fh else nullcontext() as on_chunk:
-            est = mc_power(
-                design,
-                model,
-                TestSpec(alpha, beta),
-                regime_ids,
-                n,
-                eff.sigma_sq,
-                reps=v["reps"],
-                seed=seed,
-                workers=workers,
-                empirical_variance=v["empirical_variance"],
-                on_chunk=on_chunk,
-            )
-        result = {
-            "N": n,
-            "power": est.power,
-            "se_power": est.se_power,
-            "mean_abs_delta": est.mean_abs_delta,
-            "MCSD": est.mcsd,
-            "sigma_sq": eff.sigma_sq,
-            "Del": eff.delta,
-        }
-        _report(json_fh, "power", _inputs(v, model_echo), result)
-    return 0
+    eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
+    n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
+    with _trial_writer(dump_trials, design, n) if dump_trials else nullcontext() as on_chunk:
+        est = mc_power(design, model, TestSpec(alpha, beta), regime_ids, n, eff.sigma_sq,
+                       reps=v["reps"], seed=seed, workers=workers,
+                       empirical_variance=v["empirical_variance"], on_chunk=on_chunk)
+    result = {"N": n, "power": est.power, "se_power": est.se_power,
+              "mean_abs_delta": est.mean_abs_delta, "MCSD": est.mcsd, "sigma_sq": eff.sigma_sq,
+              "Del": eff.delta}
+    return _inputs(v, model_echo), result, []
 
 
-def cmd_solve_missing(args) -> int:
-    v, given = _resolve(args, _load_config(args.config), SOLVE)
+def plan_solve_missing(v: dict, given: dict) -> tuple[dict, dict, list[str]]:
+    """(a0, b0) from the targets (p_i, c_i), and the p_i and c_i that they give back."""
     if not {"p_i", "c_i"} <= given.keys():
         raise ConfigError("solve-missing needs p_i and c_i")
     model, _ = _build_model(v, given)
-    result = {
-        "a0": model.mp.intercept,
-        "b0": model.mp.loading,
-        "p_i": prob_available(model.mp, model.sigma),
-        "c_i": corr_y_m(model.mp, model.sigma, model.st),
-    }
-    with _outputs(json=args.json) as (json_fh,):
-        _report(json_fh, "solve-missing", {"p_i": v["p_i"], "c_i": v["c_i"]}, result)
-    return 0
+    result = {"a0": model.mp.intercept, "b0": model.mp.loading,
+              "p_i": prob_available(model.mp, model.sigma),
+              "c_i": corr_y_m(model.mp, model.sigma, model.st)}
+    return {"p_i": v["p_i"], "c_i": v["c_i"]}, result, []
 
 
-def cmd_describe_design(args) -> int:
-    v, _ = _resolve(args, _load_config(args.config), DESCRIBE)
+def plan_describe_design(v: dict, given: dict) -> tuple[dict, dict, list[str]]:
+    """The design's arms, paths and regimes, then its path tables and ``design ok``."""
     design = _build_design(v)
-    print(f"sub-units per cluster: {design.n_units}")
-    print(f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}")
     literal = " (literal pi1)" if design.pi1_literal else ""
-    print(f"stage1 mode: {design.stage1_mode.value}{literal}")
+    lines = [f"sub-units per cluster: {design.n_units}",
+             f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}",
+             f"stage1 mode: {design.stage1_mode.value}{literal}"]
     pi1 = stage1_probs(design)
-    for arm in design.arms:
-        print(f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
-              f"options R/NR = {arm.n_resp_options}/{arm.n_nonresp_options}")
+    lines += [f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
+              f"options R/NR = {arm.n_resp_options}/{arm.n_nonresp_options}" for arm in design.arms]
     for p in design.paths:
         mu = np.asarray(p.mu)
         mu_desc = f"{mu[0]:.6g}" if np.all(mu == mu[0]) else f"[{mu.min():.6g}..{mu.max():.6g}]"
-        print(f"path {p.index + 1}: arm {p.arm + 1} {'R ' if p.responder else 'NR'} mu={mu_desc}")
-    for r in design.regimes:
-        print(f"regime {r.index + 1}: arm {r.arm + 1} responder->path {r.responder_path + 1} "
-              f"non-responder->path {r.nonresp_path + 1}")
-    tables = path_tables(design)
-    _print_path_table(tables)
-    print("design ok")
-    with _outputs(json=args.json) as (json_fh,):
-        _report(json_fh, DESCRIBE, {}, {name: column.tolist() for name, column in tables.items()})
-    return 0
+        lines.append(f"path {p.index + 1}: arm {p.arm + 1} {'R ' if p.responder else 'NR'} "
+                     f"mu={mu_desc}")
+    lines += [f"regime {r.index + 1}: arm {r.arm + 1} responder->path {r.responder_path + 1} "
+              f"non-responder->path {r.nonresp_path + 1}" for r in design.regimes]
+    tables, table_lines = _path_tables(design)
+    return {}, tables, [*lines, *table_lines, "design ok"]
+
+
+PLANS = {SAMPLESIZE: plan_samplesize, DELTA_STD: plan_delta_std, POWER: plan_power,
+         SOLVE: plan_solve_missing, DESCRIBE: plan_describe_design}
 
 
 def _add_flags(parser: argparse.ArgumentParser, reads: set[str]) -> None:
@@ -614,26 +582,32 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"smartp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [
-        (SAMPLESIZE, cmd_samplesize),
-        (POWER, cmd_power),
-        (SOLVE, cmd_solve_missing),
-        (DESCRIBE, cmd_describe_design),
-    ]:
+    for name in (SAMPLESIZE, POWER, SOLVE, DESCRIBE):
         p = sub.add_parser(name)
         # a value may start like any negative number (-1e-3, -1,0.5), not only -1 or -0.5
         p._negative_number_matcher = re.compile(r"-\.?\d")
         _add_flags(p, {name, DELTA_STD} if name == SAMPLESIZE else {name})
-        p.set_defaults(func=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: resolve its values, open its outputs, run its plan, print and write the
+    report, and only then put the outputs in place.  Returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
-        return code
+        cfg, command = _load_config(args.config), args.command
+        if getattr(args, "delta_std", None) is not None:
+            refused = [_lookup(args, cfg, row)[1] for row in TABLE
+                       if SAMPLESIZE in row.commands and DELTA_STD not in row.commands]
+            if ignored := [where for where in refused if where]:
+                raise ConfigError(f"{', '.join(ignored)} ignored with --delta-std")
+            command = DELTA_STD
+        values, given = _resolve(args, cfg, command)
+        sides = {name: values[name] for name in ("sigma_csv", "dump_trials") if name in values}
+        with _outputs(json=args.json, **sides) as (json_fh, *side):
+            _report(json_fh, args.command, *PLANS[command](values, given, *side))
+            sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return 0
     except BrokenPipeError:
         # the reader is gone: send what is left to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -649,5 +623,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The ``smartp`` script: ``main``, then exit with its code, skipping the collections the
+    interpreter runs over its heap at exit.  ``main`` leaves the heap alone: tests call it."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -116,17 +116,6 @@ def ipw_weights(ds: TrialDataset, design: SmartDesign, regime: Regime) -> np.nda
     return w
 
 
-def ipw_estimate(ds: TrialDataset, design: SmartDesign, regime_ids: tuple[int, ...]) -> float:
-    """IPW estimate of the regime mean (one id) or mean difference (two ids, 0-based);
-    ``contrast_weights`` refuses other ids first."""
-    contrast_weights(design, regime_ids)
-    est = 0.0
-    for sign, rid in zip((1.0, -1.0), regime_ids):
-        w = ipw_weights(ds, design, design.regimes[rid])
-        est += sign * float(np.mean(w * ds.ybar))
-    return est
-
-
 def _power_chunk(
     design: SmartDesign,
     model: OutcomeModel,

@@ -319,6 +319,20 @@ def ipw_weights_reference(ds, design, regime):
     return consistent / (pi1[arm] * pi2_obs)
 
 
+def ipw_estimate(ds, design, regime_ids) -> float:
+    """IPW estimate of one trial's regime mean (one id) or mean difference (two ids, 0-based)
+    from ``simtrial.ipw_weights``; ``contrast_weights`` refuses other ids first."""
+    from smartp.design import contrast_weights
+    from smartp.simtrial import ipw_weights
+
+    contrast_weights(design, regime_ids)
+    est = 0.0
+    for sign, rid in zip((1.0, -1.0), regime_ids):
+        w = ipw_weights(ds, design, design.regimes[rid])
+        est += sign * float(np.mean(w * ds.ybar))
+    return est
+
+
 def empirical_sigma_sq_reference(ds, design, regime_ids):
     """Per-dataset sigma^2 = N Var(delta_hat) / 2 from the weighted contrasts of one trial."""
     contrast = np.zeros(ds.n_clusters)

@@ -32,7 +32,6 @@ from smartp import (
     SkewTParams,
     corr_y_m,
     design_from_matrices,
-    ipw_estimate,
     normal_quantile,
     prob_available,
     required_n,
@@ -49,6 +48,7 @@ from helpers import (
     anderson_darling_normal,
     block_jackknife_se,
     fd_se,
+    ipw_estimate,
     moments_with_se,
     simulate_trial_reference,
     st_kurtosis,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 from smartp import cli, engine, simtrial
-from smartp import car_covariance, default_car_model, ipw_estimate, periodontitis_default
+from smartp import car_covariance, default_car_model, periodontitis_default
 from smartp.moments import estimate_path_moments
 from smartp.power import required_n
 from smartp.simtrial import PowerEstimate, TrialDataset
+from helpers import ipw_estimate
 
 BASE_ARGS = [sys.executable, "-m", "smartp.cli"]
 WORKED = [
@@ -733,6 +735,118 @@ def test_a_failed_run_keeps_the_files_it_did_not_write(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
 
 
+#: each plan, run from argv that names side outputs its plan is not given
+PLAN_ARGV = {
+    cli.SAMPLESIZE: ["samplesize", *WORKED, "--num", "20000", "--sigma-csv", "s.csv"],
+    cli.DELTA_STD: ["samplesize", "--delta-std", "0.45"],
+    cli.POWER: ["power", *WORKED, "--num", "20000", "--n", "40", "--reps", "100",
+                "--dump-trials", "d.csv"],
+    cli.SOLVE: ["solve-missing", *WORKED[2:6]],
+    cli.DESCRIBE: ["describe-design", "--stage1-mode", "max"],
+}
+
+
+def plan_of(command: str, argv: list[str]) -> tuple[dict, dict, list[str]]:
+    """The command's plan on ``_resolve``'s values for ``argv``, with no side output."""
+    values, given = cli._resolve(cli.build_parser().parse_args(argv), {}, command)
+    return cli.PLANS[command](values, given)
+
+
+@pytest.mark.parametrize("command", list(PLAN_ARGV))
+def test_a_plan_prints_nothing_and_writes_no_file(tmp_path, monkeypatch, capfd, command):
+    """A plan called with no side output prints nothing and creates no file, though the argv
+    names ``--sigma-csv`` or ``--dump-trials``; its lines are the ones ``main`` prints after the
+    scalars."""
+    monkeypatch.chdir(tmp_path)
+    argv = PLAN_ARGV[command]
+    _, result, lines = plan_of(command, argv)
+    assert capfd.readouterr() == ("", "") and list(tmp_path.iterdir()) == []
+    assert cli.main(argv) == 0
+    printed = capfd.readouterr().out.splitlines()
+    assert printed[len(printed) - len(lines):] == lines
+    assert len(printed) - len(lines) == sum(not isinstance(v, list) for v in result.values())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", [cli.SAMPLESIZE, cli.POWER])
+def test_a_plan_replays_the_json_of_its_command(tmp_path, monkeypatch, capsys, command, workers):
+    """``samplesize`` and ``power``'s plans, run on ``_resolve``'s values with no side output,
+    return the ``inputs`` and ``result`` that the command's ``--json`` holds."""
+    monkeypatch.chdir(tmp_path)
+    argv = PLAN_ARGV[command] + ["--seed", "3", "--workers", workers]
+    assert cli.main(argv + ["--json", "r.json"]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "r.json").read_text())
+    inputs, result, _ = plan_of(command, argv)
+    assert cli._jsonable(inputs) == doc["inputs"] and cli._jsonable(result) == doc["result"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_failed_run_leaves_every_output_as_it_was(tmp_path, capsys):
+    """A run that fails after its outputs are written leaves them byte for byte as they were
+    and no new file beside them.  The failed ``power`` run turned a 9-byte ``--dump-trials F``
+    into a 21321-byte dump, and ``samplesize`` rewrote ``--json`` before the ``--sigma-csv``
+    write to a full device failed."""
+    dump, keep = tmp_path / "F", tmp_path / "keep.json"
+    dump.write_bytes(b"F-content")
+    keep.write_text('{"old": 1}\n')
+    runs = [
+        (["power", "--empirical-variance", "--regime", "2,3", *WORKED[2:6], "--n", "3", "--reps",
+          "200", "--num", "20000", "--seed", "1", "--dump-trials", str(dump), "--json", str(keep)],
+         3, "error: 102 of 200 reps have a plug-in sigma^2 of 0"),
+        (["samplesize", *WORKED, "--num", "20000", "--json", str(keep), "--sigma-csv",
+          "/dev/full"], 2, "config error: cannot write /dev/full: No space left on device\n"),
+    ]
+    for argv, code, message in runs:
+        assert cli.main(argv) == code
+        printed = capsys.readouterr()
+        assert printed.err.startswith(message) and printed.out == ""
+        assert dump.read_bytes() == b"F-content" and keep.read_text() == '{"old": 1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "keep.json"]
+
+
+def test_a_replaced_output_keeps_its_mode_and_its_symlink(tmp_path, capsys):
+    """An existing output is replaced with its mode kept, and one named through a symlink is
+    written to the file the link names, which stays a link."""
+    keep, link = tmp_path / "keep.json", tmp_path / "link.json"
+    keep.write_text('{"old": 1}\n')
+    keep.chmod(0o640)
+    link.symlink_to("keep.json")
+    assert cli.main(["solve-missing", *WORKED[2:6], "--json", str(link)]) == 0
+    capsys.readouterr()
+    assert os.readlink(link) == "keep.json" and stat.S_IMODE(keep.stat().st_mode) == 0o640
+    assert json.loads(keep.read_text())["command"] == "solve-missing"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json", "link.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_an_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys):
+    """A read-only existing output exits 2 naming it and is left as it was, although the run
+    could have replaced it in its writable directory."""
+    keep = tmp_path / "keep.json"
+    keep.write_text('{"old": 1}\n')
+    keep.chmod(0o444)
+    assert cli.main(["solve-missing", *WORKED[2:6], "--json", str(keep)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {keep}: Permission denied\n"
+    assert keep.read_text() == '{"old": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-missing", "--p-i", "0.8", "--c-i", "0.99"],
+    ["samplesize", "--regime", "1,9", *WORKED[2:]],
+    ["describe-design"],
+], ids=["infeasible-target", "no-regime-9", "describe-design"])
+def test_output_paths_are_checked_before_the_design_and_model(tmp_path, capsys, args):
+    """An unwritable ``--json`` exits 2 naming it before the design and model are built, so
+    before an infeasible target or a regime the design lacks (exit 3 and 2 naming those) and
+    before ``describe-design`` prints its description."""
+    out = str(tmp_path / "missing" / "x.json")
+    assert cli.main([*args, "--json", out]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"config error: cannot write {out}: ") and printed.out == ""
+
+
 def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
     """One rep has no Monte Carlo SD: ``--reps 1`` and ``"reps": 1`` exit 2 naming reps before
     the moments pass, with no numpy RuntimeWarning, where they printed MCSD nan and wrote it as
@@ -822,7 +936,7 @@ def test_nan_in_a_result_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
     def nan_power(*_, **kwargs):
         return PowerEstimate(0.5, kwargs["reps"], 1.0, math.nan)
 
-    monkeypatch.setattr(simtrial, "mc_power", nan_power)  # cmd_power imports it when it runs
+    monkeypatch.setattr(simtrial, "mc_power", nan_power)  # the power plan imports it when it runs
     out, dump = tmp_path / "p.json", tmp_path / "d.csv"
     argv = ["power", *SIZED, "--n", "20", "--reps", "40", "--json", str(out),
             "--dump-trials", str(dump)]

@@ -11,7 +11,6 @@ from smartp import (
     contrast_weights,
     design_from_matrices,
     estimate_path_moments,
-    ipw_estimate,
     mc_power,
     path_probs,
     prob_available,
@@ -34,6 +33,7 @@ from conftest import make_design, make_model
 from helpers import (
     designs,
     empirical_sigma_sq_reference,
+    ipw_estimate,
     ipw_weights_reference,
     smart_design,
 )
