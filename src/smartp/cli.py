@@ -380,18 +380,18 @@ def _outputs(**paths: str | None):
 
 
 def _open_output(path: str, flag: str, seen: dict, moves: list):
-    """``path`` opened for writing: a device such as /dev/full in place, else a new file beside
+    """``path`` opened for writing: a device or pipe (/dev/full) in place, else a new file beside
     the file ``path`` names (through any symlink), appended to ``moves`` as (new file, target,
     path).  Two flags that name one file (by inode, or by real path for a new one) are refused,
     and so is an existing file that cannot be written."""
-    target = os.path.realpath(path)
     with _cannot_write(path):
-        try:
-            st = os.stat(target)
+        try:  # through any link, so a pipe named /dev/stdout or /dev/fd/N is written in place
+            st = os.stat(path)
         except FileNotFoundError:
             st = None
         if st and not stat.S_ISREG(st.st_mode):
             return open(path, "w", newline="")
+        target = os.path.realpath(path)
         if (other := seen.setdefault((st.st_dev, st.st_ino) if st else target, flag)) != flag:
             raise ConfigError(f"{other} and {flag} name the same file {path}")
         if st:
@@ -590,19 +590,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args) -> tuple[str, dict, dict]:
+    """The plan ``args`` name (``samplesize --delta-std`` refuses the rows it does not read),
+    and its values and their sources from ``_resolve``."""
+    cfg, command = _load_config(args.config), args.command
+    if getattr(args, "delta_std", None) is not None:
+        refused = [_lookup(args, cfg, row)[1] for row in TABLE
+                   if SAMPLESIZE in row.commands and DELTA_STD not in row.commands]
+        if ignored := [where for where in refused if where]:
+            raise ConfigError(f"{', '.join(ignored)} ignored with --delta-std")
+        command = DELTA_STD
+    return (command, *_resolve(args, cfg, command))
+
+
+def plan(argv: list[str]) -> tuple[dict, dict, list[str]]:
+    """The (inputs, result, lines) that ``smartp *argv`` reports, with nothing printed and no
+    file written: the output flags are read but not used."""
+    command, values, given = _command(build_parser().parse_args(argv))
+    return PLANS[command](values, given)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command: resolve its values, open its outputs, run its plan, print and write the
     report, and only then put the outputs in place.  Returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cfg, command = _load_config(args.config), args.command
-        if getattr(args, "delta_std", None) is not None:
-            refused = [_lookup(args, cfg, row)[1] for row in TABLE
-                       if SAMPLESIZE in row.commands and DELTA_STD not in row.commands]
-            if ignored := [where for where in refused if where]:
-                raise ConfigError(f"{', '.join(ignored)} ignored with --delta-std")
-            command = DELTA_STD
-        values, given = _resolve(args, cfg, command)
+        command, values, given = _command(args)
         sides = {name: values[name] for name in ("sigma_csv", "dump_trials") if name in values}
         with _outputs(json=args.json, **sides) as (json_fh, *side):
             _report(json_fh, args.command, *PLANS[command](values, given, *side))
@@ -623,15 +636,5 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def run() -> None:
-    """The ``smartp`` script: ``main``, then exit with its code, skipping the collections the
-    interpreter runs over its heap at exit.  ``main`` leaves the heap alone: tests call it."""
-    import gc
-
-    code = main()
-    gc.freeze()
-    sys.exit(code)
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

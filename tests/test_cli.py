@@ -746,12 +746,6 @@ PLAN_ARGV = {
 }
 
 
-def plan_of(command: str, argv: list[str]) -> tuple[dict, dict, list[str]]:
-    """The command's plan on ``_resolve``'s values for ``argv``, with no side output."""
-    values, given = cli._resolve(cli.build_parser().parse_args(argv), {}, command)
-    return cli.PLANS[command](values, given)
-
-
 @pytest.mark.parametrize("command", list(PLAN_ARGV))
 def test_a_plan_prints_nothing_and_writes_no_file(tmp_path, monkeypatch, capfd, command):
     """A plan called with no side output prints nothing and creates no file, though the argv
@@ -759,7 +753,7 @@ def test_a_plan_prints_nothing_and_writes_no_file(tmp_path, monkeypatch, capfd, 
     scalars."""
     monkeypatch.chdir(tmp_path)
     argv = PLAN_ARGV[command]
-    _, result, lines = plan_of(command, argv)
+    _, result, lines = cli.plan(argv)
     assert capfd.readouterr() == ("", "") and list(tmp_path.iterdir()) == []
     assert cli.main(argv) == 0
     printed = capfd.readouterr().out.splitlines()
@@ -770,14 +764,14 @@ def test_a_plan_prints_nothing_and_writes_no_file(tmp_path, monkeypatch, capfd, 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("command", [cli.SAMPLESIZE, cli.POWER])
 def test_a_plan_replays_the_json_of_its_command(tmp_path, monkeypatch, capsys, command, workers):
-    """``samplesize`` and ``power``'s plans, run on ``_resolve``'s values with no side output,
-    return the ``inputs`` and ``result`` that the command's ``--json`` holds."""
+    """``samplesize`` and ``power``'s plans, run by ``cli.plan`` on ``_resolve``'s values with no
+    side output, return the ``inputs`` and ``result`` that the command's ``--json`` holds."""
     monkeypatch.chdir(tmp_path)
     argv = PLAN_ARGV[command] + ["--seed", "3", "--workers", workers]
     assert cli.main(argv + ["--json", "r.json"]) == 0
     capsys.readouterr()
     doc = json.loads((tmp_path / "r.json").read_text())
-    inputs, result, _ = plan_of(command, argv)
+    inputs, result, _ = cli.plan(argv)
     assert cli._jsonable(inputs) == doc["inputs"] and cli._jsonable(result) == doc["result"]
 
 
@@ -830,6 +824,33 @@ def test_an_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: cannot write {keep}: Permission denied\n"
     assert keep.read_text() == '{"old": 1}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write in a read-only directory")
+def test_an_output_in_a_directory_that_cannot_be_written_is_refused(tmp_path, capsys):
+    """A writable existing output in a read-only directory exits 2 naming it and is left as it
+    was: the new file that would replace it cannot be made beside it."""
+    keep = tmp_path / "ro" / "keep.json"
+    keep.parent.mkdir()
+    keep.write_text('{"old": 1}\n')
+    keep.parent.chmod(0o555)
+    try:
+        assert cli.main(["solve-missing", *WORKED[2:6], "--json", str(keep)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {keep}: Permission denied\n"
+        assert keep.read_text() == '{"old": 1}\n' and os.listdir(keep.parent) == ["keep.json"]
+    finally:
+        keep.parent.chmod(0o755)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this system")
+def test_json_to_dev_stdout_goes_down_the_pipe():
+    """``--json /dev/stdout`` with standard output a pipe writes the document to the pipe in
+    place, as it does to any device."""
+    proc = subprocess.run(BASE_ARGS + ["solve-missing", *WORKED[2:6], "--json", "/dev/stdout"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc, _ = json.JSONDecoder().raw_decode(proc.stdout[proc.stdout.index("{"):])
+    assert doc["command"] == "solve-missing" and "a0   -1" in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("args", [
