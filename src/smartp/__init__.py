@@ -43,7 +43,7 @@ _EXPORTS = {
     "moments": (
         "ModelMoments", "OutcomeModel", "PathMoments", "estimate_path_moments", "regime_moments",
     ),
-    "power": ("SampleSizeResult", "TestSpec", "analytic_power", "required_n", "reject", "wald_z"),
+    "power": ("SampleSizeResult", "analytic_power", "required_n", "reject", "wald_z"),
     "simtrial": ("PowerEstimate", "TrialDataset", "mc_power", "simulate_trial"),
     "spatial": (
         "AdjacencyGraph", "CarModel", "SpdMatrix", "car_covariance", "default_car_model",

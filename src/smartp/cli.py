@@ -24,6 +24,7 @@ import os
 import re
 import stat
 import sys
+import warnings
 from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -44,8 +45,8 @@ from .dists import SkewTParams
 from .engine import compute_effect, compute_sample_size
 from .errors import ConfigError, SmartpError
 from .missing import MissingnessParams, corr_y_m, prob_available, solve_missingness
-from .moments import OutcomeModel
-from .power import ALPHA_RANGE, TestSpec, alpha_in_range, exact_n, required_n
+from .moments import OutcomeModel, estimate_path_moments
+from .power import ALPHA_RANGE, alpha_in_range, exact_n, required_n
 from .spatial import CarModel, car_covariance, load_edge_list, tooth_chain
 
 SCHEMA_VERSION = 1
@@ -507,10 +508,10 @@ def plan_power(v: dict, given: dict, dump_trials=None) -> tuple[dict, dict, list
     alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
     if v["n"] is not None:
         require_power_n(v["n"], v["empirical_variance"])
-    eff = compute_effect(design, model, regime_ids, v["num"], seed, workers)
+    eff = compute_effect(design, estimate_path_moments(model, v["num"], seed, workers), regime_ids)
     n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
     with _trial_writer(dump_trials, design, n) if dump_trials else nullcontext() as on_chunk:
-        est = mc_power(design, model, TestSpec(alpha, beta), regime_ids, n, eff.sigma_sq,
+        est = mc_power(design, model, alpha, regime_ids, n, eff.sigma_sq,
                        reps=v["reps"], seed=seed, workers=workers,
                        empirical_variance=v["empirical_variance"], on_chunk=on_chunk)
     result = {"N": n, "power": est.power, "se_power": est.se_power,
@@ -610,10 +611,18 @@ def plan(argv: list[str]) -> tuple[dict, dict, list[str]]:
     return PLANS[command](values, given)
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` while ``main`` runs: the message, after its category unless that
+    is UserWarning, with no source path or line, so that stderr stays the same across edits."""
+    kind = "" if category is UserWarning else f"{category.__name__}: "
+    return f"warning: {kind}{message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command: resolve its values, open its outputs, run its plan, print and write the
     report, and only then put the outputs in place.  Returns the exit code."""
     args = build_parser().parse_args(argv)
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         command, values, given = _command(args)
         sides = {name: values[name] for name in ("sigma_csv", "dump_trials") if name in values}
@@ -634,6 +643,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, FloatingPointError):
         print("error: the computation overflowed; an input is too large", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMomentError
+from .errors import UndefinedMomentError, named_overflow
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -63,13 +63,15 @@ def st_mean(p: SkewTParams) -> float:
 
 
 def st_variance(p: SkewTParams) -> float:
-    """Exact variance; requires dof > 2."""
+    """Exact variance; requires dof > 2 and a finite result."""
     if p.is_normal_limit:
-        return p.scale**2 * (1.0 - (2.0 / math.pi) * p.kappa**2)
-    if p.dof <= 2:
+        ratio = 1.0 - (2.0 / math.pi) * p.kappa**2
+    elif p.dof <= 2:
         raise UndefinedMomentError(f"variance requires dof > 2, got {p.dof}")
-    nu = p.dof
-    return p.scale**2 * (nu / (nu - 2.0) - _std_mean(p) ** 2)
+    else:
+        ratio = p.dof / (p.dof - 2.0) - _std_mean(p) ** 2
+    with named_overflow(f"the error variance (sigma1, lambda, nu) at scale {p.scale}"):
+        return float(p.scale**2 * np.float64(ratio))  # numpy's product raises on overflow
 
 
 def sample_st(p: SkewTParams, n: int, rng: np.random.Generator) -> np.ndarray:

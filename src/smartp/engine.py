@@ -1,10 +1,10 @@
 """Orchestration: moments -> IPW regime moments -> sample size / power.
 
-``compute_sample_size`` is the programmatic equivalent of the
-``smartp samplesize`` command: it simulates the outcome model once, takes
-from that pass the moments of every path, takes the regime means and
-N-scaled covariance from ``regime_moments``, and applies the sample-size
-formula.
+``compute_effect`` is algebra on one ``estimate_path_moments`` result, so one
+pass serves every design and regime pair over its outcome model.
+``compute_sample_size`` is the programmatic equivalent of the ``smartp
+samplesize`` command: it runs that pass once and applies the sample-size
+formula to the effect.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import SmartDesign, contrast_weights
+from .errors import named_overflow
 from .moments import (
     ModelMoments,
     OutcomeModel,
@@ -22,7 +23,7 @@ from .moments import (
     regime_moments,
     require_same_units,
 )
-from .power import SampleSizeResult, TestSpec, exact_n, required_n
+from .power import ALPHA_RANGE, SampleSizeResult, alpha_in_range, exact_n, required_n
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,13 @@ class EffectSummary:
 
 
 def compute_effect(
-    design: SmartDesign,
-    model: OutcomeModel,
-    regime_ids: tuple[int, ...],
-    num: int,
-    seed: int,
-    workers: int = 1,
-    moments: ModelMoments | None = None,
+    design: SmartDesign, moments: ModelMoments, regime_ids: tuple[int, ...]
 ) -> EffectSummary:
-    """Assemble delta and the N-scaled variance components for the test.
-
-    ``moments`` is an ``estimate_path_moments`` result for ``model`` to reuse;
-    without it the model is simulated once at (num, seed).
-    """
-    require_same_units(design, model)
-    contrast_weights(design, regime_ids)  # one regime or two distinct ones, before the pass
-    if moments is None:
-        moments = estimate_path_moments(model, num, seed, workers)
-    with np.errstate(over="raise"):  # huge path means: FloatingPointError, not inf and NaN
+    """Delta and the N-scaled variance components of the test, from the design's path means and
+    one ``estimate_path_moments`` result of the outcome model."""
+    contrast_weights(design, regime_ids)  # one regime or two distinct ones
+    size = max(np.abs(p.mu).max() for p in design.paths)
+    with named_overflow(f"the IPW regime variance at path means up to {size:.6g} in size"):
         pm = {p.index: moments.for_path(p.mu, p.index) for p in design.paths}
         mu = np.array([m.mu for m in pm.values()])
         means, ncov = regime_moments(design, regime_ids, mu, [m.sigma2 for m in pm.values()])
@@ -96,10 +86,13 @@ def compute_sample_size(
     num: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    moments: ModelMoments | None = None,
 ) -> tuple[SampleSizeResult, EffectSummary]:
-    TestSpec(alpha, beta)  # refuses an alpha or beta out of range before the pass
-    eff = compute_effect(design, model, regime_ids, num, seed, workers, moments)
+    if not alpha_in_range(alpha):
+        raise ValueError(f"alpha must be {ALPHA_RANGE}, got {alpha}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must be in (0,1), got {beta}")
+    require_same_units(design, model)
+    contrast_weights(design, regime_ids)  # before the pass
+    eff = compute_effect(design, estimate_path_moments(model, num, seed, workers), regime_ids)
     sizing = (eff.delta, eff.sigma_sq, alpha, beta)
     return SampleSizeResult(required_n(*sizing), eff.delta, eff.delta_std, exact_n(*sizing)), eff
-

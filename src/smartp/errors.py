@@ -1,4 +1,8 @@
-"""Package exceptions."""
+"""Package exceptions, and the rule that makes an overflow one."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class SmartpError(Exception):
@@ -23,3 +27,14 @@ class DegenerateMissingnessError(SmartpError, RuntimeError):
 
 class ConfigError(SmartpError, ValueError):
     """Invalid run configuration."""
+
+
+@contextmanager
+def named_overflow(what: str):
+    """Numpy overflow raises in the block, and an overflow there, in numpy or in a Python float
+    power, is ``ValueError("<what> overflows")``: ``what`` names the inputs, not inf and NaN."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"{what} overflows") from None

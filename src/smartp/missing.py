@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import SkewTParams, st_variance
-from .errors import InfeasibleTargetError
+from .errors import InfeasibleTargetError, named_overflow
 from .spatial import SpdMatrix
 
 _A0_BRACKET = 20.0
@@ -121,7 +121,7 @@ def solve_missingness(
             f"{bound:.6g}, and it falls as the error variance (sigma1, lambda, nu) grows"
         )
 
-    if not sigma0**2 >= np.finfo(float).tiny:
+    if not sigma0 * sigma0 >= np.finfo(float).tiny:  # a huge sigma0 fails below, named
         raise InfeasibleTargetError(f"sigma0={sigma0} is too small: sigma0^2 underflows")
     # c and p see b0 and a0 - cutoff only over sigma0; c is 0 at b0 = 0 and rises with b0 >= 0
     c_abs = abs(c_target)
@@ -132,7 +132,7 @@ def solve_missingness(
     a = _bracket_root(lambda a: prob_available(MissingnessParams(a, b), sigma) - p_target, 0.0,
                       -_A0_BRACKET, _A0_BRACKET, f"the intercept for p={p_target}")
     mp = MissingnessParams(cutoff + a * sigma0, b * sigma0, sigma0, cutoff)
-    with np.errstate(over="raise"):  # a huge sigma0: FloatingPointError, not inf and NaN
+    with named_overflow(f"the index variance b0^2 Sigma + sigma0^2 at sigma0={sigma0}"):
         got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a huge cutoff rounds a away
     if not max(abs(got[0] - p_target), abs(got[1] - c_target)) <= 1e-8:
         raise InfeasibleTargetError(f"the targets are lost to rounding at cutoff={cutoff}, "

@@ -39,6 +39,7 @@ import numpy as np
 
 from .design import SmartDesign, path_probs, regime_weights
 from .dists import SkewTParams, sample_st, st_mean, st_variance
+from .errors import named_overflow
 from .missing import MissingnessParams
 from .rngs import CHUNK, MOMENTS, REDRAW_SLACK, check_redraws, chunk_map, substream
 from .spatial import CarModel, SpdMatrix, car_covariance
@@ -71,10 +72,10 @@ class OutcomeModel:
         ``P = [L_v' | (b0 K L_v)']``; ``Cov(Q|v) = sigma0^2 K`` keeps the positive
         definiteness that ``Sigma - b0^2 Sigma Sigma_v^-1 Sigma`` can lose to rounding."""
         mp, sig = self.mp, self.sigma.matrix
-        with np.errstate(over="raise"):  # a huge b0: FloatingPointError, not inf and NaN
+        name = f"Sigma_v = b0^2 Sigma + sigma0^2 I at b0={mp.loading}, sigma0={mp.sigma0}"
+        with named_overflow(name):
             sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(sig.shape[0])
-        chol_v = SpdMatrix(sigma_v, "Sigma_v = b0^2 Sigma + sigma0^2 I at "
-                                    f"b0={mp.loading}, sigma0={mp.sigma0}").chol
+        chol_v = SpdMatrix(sigma_v, name).chol
         k = np.linalg.solve(sigma_v, sig)  # symmetric: Sigma and Sigma_v commute
         return np.hstack([chol_v.T, (mp.loading * k @ chol_v).T]), mp.sigma0**2 * k
 
@@ -251,7 +252,7 @@ def estimate_path_moments(
     check_redraws(redrawn, num)
     # r adds st_mean, and its scatter sum_i w_i' cond_cov w_i: sum_i w_i w_i' is the uncentred
     # w-block of the scatter
-    with np.errstate(over="raise"):  # a huge sigma1: FloatingPointError, not inf and NaN
+    with named_overflow("the conditional outcome variance (sigma1, lambda, nu, tau)"):
         m2[-1, -1] += np.sum(cond_cov * (m2[:-1, :-1] + n * np.outer(mean[:-1], mean[:-1])))
     mean[-1] += st_mean(model.st)
     return ModelMoments(n, mean, m2, redrawn)

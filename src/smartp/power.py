@@ -25,20 +25,6 @@ def alpha_in_range(alpha: float) -> bool:
 
 
 @dataclass(frozen=True)
-class TestSpec:
-    __test__ = False  # not a pytest class
-
-    alpha: float = 0.05
-    beta: float = 0.2
-
-    def __post_init__(self):
-        if not alpha_in_range(self.alpha):
-            raise ValueError(f"alpha must be {ALPHA_RANGE}, got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {self.beta}")
-
-
-@dataclass(frozen=True)
 class SampleSizeResult:
     """Required N and the effect it is sized for; the variance components are in ``EffectSummary``."""
 
@@ -54,7 +40,11 @@ def exact_n(delta: float, sigma_sq: float, alpha: float, beta: float) -> float:
         raise ValueError(f"sigma^2 must be > 0, got {sigma_sq}")
     z_a = normal_quantile(1.0 - alpha / 2.0)
     z_b = normal_quantile(beta)
-    n = 2.0 * (z_a - z_b) ** 2 * float(sigma_sq) / float(delta) ** 2 if delta**2 else math.inf
+    try:
+        delta_sq = float(delta) ** 2
+    except OverflowError:  # N* underflows to 0, and N is 1
+        delta_sq = math.inf
+    n = 2.0 * (z_a - z_b) ** 2 * float(sigma_sq) / delta_sq if delta_sq else math.inf
     if not n < math.inf:  # delta is 0, delta^2 underflows, or the quotient overflows
         raise ValueError("effect size must be nonzero" if delta == 0.0 else "N is not finite: the "
                          f"effect size {delta} is too small for sigma^2 = {sigma_sq}")

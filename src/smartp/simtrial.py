@@ -37,7 +37,7 @@ import numpy as np
 
 from .design import Regime, SmartDesign, contrast_weights, ipw_path_weights, path_probs
 from .moments import OutcomeModel, _simulate_ybar, require_same_units
-from .power import TestSpec, reject, wald_z
+from .power import ALPHA_RANGE, alpha_in_range, reject, wald_z
 from .rngs import POWER, TRIAL, check_redraws, chunk_map, substream
 
 #: cluster rows per power chunk, rounded down to whole reps (at least one);
@@ -150,7 +150,7 @@ def require_power_n(n_clusters: int, empirical_variance: bool) -> None:
 def mc_power(
     design: SmartDesign,
     model: OutcomeModel,
-    test: TestSpec,
+    alpha: float,
     regime_ids: tuple[int, ...],
     n_clusters: int,
     sigma_sq: float,
@@ -160,7 +160,7 @@ def mc_power(
     empirical_variance: bool = False,
     on_chunk: Callable[[int, TrialDataset], None] | None = None,
 ) -> PowerEstimate:
-    """Monte Carlo power of the Wald test at the given N.
+    """Monte Carlo power of the two-sided level-``alpha`` Wald test at the given N.
 
     ``sigma_sq`` is the design-stage closed-form variance (N x Var / 2)
     used in the test statistic unless ``empirical_variance`` is set.
@@ -168,6 +168,8 @@ def mc_power(
     ``ds`` holds whole reps of ``n_clusters`` rows each, starting at rep
     ``first_rep`` (0-based).
     """
+    if not alpha_in_range(alpha):
+        raise ValueError(f"alpha must be {ALPHA_RANGE}, got {alpha}")
     require_power_n(n_clusters, empirical_variance)
     require_same_units(design, model)
     contrast = contrast_weights(design, regime_ids)
@@ -200,7 +202,7 @@ def mc_power(
                              "(--n) or drop the plug-in variance (--empirical-variance)")
     z = wald_z(deltas, sigma_sq, n_clusters)
     return PowerEstimate(
-        power=float(np.mean(reject(z, test.alpha))),
+        power=float(np.mean(reject(z, alpha))),
         reps=reps,
         mean_abs_delta=float(np.mean(np.abs(deltas))),
         mcsd=float(np.std(deltas, ddof=1)),

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, named_overflow
 
 SYM_TOL = 1e-12
 
@@ -159,7 +159,7 @@ def car_covariance(model: CarModel) -> SpdMatrix:
             f"C - rho*D is not positive definite (rho={model.rho} too large for this graph)"
         ) from exc
     inv = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, np.eye(model.graph.size)))
-    with np.errstate(over="raise"):  # a huge tau: FloatingPointError, not inf and NaN
+    with named_overflow(f"Sigma = tau^2 (C - rho D)^-1 at tau={model.tau}"):
         sigma = model.tau**2 * inv
     return SpdMatrix(sigma, "Sigma = tau^2 (C - rho D)^-1")
 

@@ -40,8 +40,9 @@ from smartp import (
     st_mean,
     st_variance,
 )
-from smartp.engine import compute_sample_size
+from smartp.engine import compute_effect
 from smartp.moments import OutcomeModel, estimate_path_moments
+from smartp.power import SampleSizeResult, exact_n
 from smartp.simtrial import ipw_weights
 from conftest import GOLDEN_C, GOLDEN_P, make_design, make_model
 from helpers import (
@@ -99,13 +100,12 @@ def moment_cache():
 
 
 def row_outputs(row, moment_cache):
+    """What ``compute_sample_size`` returns at (NUM, SEED), alpha 0.05 and beta 0.2, from the
+    cached pass of the row's outcome model."""
     _, mu_by_path, regimes, gamma1, lam, nu, *_ = row
-    design = make_design(mu_by_path, gamma1=gamma1)
-    model = make_model(lam=lam, nu=nu)
-    result, eff = compute_sample_size(
-        design, model, regimes, num=NUM, seed=SEED, moments=moment_cache(lam, nu)
-    )
-    return result, eff
+    eff = compute_effect(make_design(mu_by_path, gamma1=gamma1), moment_cache(lam, nu), regimes)
+    sizing = (eff.delta, eff.sigma_sq, 0.05, 0.2)
+    return SampleSizeResult(required_n(*sizing), eff.delta, eff.delta_std, exact_n(*sizing)), eff
 
 
 @pytest.fixture(scope="session")
@@ -215,9 +215,8 @@ def test_criterion_4_mc_power(row_idx, moment_cache):
     result, eff = row_outputs(row, moment_cache)
     design = make_design(mu_by_path, gamma1=gamma1)
     model = make_model(lam=lam, nu=nu)
-    test = smartp.TestSpec()
     est = smartp.mc_power(
-        design, model, test, regimes, result.n, eff.sigma_sq,
+        design, model, 0.05, regimes, result.n, eff.sigma_sq,
         reps=1000, seed=SEED + 1, workers=4,
     )
     ok = 0.76 <= est.power <= 0.84

@@ -104,6 +104,29 @@ def test_describe_invalid_design_reports_violations(tmp_path):
 def test_samplesize_delta_std_direct():
     out = run_cli("samplesize", "--delta-std", "0.45").stdout
     assert out.splitlines()[0].split() == ["N", "78"]
+    # Del_std^2 overflows, N* underflows to 0: one cluster, where it exited 3 on an overflow
+    out = run_cli("samplesize", "--delta-std", "1e300").stdout
+    assert out == "N        1\nN_exact  0\nDel_std  1e+300\n"
+
+
+def test_warnings_print_as_one_line():
+    """A warning prints as one line, ``warning: <message>``, where it printed the source path
+    and line of its call, which moved with every edit; a category other than UserWarning is
+    named.  ``main`` puts ``warnings.formatwarning`` back, and the warnings are still recorded."""
+    small = "num=2000 is small; moment estimates will be noisy"
+    proc = run_cli("samplesize", *WORKED, "--num", "2000", "--seed", "1")
+    assert proc.stderr == f"warning: {small}\n"
+    proc = run_cli("power", *WORKED, "--num", "2000", "--reps", "20", "--n", "30")
+    assert proc.stderr == (f"warning: {small}\n"
+                           "warning: reps=20 is small; the power estimate will be noisy\n")
+    assert cli._warning_line("overflow", RuntimeWarning, "x.py", 1) == (
+        "warning: RuntimeWarning: overflow\n")
+    format_warning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["samplesize", *WORKED, "--num", "2000", "--seed", "1"]) == 0
+    assert [str(w.message) for w in caught] == [small]
+    assert warnings.formatwarning is format_warning
 
 
 def test_samplesize_worked_example_small(tmp_path):
@@ -363,16 +386,26 @@ def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["samplesize", "--sigma1", "1e300"], "the computation overflowed"),
-    (["samplesize", "--tau", "1e200"], "the computation overflowed"),
-    (["power", "--sigma1", "1e200", "--n", "10"], "the computation overflowed"),
+    # an overflow names its input, where each said "the computation overflowed"
+    (["samplesize", "--sigma1", "1e300"],
+     "the error variance (sigma1, lambda, nu) at scale 1e+300 overflows"),
+    (["samplesize", "--tau", "1e200"], "Sigma = tau^2 (C - rho D)^-1 at tau=1e+200 overflows"),
+    (["power", "--sigma1", "1e200", "--n", "10"],
+     "the error variance (sigma1, lambda, nu) at scale 1e+200 overflows"),
     (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--tau", "1e200"],
-     "the computation overflowed"),
+     "Sigma = tau^2 (C - rho D)^-1 at tau=1e+200 overflows"),
+    (["samplesize", "--sigma1", "1e154", "--num", "20000"],
+     "the conditional outcome variance (sigma1, lambda, nu, tau) overflows"),
+    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--sigma0", "1e154"],
+     "the index variance b0^2 Sigma + sigma0^2 at sigma0=1e+154 overflows"),
     (["samplesize", "--rho", "0.9999999999999999"], "Cholesky factorization failed"),
     (["samplesize", "--mu-scalar", "1e200,0.5,0,2,0,0,5,0,0,0", "--num", "20000"],
-     "the computation overflowed"),
+     "the IPW regime variance at path means up to 1e+200 in size overflows"),
     # b0^2 Sigma overflows in numpy, not in Python: it used to warn and end in "got nan"
-    (["samplesize", "--b0", "1e154", "--num", "20000"], "the computation overflowed"),
+    (["samplesize", "--b0", "1e154", "--num", "20000"],
+     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=1e+154, sigma0=1.0 overflows"),
+    (["samplesize", "--sigma0", "1e300", "--num", "20000"],
+     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=0.5, sigma0=1e+300 overflows"),
     # squares that underflow to 0: a ZeroDivisionError traceback, numpy's RuntimeWarning and a
     # message about the loading, and numpy's bare "Matrix is not positive definite"
     (["samplesize", "--delta-std", "1e-300"],
@@ -381,8 +414,9 @@ def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
      "sigma0=1e-300 is too small: sigma0^2 underflows"),
     (["samplesize", "--sigma0", "1e-300", "--b0", "0", "--num", "20000"],
      "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=0.0, sigma0=1e-300: Cholesky factorization failed"),
-], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "rho-below-1", "mu-1e200",
-        "b0-1e154", "delta-std-1e-300", "solve-missing-sigma0-1e-300", "sigma-v-singular"])
+], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "sigma1-1e154",
+        "solve-missing-sigma0-1e154", "rho-below-1", "mu-1e200", "b0-1e154", "sigma0-1e300",
+        "delta-std-1e-300", "solve-missing-sigma0-1e-300", "sigma-v-singular"])
 def test_numeric_edge_exit_3(args, message):
     """Inputs at the edge of the arithmetic end in one error line, never a traceback or a numpy
     RuntimeWarning."""
@@ -686,7 +720,8 @@ def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 
-    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
+        monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
     paths = {"OUT": str(tmp_path / "missing" / "out"), "SAME": str(tmp_path / "same"),
              "ALIAS": f"{tmp_path}/./same"}
     assert cli.main([paths.get(a, a) for a in args]) == code
@@ -708,7 +743,8 @@ def test_refused_outputs_leave_the_files_as_they_were(tmp_path, monkeypatch, cap
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 
-    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
+        monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
     keep = tmp_path / "keep.json"
     keep.write_text('{"old": 1}\n')
     argv = ["power", *SIZED, "--n", "20", "--json", str(tmp_path / json_name),
@@ -875,7 +911,8 @@ def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 
-    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
+        monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema": 1, "mc": {"reps": 1}}))
     for args, where in ((["--reps", "1"], "--reps"), (["--config", str(cfg)], "config mc.reps")):
@@ -984,7 +1021,8 @@ def test_equal_regime_means_give_a_zero_effect(monkeypatch, capsys):
         passes[:] = passes or [estimate_path_moments(*args, **kwargs)]
         return passes[0]
 
-    monkeypatch.setattr(engine, "estimate_path_moments", one_pass)
+    for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
+        monkeypatch.setattr(module, "estimate_path_moments", one_pass)
     for gamma, mode, pair in itertools.product(
         ["0.1,0.7", "0.25,0.5", "0.3,0.3", "0.5,0.9", "0.05,0.95", "0.6,0.2"],
         ["balanced", "max", "equal"], itertools.combinations(range(1, 9), 2),

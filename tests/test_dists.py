@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def test_variance_trivials():
     assert st_variance(SkewTParams(0, 1, 0, INF)) == pytest.approx(1.0)
     assert st_variance(SkewTParams(0, 1, 0, 6)) == pytest.approx(1.5)
     assert st_variance(SkewTParams(2, 0.95, 0, INF)) == pytest.approx(0.95**2)
+
+
+@pytest.mark.parametrize("scale, dof", [(1e300, INF), (1.1e154, 5.0)], ids=["square", "product"])
+def test_variance_overflow_names_the_error_variance(scale, dof):
+    """A variance past the largest double is a ValueError naming the error variance, whether the
+    scale's square overflows (an OverflowError) or its product with dof/(dof-2) does (an inf)."""
+    message = f"the error variance (sigma1, lambda, nu) at scale {scale} overflows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        st_variance(SkewTParams(0, scale, 0, dof))
+    assert type(st_variance(SkewTParams(0, 1e154, 0, INF))) is float
 
 
 def test_shape_trivials():

@@ -34,11 +34,12 @@ COPIES = {"gamma": 2, "mu_scalar_per_path": 10}
 #: what a message may name instead of the parameter: the quantity that failed
 QUANTITIES = {
     "nu": ("dof",), "c_i": ("|c| target",), "delta_std": ("effect size",),
-    "mu_scalar_per_path": ("effect size",), "gamma": ("effect size",), "num": ("variance",),
+    "mu_scalar_per_path": ("effect size", "path means"), "gamma": ("effect size",),
+    "num": ("variance",),
 }
-#: quantities any input can break: an overflow (the message names no input), a covariance that is
-#: not positive definite, and a missingness model that leaves no sub-unit
-ANY_QUANTITY = ("overflowed", "not positive definite", "missingness model")
+#: quantities any input can break: a covariance that is not positive definite, and a missingness
+#: model that leaves no sub-unit
+ANY_QUANTITY = ("not positive definite", "missingness model")
 #: seconds one case may take: the slowest takes a few hundredths, so a case over this bound
 #: hangs or runs far more Monte Carlo than the sweep asks for
 TIME_BOUND = 2.0

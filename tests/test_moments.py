@@ -664,8 +664,8 @@ def test_paired_pass_is_more_precise_than_iid_rows(sparse):
         design, regimes = make_design({2: 0.5, 4: 2.0}), (0, 2)
     else:
         model, design, regimes = make_model(), make_design({2: 0.5, 7: 5.0}), (0, 4)
-    sd = [np.std([compute_effect(design, model, regimes, CHUNK, seed, moments=moments_of(seed))
-                  .sig_e_sq for seed in range(1, 25)], ddof=1)
+    sd = [np.std([compute_effect(design, moments_of(seed), regimes).sig_e_sq
+                  for seed in range(1, 25)], ddof=1)
           for moments_of in (lambda seed: estimate_path_moments(model, CHUNK, seed),
                              lambda seed: reference_model_moments(model, CHUNK, seed, paired=False))]
     assert sd[0] < 0.8 * sd[1], sd
@@ -836,7 +836,7 @@ def test_shared_arm_pair_without_common_responder_matches_brute_force():
     design = design_from_matrices(mu, SHARED_ARM_ST1, SHARED_ARM_DTR)
     model = make_model(a0=-2.0, n_units=t_dim)
     mm = estimate_path_moments(model, num, seed=31)
-    eff = compute_effect(design, model, (0, 1), num, seed=31, moments=mm)
+    eff = compute_effect(design, mm, (0, 1))
 
     # formula side, SE propagated from the per-path moments
     pm = [eff.path_moments[p.index] for p in design.paths]

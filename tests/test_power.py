@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from smartp import (
-    TestSpec,
     analytic_power,
     compute_effect,
     compute_sample_size,
     engine,
+    estimate_path_moments,
     mc_power,
     normal_quantile,
     reject,
     required_n,
+    simtrial,
     wald_z,
 )
 from smartp.power import exact_n
@@ -81,25 +82,44 @@ def test_null_rejection_rate_matches_alpha():
     """Simulated trials under H0: the Wald test rejects at ~alpha."""
     design = make_design({})  # all path means zero
     model = make_model()
-    eff = compute_effect(design, model, (0, 4), num=150_000, seed=5)
+    eff = compute_effect(design, estimate_path_moments(model, 150_000, seed=5), (0, 4))
     assert abs(eff.delta_signed) < 6 * 0.01  # sanity: near-null effect
-    spec = TestSpec(0.05, 0.2)
-    est = mc_power(design, model, spec, (0, 4), 100, eff.sigma_sq, reps=5000, seed=17, workers=4)
+    est = mc_power(design, model, 0.05, (0, 4), 100, eff.sigma_sq, reps=5000, seed=17, workers=4)
     se = math.sqrt(0.05 * 0.95 / est.reps)
     assert abs(est.power - 0.05) < 3 * se
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1e-300, 1e-17, math.nan])
 def test_alpha_out_of_range_refused_before_the_moments_pass(monkeypatch, alpha):
-    """``TestSpec`` and ``compute_sample_size`` refuse an alpha outside (0, 1) or so small that
-    1 - alpha/2 rounds to 1, naming alpha, before any Monte Carlo work."""
-    def moments_pass(*_, **__):
-        raise AssertionError("the moments pass ran")
+    """``mc_power`` and ``compute_sample_size`` refuse an alpha outside (0, 1) or so small that
+    1 - alpha/2 rounds to 1, naming alpha, before any Monte Carlo work: before any trial and
+    before the moments pass.  Both take 1.2e-16."""
+    def ran(*_, **__):
+        raise AssertionError("a Monte Carlo pass ran")
 
-    monkeypatch.setattr(engine, "estimate_path_moments", moments_pass)
+    monkeypatch.setattr(simtrial, "_power_chunk", ran)
+    monkeypatch.setattr(engine, "estimate_path_moments", ran)
+    design, model = make_design({1: 1.0}), make_model()
     message = f"alpha must be in \\(0, 1\\) and above 1.1e-16, got {alpha}"
     with pytest.raises(ValueError, match=message):
-        TestSpec(alpha, 0.2)
+        mc_power(design, model, alpha, (0,), 20, 1.0, reps=100)
     with pytest.raises(ValueError, match=message):
-        compute_sample_size(make_design({1: 1.0}), make_model(), (0,), alpha=alpha, num=20_000)
-    TestSpec(1.2e-16, 0.2)
+        compute_sample_size(design, model, (0,), alpha=alpha, num=20_000)
+    monkeypatch.undo()
+    assert 0.0 <= mc_power(design, model, 1.2e-16, (0,), 20, 1.0, reps=100).power <= 1.0
+    assert compute_sample_size(design, model, (0,), alpha=1.2e-16, num=20_000)[0].n >= 1
+
+
+def test_one_moments_pass_serves_several_designs():
+    """Two designs over one outcome model, with other gammas and other path means, each with a
+    shared-arm pair (regimes 1 and 3) and a distinct-arm pair (regimes 1 and 5):
+    ``compute_effect`` on one moments pass equals the effect of a standalone
+    ``compute_sample_size`` at the same (num, seed), field for field and bit for bit."""
+    model, num, seed = make_model(lam=2.0, nu=8.0), 20_000, 3
+    moments = estimate_path_moments(model, num, seed)
+    for design in (make_design({2: 0.5, 4: 2.0, 7: 5.0}),
+                   make_design({1: -1.0, 2: 1.5, 4: 0.3, 6: 0.7, 7: 2.5}, gamma1=0.4, gamma2=0.6)):
+        for regime_ids in ((0, 2), (0, 4)):
+            eff = compute_effect(design, moments, regime_ids)
+            assert eff.delta > 0
+            assert eff == compute_sample_size(design, model, regime_ids, num=num, seed=seed)[1]

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats as sps
 
 from smartp import (
-    TestSpec,
+    ModelMoments,
     compute_effect,
+    compute_sample_size,
     contrast_weights,
     design_from_matrices,
     estimate_path_moments,
@@ -102,13 +103,13 @@ def test_estimator_mean_and_sd_match_closed_form():
     """E(delta_hat) ~ delta and MCSD ~ sqrt(2 sigma^2 / N) over repeated trials."""
     design = make_design({2: 0.5, 4: 2.0})
     model = make_model()
-    eff = compute_effect(design, model, (0, 2), num=200_000, seed=7)
+    eff = compute_effect(design, estimate_path_moments(model, 200_000, seed=7), (0, 2))
     n = 120
     reps = 2000
     est = mc_power(
         design,
         model,
-        TestSpec(),
+        0.05,
         (0, 2),
         n,
         eff.sigma_sq,
@@ -124,10 +125,9 @@ def test_estimator_mean_and_sd_match_closed_form():
 def test_mc_power_deterministic_across_workers():
     design = make_design({2: 2.0})
     model = make_model()
-    spec = TestSpec()
     # 1000 reps of 60 clusters span four chunks
     runs = [
-        mc_power(design, model, spec, (0,), 60, 8.0, reps=1000, seed=9, workers=w)
+        mc_power(design, model, 0.05, (0,), 60, 8.0, reps=1000, seed=9, workers=w)
         for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
@@ -136,11 +136,10 @@ def test_mc_power_deterministic_across_workers():
 def test_power_monotone_in_n():
     design = make_design({2: 2.0})
     model = make_model()
-    eff = compute_effect(design, model, (0,), num=150_000, seed=10)
-    spec = TestSpec()
+    eff = compute_effect(design, estimate_path_moments(model, 150_000, seed=10), (0,))
     n_mid = 78
     powers = [
-        mc_power(design, model, spec, (0,), n, eff.sigma_sq, reps=400, seed=11, workers=4).power
+        mc_power(design, model, 0.05, (0,), n, eff.sigma_sq, reps=400, seed=11, workers=4).power
         for n in (n_mid // 2, n_mid, 2 * n_mid)
     ]
     assert powers[0] < powers[1] < powers[2]
@@ -157,9 +156,8 @@ def test_simulate_trial_deterministic():
 def test_empirical_variance_variant_runs():
     design = make_design({2: 2.0})
     model = make_model()
-    spec = TestSpec()
     est = mc_power(
-        design, model, spec, (0,), 78, 8.0, reps=200, seed=13, empirical_variance=True
+        design, model, 0.05, (0,), 78, 8.0, reps=200, seed=13, empirical_variance=True
     )
     assert 0.0 <= est.power <= 1.0
 
@@ -246,8 +244,9 @@ def test_per_path_ipw_table_matches_per_cluster_formula(data):
 @pytest.mark.parametrize("ids", [(0, 4, 2), (0, 0), (-1,), (0, -4), (8,)],
                          ids=["three", "same", "negative", "negative-second", "past-last"])
 def test_regime_misuse_is_refused_before_any_monte_carlo(ids, monkeypatch):
-    """mc_power, compute_effect, ipw_estimate and regime_moments refuse a regime list the design
-    cannot answer before any draw (the passes here fail the test if they run).  They used to
+    """mc_power, compute_sample_size, ipw_estimate and regime_moments refuse a regime list the
+    design cannot answer before any draw (the passes here fail the test if they run), and so
+    does compute_effect on the moments of a pass.  They used to
     answer: (0, 4, 2) gave the power and the estimate of (0, 4), (0, 0) a power and an estimate
     of 0, a negative id wrapped to a regime from the end, and an id past the last one ended in a
     bare IndexError."""
@@ -258,9 +257,12 @@ def test_regime_misuse_is_refused_before_any_monte_carlo(ids, monkeypatch):
     monkeypatch.setattr(engine, "estimate_path_moments", ran)
     design, model = make_design({2: 0.5, 4: 2.0, 7: 5.0}), make_model()
     with pytest.raises(ValueError, match="regime"):
-        mc_power(design, model, TestSpec(), ids, 197, 56.4, reps=300, seed=1)
+        mc_power(design, model, 0.05, ids, 197, 56.4, reps=300, seed=1)
     with pytest.raises(ValueError, match="regime"):
-        compute_effect(design, model, ids, 20000, 1)
+        compute_sample_size(design, model, ids, num=20000, seed=1)
+    moments = ModelMoments(20000, np.zeros(29), np.eye(29))
+    with pytest.raises(ValueError, match="regime"):
+        compute_effect(design, moments, ids)
     ds = TrialDataset(np.arange(10), np.linspace(-1.0, 3.0, 10), np.ones(10, dtype=np.intp))
     with pytest.raises(ValueError, match="regime"):
         ipw_estimate(ds, design, ids)
@@ -295,7 +297,7 @@ def test_batched_power_chunk_matches_per_rep_oracle(regime_ids, empirical):
     assert new_reject.tolist() == old_reject
     # mc_power over exactly this chunk reports the same draws
     est = mc_power(
-        design, model, TestSpec(alpha), regime_ids, n, sigma_sq,
+        design, model, alpha, regime_ids, n, sigma_sq,
         reps=reps, seed=21, empirical_variance=empirical,
     )
     assert est.power == np.mean(old_reject)
@@ -312,7 +314,7 @@ def test_mc_power_chunks_and_callback_cover_every_rep():
     def record(first_rep, ds):
         seen.append((first_rep, ds.n_clusters))
 
-    mc_power(design, model, TestSpec(), (0,), n, 8.0,
+    mc_power(design, model, 0.05, (0,), n, 8.0,
              reps=reps, seed=4, workers=2, on_chunk=record)
     per_chunk = TRIAL_ROWS // n
     assert seen == [(0, per_chunk * n), (per_chunk, (reps - per_chunk) * n)]
@@ -321,11 +323,10 @@ def test_mc_power_chunks_and_callback_cover_every_rep():
 def test_unit_count_mismatch_raises_everywhere():
     design = make_design({}, n_units=6)
     model = make_model()  # 28 sub-units
-    spec = TestSpec()
     for call in (
         lambda: simulate_trial(design, model, 10, seed=1),
-        lambda: mc_power(design, model, spec, (0,), 10, 1.0, reps=100, seed=1),
-        lambda: compute_effect(design, model, (0,), num=20_000, seed=1),
+        lambda: mc_power(design, model, 0.05, (0,), 10, 1.0, reps=100, seed=1),
+        lambda: compute_sample_size(design, model, (0,), num=20_000, seed=1),
     ):
         with pytest.raises(ValueError, match=r"6 sub-units.*28"):
             call()
@@ -334,14 +335,14 @@ def test_unit_count_mismatch_raises_everywhere():
 def test_mc_power_refuses_a_single_rep():
     """One rep has no Monte Carlo SD: refused before any trial, where it gave MCSD NaN."""
     with pytest.raises(ValueError, match="reps must be >= 2 for the Monte Carlo SD, got 1"):
-        mc_power(make_design({2: 2.0}), make_model(), TestSpec(), (0,), 20, 8.0, reps=1)
+        mc_power(make_design({2: 2.0}), make_model(), 0.05, (0,), 20, 8.0, reps=1)
 
 
 def test_few_redraws_at_small_n_are_accepted():
     """One all-missing redraw among 40 clusters is not degenerate missingness."""
     design = make_design({2: 0.5, 4: 2.0})
     model = make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9)  # about 0.1% of clusters redrawn
-    est = mc_power(design, model, TestSpec(), (0, 2), 40, 20.0, reps=400, seed=3)
+    est = mc_power(design, model, 0.05, (0, 2), 40, 20.0, reps=400, seed=3)
     assert 0.0 <= est.power <= 1.0
     # the first of 200 trials that redraws a cluster: one redraw is above the old
     # 1%-of-clusters limit (0.4 here)
@@ -360,7 +361,7 @@ def test_near_total_missingness_raises(runner):
         if runner == "simulate_trial":
             simulate_trial(design, model, 40, seed=1)
         elif runner == "mc_power":
-            mc_power(design, model, TestSpec(), (0,), 40, 1.0, reps=200, seed=1)
+            mc_power(design, model, 0.05, (0,), 40, 1.0, reps=200, seed=1)
         else:
             estimate_path_moments(model, 20_000, seed=1)
 
@@ -380,6 +381,6 @@ def test_mc_power_refuses_a_zero_design_variance_before_any_trial(monkeypatch):
     ):
         for empirical in (False, True):
             with pytest.raises(ValueError) as info:
-                mc_power(design, model, TestSpec(), regime_ids, 20, sigma_sq, reps=100,
+                mc_power(design, model, 0.05, regime_ids, 20, sigma_sq, reps=100,
                          empirical_variance=empirical)
             assert str(info.value) == message
