@@ -643,6 +643,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, FloatingPointError):
         print("error: the computation overflowed; an input is too large", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     finally:
         warnings.formatwarning = format_warning
 

@@ -107,6 +107,8 @@ class SmartDesign:
 
 
 def _arm_weight(arm: Stage1Arm, mode: Stage1Mode, literal_tail: bool) -> float:
+    if mode is Stage1Mode.EQUAL:
+        return 1.0
     n_nr = 1 if literal_tail else arm.n_nonresp_options
     if mode is Stage1Mode.MAX:
         return float(max(arm.n_resp_options, n_nr))
@@ -116,13 +118,9 @@ def _arm_weight(arm: Stage1Arm, mode: Stage1Mode, literal_tail: bool) -> float:
 
 def stage1_probs(design: SmartDesign) -> np.ndarray:
     """Stage-1 allocation probability per arm (sums to 1)."""
-    mode = design.stage1_mode
-    if mode is Stage1Mode.EQUAL:
-        n = len(design.arms)
-        return np.full(n, 1.0 / n)
     w = np.array(
         [
-            _arm_weight(arm, mode, design.pi1_literal and arm.index > 0)
+            _arm_weight(arm, design.stage1_mode, design.pi1_literal and arm.index > 0)
             for arm in design.arms
         ]
     )

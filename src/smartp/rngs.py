@@ -11,6 +11,7 @@ all-missing index rows were dropped, each one a row drawn again by ``moments._in
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from collections.abc import Callable, Iterator
 
@@ -46,9 +47,9 @@ def chunk_map(run: Callable[[int, int], object], total: int, per_chunk: int, wor
     being yielded, so a slow consumer holds a bounded number of results; the chunks not yet
     started are cancelled when the consumer stops.
     """
-    sizes = [min(per_chunk, total - start) for start in range(0, total, per_chunk)]
+    sizes = (min(per_chunk, total - start) for start in range(0, total, per_chunk))
     if workers == 1:
-        yield from map(run, range(len(sizes)), sizes)
+        yield from map(run, itertools.count(), sizes)
         return
     # imported here: a one-worker run skips concurrent.futures and the logging it loads
     from concurrent.futures import ThreadPoolExecutor

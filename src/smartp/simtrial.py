@@ -81,28 +81,21 @@ def _pick_paths(design: SmartDesign, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
-def _simulate_clusters(
-    design: SmartDesign, model: OutcomeModel, n_rows: int, rng: np.random.Generator
-) -> TrialDataset:
-    """Simulate ``n_rows`` independent clusters from one generator: path uniforms, then
-    ``_simulate_ybar``'s draws."""
-    path = _pick_paths(design, rng.random(n_rows))
-    mu_matrix = np.array([p.mu for p in design.paths])
-    return TrialDataset(path, *_simulate_ybar(model, mu_matrix, path, rng))
-
-
 def simulate_trial(
     design: SmartDesign,
     model: OutcomeModel,
     n_clusters: int,
     seed: int,
-    _key: tuple[int, ...] = (),
+    key: tuple[int, ...] = (),
 ) -> TrialDataset:
-    """Simulate one trial of ``n_clusters`` clusters on substream (seed, TRIAL, *_key)."""
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    """Simulate ``n_clusters`` independent clusters on substream (seed, TRIAL, *key): path
+    uniforms, then ``_simulate_ybar``'s draws.  ``power`` draws chunk c with key (POWER, c)."""
+    require_power_n(n_clusters, False)
     require_same_units(design, model)
-    return _simulate_clusters(design, model, n_clusters, substream(seed, TRIAL, *_key))
+    rng = substream(seed, TRIAL, *key)
+    path = _pick_paths(design, rng.random(n_clusters))
+    mu_matrix = np.array([p.mu for p in design.paths])
+    return TrialDataset(path, *_simulate_ybar(model, mu_matrix, path, rng))
 
 
 def ipw_weights(ds: TrialDataset, design: SmartDesign, regime: Regime) -> np.ndarray:
@@ -131,8 +124,7 @@ def _power_chunk(
     The plug-in sigma^2, half the per-rep variance of the weighted
     contrasts, is computed only for ``empirical_variance``.
     """
-    rng = substream(seed, TRIAL, POWER, chunk)
-    ds = _simulate_clusters(design, model, reps * n_clusters, rng)
+    ds = simulate_trial(design, model, reps * n_clusters, seed, (POWER, chunk))
     x = (contrast[ds.path] * ds.ybar).reshape(reps, n_clusters)
     return ds, x.mean(axis=1), x.var(axis=1, ddof=1) / 2.0 if empirical_variance else None
 

@@ -346,7 +346,7 @@ def test_criterion_7_estimator_normality(moment_cache):
     n, reps = 500, 2000
     deltas = np.array(
         [
-            ipw_estimate(simulate_trial(design, model, n, SEED + 7, _key=(9, r)), design, (0, 2))
+            ipw_estimate(simulate_trial(design, model, n, SEED + 7, key=(9, r)), design, (0, 2))
             for r in range(reps)
         ]
     )

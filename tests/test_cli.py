@@ -426,6 +426,18 @@ def test_numeric_edge_exit_3(args, message):
     assert proc.stderr.count("\n") == 1
 
 
+def test_an_allocation_that_fails_exits_3(capsys):
+    """An --n whose trial array numpy cannot allocate (7.11 PiB for the path uniforms) ends in
+    one error line and exit 3, where it gave a traceback and exit 1, the closed-pipe code."""
+    argv = ["power", *WORKED, "--num", "20000", "--reps", "2", "--n", str(10**15)]
+    with pytest.warns(UserWarning, match="reps=2 is small"):
+        assert cli.main(argv) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: out of memory: Unable to allocate ")
+    assert printed.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--mu-scalar", "-1,0.5,0,2,0,0,5,0,0,0"), ("--a0", "-1e-3"), ("--cutoff", "-.5"),
 ], ids=["mu-scalar-list", "a0-exponent", "cutoff-leading-dot"])
@@ -710,25 +722,43 @@ def test_power_plug_in_variance_needs_two_clusters():
     # beta = 1 - power rounds to 1: it ended in a quantile error, or "beta must be in (0,1)"
     (["samplesize", *SIZED, "--power", "1e-300"], 2, "config error: power (--power) must be in "
      "(0, 1) and above 5.6e-17, so beta < 1, got 1e-300"),
+    # configuration refusals: each is one exact line
+    (["solve-missing", "--p-i", "0.8"], 2, "config error: solve-missing needs p_i and c_i\n"),
+    (["describe-design", "--config", "ST1"], 2,
+     "config error: custom designs need both st1 and dtr\n"),
+    (["samplesize", *SIZED, "--design", "other"], 2,
+     "config error: unknown design 'other'; built-ins: periodontitis-default\n"),
+    (["samplesize", *SIZED[:2], "--num", "20000", "--mu-csv", "MU27"], 2,
+     "config error: mu has 27 columns but the design has 28 sub-units\n"),
+    (["samplesize", *SIZED, "--config", "LIST"], 2,
+     "config error: config root must be a JSON object\n"),
+    (["samplesize", *SIZED, "--config", "OUT"], 2, "config error: cannot read config OUT: "),
 ], ids=["samplesize-json", "power-json-dump-same", "json-sigma-csv-same", "sigma-csv",
-        "power-json", "plug-in-n-1", "alpha-1e-300", "power-alpha-1e-17", "power-1e-300"])
+        "power-json", "plug-in-n-1", "alpha-1e-300", "power-alpha-1e-17", "power-1e-300",
+        "solve-missing-no-c-i", "st1-without-dtr", "unknown-design", "mu-csv-27-columns",
+        "config-root-list", "config-missing"])
 def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args, code, message):
     """An output path that cannot be written, two output flags that name one file (the JSON
     was written over the start of the dump), a plug-in variance at n = 1, an alpha too small
-    for its quantile or a power too small for beta < 1 ends the command before the moments pass,
-    which here fails the test if it is called."""
+    for its quantile, a power too small for beta < 1, or a configuration that cannot be read or
+    does not fit the design ends the command before the moments pass, which here fails the test
+    if it is called."""
     def moments_pass(*_, **__):
         raise AssertionError("the moments pass ran")
 
     for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
         monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
     paths = {"OUT": str(tmp_path / "missing" / "out"), "SAME": str(tmp_path / "same"),
-             "ALIAS": f"{tmp_path}/./same"}
+             "ALIAS": f"{tmp_path}/./same", "ST1": str(tmp_path / "st1.json"),
+             "MU27": str(tmp_path / "mu.csv"), "LIST": str(tmp_path / "list.json")}
+    (tmp_path / "st1.json").write_text(json.dumps({"schema": 1, "design": {"st1": [[1, 4, 0.3]]}}))
+    (tmp_path / "mu.csv").write_text("\n".join([",".join(["0"] * 27)] * 10) + "\n")
+    (tmp_path / "list.json").write_text("[1]")
     assert cli.main([paths.get(a, a) for a in args]) == code
     printed = capsys.readouterr()
     for placeholder, path in paths.items():
         message = message.replace(placeholder, path)
-    assert printed.err.startswith(message) and printed.out == ""
+    assert printed.err.startswith(message) and printed.err.count("\n") == 1 and printed.out == ""
 
 
 @pytest.mark.parametrize("json_name, dump_name", [

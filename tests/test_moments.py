@@ -35,7 +35,7 @@ from smartp._backend import ybar_and_count
 from smartp import moments
 from smartp.rngs import CHUNK, MOMENTS, substream
 from smartp.moments import _index_sweep, _merge, _simulate_ybar
-from smartp.simtrial import TRIAL_ROWS, _simulate_clusters
+from smartp.simtrial import TRIAL_ROWS
 from conftest import GOLDEN_C, GOLDEN_P, make_design, make_model
 from helpers import (
     block_jackknife_se,
@@ -437,7 +437,7 @@ def test_moments_pass_allocates_little_beyond_the_chunk_rows():
 @pytest.mark.parametrize("n", [TRIAL_ROWS, 40_000])
 @pytest.mark.parametrize("lam, nu", [(0.0, INF), (10.0, 5.0)], ids=["normal", "skewt"])
 def test_trial_kernel_allocates_blocks_and_cluster_vectors(lam, nu, n):
-    """One ``_simulate_clusters`` call of n rows (one trial chunk, and a rep larger than one)
+    """One ``simulate_trial`` call of n rows (one trial chunk, and a rep larger than one)
     peaks, under tracemalloc, within 16 blocks of index rows plus six n-vectors: each block's
     errors, mean and variance are formed as it is drawn, so no (n, T) array exists.  The
     whole-chunk kernel this replaced peaked at 11.8 (normal) and 30.0 MB (skew-t) at n = 16384."""
@@ -445,7 +445,7 @@ def test_trial_kernel_allocates_blocks_and_cluster_vectors(lam, nu, n):
     model.cond_cov  # the cached projection is built outside the measurement
     tracemalloc.start()
     try:
-        _simulate_clusters(design, model, n, np.random.default_rng(6))
+        simulate_trial(design, model, n, seed=6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

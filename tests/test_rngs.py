@@ -1,11 +1,13 @@
+import concurrent.futures  # the pool's import, loaded before any measurement
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smartp import DegenerateMissingnessError
-from smartp.rngs import check_redraws, chunk_map
+from smartp.rngs import CHUNK, check_redraws, chunk_map
 
 
 def test_check_redraws_overall_share():
@@ -18,6 +20,22 @@ def test_check_redraws_overall_share():
 def test_chunk_map_runs_fixed_chunks_in_order(workers):
     got = list(chunk_map(lambda chunk, size: (chunk, size), 10, 4, workers))
     assert got == [(0, 4), (1, 4), (2, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_map_draws_chunk_sizes_as_it_goes(workers):
+    """The first of a million chunks arrives, under tracemalloc, within 1 MB: the chunk sizes are
+    drawn as the chunks run, where a list of them held 8 MB of pointers alone before the first
+    chunk ran (8.45 MB at one worker)."""
+    tracemalloc.start()
+    try:
+        results = chunk_map(lambda chunk, size: size, CHUNK * 10**6, CHUNK, workers)
+        first = next(results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results.close()
+    assert first == CHUNK and peak <= 1e6
 
 
 def test_chunk_map_keeps_at_most_workers_plus_one_chunks_ahead():

@@ -30,6 +30,7 @@ from smartp.simtrial import (
     _power_chunk,
     ipw_weights,
 )
+from smartp.rngs import POWER
 from conftest import make_design, make_model
 from helpers import (
     designs,
@@ -320,6 +321,49 @@ def test_mc_power_chunks_and_callback_cover_every_rep():
     assert seen == [(0, per_chunk * n), (per_chunk, (reps - per_chunk) * n)]
 
 
+def test_mc_power_draws_each_chunk_with_one_simulate_trial_call(monkeypatch):
+    """``mc_power`` draws chunk c as one ``simulate_trial`` of the chunk's reps x n clusters on
+    key (POWER, c): the library's trial and ``power``'s trials are one code path."""
+    calls, draw = [], simtrial.simulate_trial
+
+    def counted(design, model, n_clusters, seed, key=()):
+        calls.append((n_clusters, seed, key))
+        return draw(design, model, n_clusters, seed, key)
+
+    monkeypatch.setattr(simtrial, "simulate_trial", counted)
+    reps, n = 250, 100
+    mc_power(make_design({2: 2.0}), make_model(), 0.05, (0,), n, 8.0, reps=reps, seed=4)
+    per_chunk = TRIAL_ROWS // n
+    assert calls == [(per_chunk * n, 4, (POWER, 0)), ((reps - per_chunk) * n, 4, (POWER, 1))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_chunks_are_simulate_trial_trials(workers):
+    """The trials ``on_chunk`` receives for chunk c equal, bit for bit, ``simulate_trial`` of as
+    many clusters on key (POWER, c), with skew-t errors and dropped rows."""
+    design = make_design({2: 0.5, 4: 2.0})
+    model = make_model(lam=10.0, nu=5.0, a0=0.3, b0=0.9)  # about 0.1% of clusters redrawn
+    seen = []
+    mc_power(design, model, 0.05, (0, 2), 100, 20.0, reps=250, seed=7, workers=workers,
+             on_chunk=lambda first_rep, ds: seen.append(ds))
+    assert len(seen) == 2 and sum(ds.n_redrawn for ds in seen) > 0
+    for chunk, ds in enumerate(seen):
+        want = simulate_trial(design, model, ds.n_clusters, 7, (POWER, chunk))
+        for field in ("path", "ybar", "n_units"):
+            got, expected = getattr(ds, field), getattr(want, field)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), field
+        assert ds.n_redrawn == want.n_redrawn
+
+
+def test_no_cluster_is_refused_alike_by_both_entry_points():
+    """``require_power_n`` owns the rule for ``simulate_trial`` and ``mc_power``."""
+    design, model = make_design({2: 2.0}), make_model()
+    for call in (lambda: simulate_trial(design, model, 0, seed=1),
+                 lambda: mc_power(design, model, 0.05, (0,), 0, 8.0, reps=100, seed=1)):
+        with pytest.raises(ValueError, match=r"^n_clusters must be >= 1, got 0$"):
+            call()
+
+
 def test_unit_count_mismatch_raises_everywhere():
     design = make_design({}, n_units=6)
     model = make_model()  # 28 sub-units
@@ -347,7 +391,7 @@ def test_few_redraws_at_small_n_are_accepted():
     # the first of 200 trials that redraws a cluster: one redraw is above the old
     # 1%-of-clusters limit (0.4 here)
     redrawn = next((ds.n_redrawn for key in range(200)
-                    if (ds := simulate_trial(design, model, 40, seed=3, _key=(key,))).n_redrawn), 0)
+                    if (ds := simulate_trial(design, model, 40, seed=3, key=(key,))).n_redrawn), 0)
     assert redrawn >= 1
 
 
