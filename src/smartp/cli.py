@@ -126,7 +126,6 @@ TABLE = (
     Row("mu", "--mu-csv", "design", _matrix, None, FINITE, DESIGNED),
     Row("mu_scalar_per_path", "--mu-scalar", "design", _floats, None, FINITE, DESIGNED),
     Row("stage1_mode", "--stage1-mode", "design", Stage1Mode, Stage1Mode.BALANCED, None, DESIGNED),
-    Row("pi1_literal", "--pi1-literal", "design", bool, False, None, DESIGNED),
     Row("tau", "--tau", "model", float, 0.85, POSITIVE, MODELLED),
     Row("rho", "--rho", "model", float, 0.975, (lambda x: 0 <= x < 1, "in [0, 1)"), MODELLED),
     Row("sigma1", "--sigma1", "model", float, 0.95, POSITIVE, MODELLED),
@@ -286,7 +285,7 @@ def _build_design(v: dict) -> SmartDesign:
     if mu.shape[1] != n_units:
         raise ConfigError(f"mu has {mu.shape[1]} columns but the design has {n_units} sub-units")
     try:
-        return design_from_matrices(mu, st1, dtr, v["stage1_mode"], v["pi1_literal"])
+        return design_from_matrices(mu, st1, dtr, v["stage1_mode"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -534,10 +533,9 @@ def plan_solve_missing(v: dict, given: dict) -> tuple[dict, dict, list[str]]:
 def plan_describe_design(v: dict, given: dict) -> tuple[dict, dict, list[str]]:
     """The design's arms, paths and regimes, then its path tables and ``design ok``."""
     design = _build_design(v)
-    literal = " (literal pi1)" if design.pi1_literal else ""
     lines = [f"sub-units per cluster: {design.n_units}",
              f"arms: {len(design.arms)}  paths: {len(design.paths)}  regimes: {len(design.regimes)}",
-             f"stage1 mode: {design.stage1_mode.value}{literal}"]
+             f"stage1 mode: {design.stage1_mode.value}"]
     pi1 = stage1_probs(design)
     lines += [f"arm {arm.index + 1}: pi1={pi1[arm.index]:.6g} gamma={arm.response_rate:.6g} "
               f"options R/NR = {arm.n_resp_options}/{arm.n_nonresp_options}" for arm in design.arms]

@@ -11,10 +11,8 @@ A design is specified by a matrix triple:
 Stage-1 randomization probabilities support three modes.  ``balanced``
 weights each arm by ``(gamma/n_resp + (1-gamma)/n_nonresp)^{-1}``
 (normalized), equalizing expected per-regime allocation.  ``max`` weights
-each arm by ``max(n_resp, n_nonresp)``.  ``equal`` is uniform.  The
-``pi1_literal`` compatibility flag reproduces a quirk of a widely used
-printed form of these weights in which arms after the first treat their non-responder share as a
-single option; it is off by default.
+each arm by ``max(n_resp, n_nonresp)``.  ``equal`` is uniform.
+``SmartDesign`` parses a mode given by its string value into its ``Stage1Mode``.
 """
 
 from __future__ import annotations
@@ -63,16 +61,17 @@ class Regime:
 
 @dataclass(frozen=True)
 class SmartDesign:
-    """A consistent design: construction raises ValueError("invalid design: ...") otherwise."""
+    """A consistent design, else ValueError("invalid design: ...") or for an unknown mode."""
 
     n_units: int
     arms: tuple[Stage1Arm, ...]
     paths: tuple[TreatmentPath, ...]
     regimes: tuple[Regime, ...]
     stage1_mode: Stage1Mode = Stage1Mode.BALANCED
-    pi1_literal: bool = False
 
     def __post_init__(self):
+        # the one place a mode string becomes a Stage1Mode (ValueError if unknown)
+        object.__setattr__(self, "stage1_mode", Stage1Mode(self.stage1_mode))
         bad = []
         for p in self.paths:
             if not 0 <= p.arm < len(self.arms):
@@ -106,24 +105,18 @@ class SmartDesign:
             raise ValueError(f"invalid design: {'; '.join(bad)}")
 
 
-def _arm_weight(arm: Stage1Arm, mode: Stage1Mode, literal_tail: bool) -> float:
+def _arm_weight(arm: Stage1Arm, mode: Stage1Mode) -> float:
     if mode is Stage1Mode.EQUAL:
         return 1.0
-    n_nr = 1 if literal_tail else arm.n_nonresp_options
     if mode is Stage1Mode.MAX:
-        return float(max(arm.n_resp_options, n_nr))
+        return float(max(arm.n_resp_options, arm.n_nonresp_options))
     g = arm.response_rate
-    return 1.0 / (g / arm.n_resp_options + (1.0 - g) / n_nr)
+    return 1.0 / (g / arm.n_resp_options + (1.0 - g) / arm.n_nonresp_options)
 
 
 def stage1_probs(design: SmartDesign) -> np.ndarray:
     """Stage-1 allocation probability per arm (sums to 1)."""
-    w = np.array(
-        [
-            _arm_weight(arm, design.stage1_mode, design.pi1_literal and arm.index > 0)
-            for arm in design.arms
-        ]
-    )
+    w = np.array([_arm_weight(arm, design.stage1_mode) for arm in design.arms])
     return w / w.sum()
 
 
@@ -189,13 +182,11 @@ def design_from_matrices(
     st1: np.ndarray,
     dtr: np.ndarray,
     stage1_mode: Stage1Mode | str = Stage1Mode.BALANCED,
-    pi1_literal: bool = False,
 ) -> SmartDesign:
     """Build a design from the (mu, st1, dtr) matrix triple (1-based ids in dtr)."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     st1 = np.atleast_2d(np.asarray(st1, dtype=float))
     dtr = np.atleast_2d(np.asarray(dtr, dtype=float))
-    mode = Stage1Mode(stage1_mode)
     _require_whole(st1[:, :2], "st1 option counts")
     _require_whole(dtr[:, :4], "dtr ids")
     n_paths, n_ids = mu.shape[0], int(dtr[:, 1:3].max())
@@ -217,7 +208,7 @@ def design_from_matrices(
         Regime(i, int(row[1]) - 1, int(row[2]) - 1, int(row[3]) - 1)
         for i, row in enumerate(dtr)
     )
-    return SmartDesign(mu.shape[1], arms, paths, regimes, mode, pi1_literal)
+    return SmartDesign(mu.shape[1], arms, paths, regimes, stage1_mode)
 
 
 def periodontitis_matrices(
@@ -248,10 +239,8 @@ def periodontitis_default(
     mu: np.ndarray | None = None,
     n_units: int = 28,
     stage1_mode: Stage1Mode | str = Stage1Mode.BALANCED,
-    pi1_literal: bool = False,
 ) -> SmartDesign:
     """The built-in design of ``periodontitis_matrices``, with path means ``mu`` (0 if None)."""
     if mu is None:
         mu = np.zeros((10, n_units))
-    return design_from_matrices(mu, *periodontitis_matrices(gamma1, gamma2), stage1_mode,
-                                pi1_literal)
+    return design_from_matrices(mu, *periodontitis_matrices(gamma1, gamma2), stage1_mode)

@@ -443,7 +443,7 @@ def fd_se(fn, vals, ses):
     return math.sqrt(sum((g * s) ** 2 for g, s in zip(grad, ses)))
 
 
-def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False, n_units=1):
+def smart_design(options, gammas, stage1_mode="balanced", n_units=1):
     """A design with ``options[a] = (n_resp, n_nonresp)`` paths on arm a and one regime per
     (responder, non-responder) pair of an arm; paths and regimes run arm by arm, means zero."""
     from smartp import design_from_matrices
@@ -454,7 +454,7 @@ def smart_design(options, gammas, stage1_mode="balanced", pi1_literal=False, n_u
         dtr += [[len(dtr) + 1, first + r, first + n_r + j, arm + 1]
                 for r in range(n_r) for j in range(n_nr)]
         first += n_r + n_nr
-    return design_from_matrices(np.zeros((first - 1, n_units)), st1, dtr, stage1_mode, pi1_literal)
+    return design_from_matrices(np.zeros((first - 1, n_units)), st1, dtr, stage1_mode)
 
 
 # --- the closed-form regime algebra the package used to ship: the oracle for

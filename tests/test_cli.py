@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,10 +457,14 @@ def test_bad_config_schema_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
-def test_pi1_literal_flag_in_describe():
-    out = run_cli("describe-design", "--pi1-literal").stdout
-    assert "(literal pi1)" in out
-    assert "pi1=0.695652" in out
+def test_pi1_literal_flag_in_describe(tmp_path):
+    """The removed --pi1-literal flag and its design.pi1_literal key are refused, exit 2."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"design": {"pi1_literal": True}}))
+    for args in (["--pi1-literal"], ["--config", str(cfg)]):
+        proc = run_cli("describe-design", *args, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "pi1-literal" in proc.stderr or "pi1_literal" in proc.stderr
 
 
 def test_identical_regimes_rejected():
@@ -662,7 +667,7 @@ SIZED = ["--regime", "1", "--mu-scalar", "0,2,0,0,0,0,0,0,0,0", "--num", "20000"
     ["samplesize", "--delta-std", "0.45", "--workers", "2"],
     ["samplesize", "--delta-std", "0.45", "--mu-scalar", "0,1,0,0,0,0,0,0,0,0"],
     ["samplesize", "--delta-std", "0.45", "--gamma", "0.3,0.5"],
-    ["samplesize", "--delta-std", "0.45", "--pi1-literal"],
+    ["samplesize", "--delta-std", "0.45", "--stage1-mode", "max"],
     ["samplesize", "--delta-std", "0"],
     ["samplesize", "--delta-std", "-0.45"],
     ["samplesize", "--delta-std", "inf"],
@@ -671,7 +676,7 @@ SIZED = ["--regime", "1", "--mu-scalar", "0,2,0,0,0,0,0,0,0,0", "--num", "20000"
     ["describe-design", "--tau", "0", "--num", "3"],
 ], ids=["power-sigma-csv", "power-delta-std", "ss-dump-trials", "ss-reps", "ss-n",
         "ss-empirical-variance", "ds-regime", "ds-num", "ds-seed", "ds-workers", "ds-mu", "ds-gamma",
-        "ds-pi1-literal", "ds-zero", "ds-negative", "ds-inf", "sm-test-mc", "dd-model-mc"])
+        "ds-stage1-mode", "ds-zero", "ds-negative", "ds-inf", "sm-test-mc", "dd-model-mc"])
 def test_flag_the_command_does_not_read_exit_2(tmp_path, args):
     """Each command refuses a flag it would ignore; --delta-std sizes from alpha and beta alone."""
     out = tmp_path / "out.csv"
@@ -1012,10 +1017,9 @@ def test_gamma_sets_the_rates_of_the_built_in_and_a_custom_design(tmp_path, caps
         printed = capsys.readouterr()
         assert printed.err == f"config error: gamma needs {n} rates\n" and printed.out == ""
     args = cli.build_parser().parse_args(["describe-design", "--gamma", "0.3,0.6",
-                                          "--stage1-mode", "max", "--pi1-literal"])
+                                          "--stage1-mode", "max"])
     values, _ = cli._resolve(args, {}, cli.DESCRIBE)
-    assert cli._build_design(values) == periodontitis_default(0.3, 0.6, stage1_mode="max",
-                                                              pi1_literal=True)
+    assert cli._build_design(values) == periodontitis_default(0.3, 0.6, stage1_mode="max")
 
 
 def test_nan_in_a_result_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
@@ -1109,6 +1113,23 @@ def test_every_flag_is_a_table_row():
         rows = {row.name for row in TABLE if row.flag and row.commands & reads}
         dests = {a.dest for a in parser._actions if a.option_strings}
         assert dests - {"help", "config", "json"} == rows, command
+
+
+def test_readme_flag_lists_match_the_parser():
+    """The README's "Each command takes only the flags it reads" list names each command's flags:
+    ``samplesize`` and ``solve-missing`` spell them out, ``power`` is samplesize's without its
+    outputs and --delta-std plus its own, and ``describe-design`` takes the design flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Each command takes only the flags it reads")[1].split("All four")[0]
+    bullets = dict(re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\Z)", section, re.M | re.S))
+    listed = {c: set(re.findall(r"--[a-z0-9-]+", text)) for c, text in bullets.items()}
+    listed["power"] |= listed["samplesize"] - {"--sigma-csv", "--delta-std"}
+    design_part = bullets["samplesize"].split(";")[0]  # "the design flags `...`"
+    listed["describe-design"] = set(re.findall(r"--[a-z0-9-]+", design_part))
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        flags = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert listed[command] == flags - {"--help", "--config", "--json"}, command
 
 
 def test_full_config_file_with_flag_override(tmp_path):

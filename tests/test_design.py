@@ -82,18 +82,25 @@ def test_stage1_balanced_example():
     assert pi1[0] == pytest.approx(0.5882, abs=2e-4)
 
 
-def test_stage1_literal_compatibility_flag():
-    d = periodontitis_default(0.25, 0.5, pi1_literal=True)
-    pi1 = stage1_probs(d)
-    w1 = 1 / (0.25 + 0.75 / 4)
-    assert pi1[0] == pytest.approx(w1 / (w1 + 1.0))
-
-
 def test_stage1_probs_sum_to_one():
     for mode in Stage1Mode:
         for g1 in (0.1, 0.25, 0.9):
             d = periodontitis_default(g1, 0.5, stage1_mode=mode)
             assert stage1_probs(d).sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", list(Stage1Mode))
+def test_mode_string_weighs_arms_like_its_enum(mode):
+    """However a design is built, a mode string is parsed into its Stage1Mode member."""
+    want = stage1_probs(periodontitis_default(0.25, 0.5, stage1_mode=mode))
+    d = periodontitis_default(0.25, 0.5)
+    built = [dataclasses.replace(d, stage1_mode=mode.value),
+             SmartDesign(d.n_units, d.arms, d.paths, d.regimes, mode.value)]
+    for design in built:
+        assert design.stage1_mode is mode
+        np.testing.assert_array_equal(stage1_probs(design), want)
+    with pytest.raises(ValueError, match="bogus"):
+        dataclasses.replace(d, stage1_mode="bogus")
 
 
 def test_balanced_equalizes_regime_allocation():
@@ -166,11 +173,11 @@ def test_design_from_matrices_rejects_a_path_used_two_ways(st1, dtr, named):
 
 
 @settings(max_examples=100, deadline=None)
-@given(design=designs(), mode=st.sampled_from(Stage1Mode), literal=st.booleans())
-def test_design_from_matrices_round_trips(design, mode, literal):
+@given(design=designs(), mode=st.sampled_from(Stage1Mode))
+def test_design_from_matrices_round_trips(design, mode):
     """A design rebuilt from its own (mu, st1, dtr) triple is the same design."""
-    design = dataclasses.replace(design, stage1_mode=mode, pi1_literal=literal)
-    assert design_from_matrices(*design_matrices(design), mode, literal) == design
+    design = dataclasses.replace(design, stage1_mode=mode)
+    assert design_from_matrices(*design_matrices(design), mode) == design
 
 
 def test_path_probs_and_ipw_weights():

@@ -99,3 +99,6 @@ def test_edge_values_exit_cleanly(row, argv, capsys):
     else:
         names = (row.name, row.flag, *QUANTITIES.get(row.name, ()), *ANY_QUANTITY)
         assert any(name in printed.err for name in names), (argv, printed.err)
+        # no message reports a nan that the user did not type
+        nan = re.compile(r"\bnan\b", re.IGNORECASE)
+        assert nan.search(" ".join(argv)) or not nan.search(printed.err), (argv, printed.err)

@@ -739,7 +739,7 @@ def test_regime_variance_lower_bound():
     for _ in range(200):
         g = rng.uniform(0.05, 0.95, 2)
         options = [(1, int(rng.integers(1, 5))) for _ in g]
-        d = smart_design(options, g, list(Stage1Mode)[rng.integers(3)], bool(rng.integers(0, 2)))
+        d = smart_design(options, g, list(Stage1Mode)[rng.integers(3)])
         mu, s2 = rng.normal(0, 3, len(d.paths)), rng.uniform(0, 4, len(d.paths))
         for r in d.regimes:
             v = regime_moments(d, (r.index,), mu, s2)[1][0, 0]
@@ -799,12 +799,11 @@ def _check_regime_moments_match_closed_forms(d, mu, s2):
     n_nonresp=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     data=st.data(),
     mode=st.sampled_from(list(Stage1Mode)),
-    literal=st.booleans(),
 )
-def test_regime_moments_match_closed_forms(n_nonresp, data, mode, literal):
+def test_regime_moments_match_closed_forms(n_nonresp, data, mode):
     gammas = data.draw(st.lists(st.floats(0, 1, **FINITE), min_size=len(n_nonresp),
                                 max_size=len(n_nonresp)))
-    d = smart_design([(1, k) for k in n_nonresp], gammas, mode, literal)
+    d = smart_design([(1, k) for k in n_nonresp], gammas, mode)
     n_paths = len(d.paths)
     mu = np.array(data.draw(st.lists(st.floats(-10, 10, **FINITE), min_size=n_paths,
                                      max_size=n_paths)))

@@ -175,13 +175,11 @@ def path_law_reference(design) -> np.ndarray:
     """Per-path chance ``pi1 * (gamma or 1 - gamma) * pi2``, read off ``design.arms``.
 
     pi1 weighs each arm by ``1 / (gamma / n_R + (1 - gamma) / n_NR)`` (balanced),
-    ``max(n_R, n_NR)`` (max) or 1 (equal); ``pi1_literal`` counts one
-    non-responder option on every arm after the first.
+    ``max(n_R, n_NR)`` (max) or 1 (equal).
     """
     weights = []
     for a in design.arms:
-        n_r, g = a.n_resp_options, a.response_rate
-        n_nr = 1 if design.pi1_literal and a.index > 0 else a.n_nonresp_options
+        n_r, n_nr, g = a.n_resp_options, a.n_nonresp_options, a.response_rate
         weights.append({"balanced": 1.0 / (g / n_r + (1.0 - g) / n_nr),
                         "max": max(n_r, n_nr), "equal": 1.0}[design.stage1_mode.value])
     pi1 = np.array(weights) / sum(weights)
@@ -211,12 +209,10 @@ def test_path_picker_returns_the_interval_holding_u(data):
     assert np.all(path_law_reference(design)[got] > 0)
 
 
-@pytest.mark.parametrize("mode,literal", [
-    ("balanced", False), ("max", False), ("equal", False), ("balanced", True),
-], ids=["balanced", "max", "equal", "pi1-literal"])
-def test_path_frequencies_match_the_two_stage_law(mode, literal):
+@pytest.mark.parametrize("mode", ["balanced", "max", "equal"])
+def test_path_frequencies_match_the_two_stage_law(mode):
     """Chi-square of ``simulate_trial``'s path counts against pi1 * (gamma or 1 - gamma) * pi2."""
-    design = smart_design([(1, 4), (2, 3), (1, 2)], [0.25, 0.6, 0.4], mode, literal, n_units=2)
+    design = smart_design([(1, 4), (2, 3), (1, 2)], [0.25, 0.6, 0.4], mode, n_units=2)
     ds = simulate_trial(design, make_model(a0=-4.0, b0=0.0, n_units=2), 100_000, seed=31)
     counts = np.bincount(ds.path, minlength=len(design.paths))
     expected = path_law_reference(design) * ds.n_clusters
