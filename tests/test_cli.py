@@ -955,8 +955,37 @@ def test_power_needs_two_reps(tmp_path, monkeypatch, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["power", *SIZED, "--n", "20", *args]) == 2
         printed = capsys.readouterr()
-        assert printed.err == f"config error: reps ({where}) must be at least 2, got 1\n"
+        assert printed.err == f"config error: reps ({where}) must be in [2, 1000000], got 1\n"
         assert printed.out == ""
+
+
+@pytest.mark.parametrize("command, name, low, cap", [
+    (["samplesize"], "num", 1, 10**9), (["power", "--n", "20"], "reps", 2, 10**6),
+    (["samplesize"], "workers", 1, 64),
+], ids=["num", "reps", "workers"])
+def test_monte_carlo_sizes_and_workers_are_capped(tmp_path, monkeypatch, capsys, command, name,
+                                                  low, cap):
+    """A value past its cap exits 2 naming its row before the moments pass (which here fails
+    the test if it runs), as a flag and as a config key, the JSON float 1e300 too: such a
+    ``num`` or ``reps`` ran until it was killed.  A worker count past 64 is refused before any
+    thread starts.  Nothing runs at a cap: that would take minutes."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    for module in (engine, cli):  # samplesize runs the pass in engine, power in cli
+        monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
+    cfg = tmp_path / "c.json"
+    for value in (cap + 1, 10**30, 1e300):
+        cfg.write_text(json.dumps({"mc": {name: value}}))
+        forms = {f"config mc.{name}": ["--config", str(cfg)]}
+        if isinstance(value, int):  # a flag does not read 1e300 as an integer
+            forms[f"--{name}"] = [f"--{name}", str(value)]
+        for where, args in forms.items():
+            assert cli.main([*command, *SIZED[:4], *args]) == 2
+            printed = capsys.readouterr()
+            assert printed.err == f"config error: {name} ({where}) must be in [{low}, {cap}], " \
+                                  f"got {value}\n"
+            assert printed.out == ""
 
 
 def test_power_refuses_coinciding_regimes_before_any_trial(monkeypatch, capsys):
