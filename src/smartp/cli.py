@@ -70,6 +70,11 @@ UNIT = (lambda x: 0 < x < 1, "in (0, 1)")
 COUNT = (lambda n: n >= 1, "positive")
 
 
+#: size caps: MAX_DRAWS bounds the rows of one moments pass and the clusters over all of
+#: ``power``'s trials (reps x N); MAX_N bounds the clusters of one trial
+MAX_DRAWS, MAX_N = 10**9, 10**6
+
+
 def _count(low: int, high: int) -> tuple[Callable, str]:
     """The range check of a whole number from low to high."""
     return (lambda n: low <= n <= high, f"in [{low}, {high}]")
@@ -80,8 +85,15 @@ def _items(raw) -> list:
     return raw.split(",") if isinstance(raw, str) else raw
 
 
+def _float(raw) -> float:
+    """A flag string or a JSON number; a bool is an error, not 1 or 0."""
+    if isinstance(raw, bool):
+        raise ValueError(f"not a number: {raw!r}")
+    return float(raw)
+
+
 def _floats(raw) -> np.ndarray:
-    return np.array([float(x) for x in _items(raw)])
+    return np.array([_float(x) for x in _items(raw)])
 
 
 def _int(raw) -> int:
@@ -91,15 +103,22 @@ def _int(raw) -> int:
     return int(raw)
 
 
+def _bool(raw) -> bool:
+    """A switch: a store_true flag, or a JSON true or false."""
+    if not isinstance(raw, bool):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return raw
+
+
 def _ints(raw) -> tuple[int, ...]:
     return tuple(_int(x) for x in _items(raw))
 
 
 def _matrix(raw) -> np.ndarray:
-    m = np.array(raw, dtype=float)
+    m = np.array(raw, dtype=object)
     if m.ndim != 2:
         raise ValueError("not a matrix")
-    return m
+    return np.array([[_float(x) for x in row] for row in m])
 
 
 def _csv_rows(path: str) -> list[list[str]]:
@@ -116,7 +135,7 @@ class Row(NamedTuple):
     name: str  # config key, argparse dest and inputs key
     flag: str | None
     block: str | None  # config block; None for a flag-only row
-    parse: Callable  # raw flag string or JSON value -> value; bool makes a store_true flag
+    parse: Callable  # raw flag string or JSON value -> value; _bool makes a store_true flag
     default: object
     check: tuple[Callable, str] | None
     commands: set[str]  # the commands that read the row
@@ -125,7 +144,6 @@ class Row(NamedTuple):
 #: every parameter of the CLI, named once: its flag, config key, default, range check and the
 #: commands that read it; the flags, the merge, the checks and the ``inputs`` echo come from here
 TABLE = (
-    Row("name", "--design", "design", str, "periodontitis-default", None, DESIGNED),
     Row("n_units", None, "design", _int, 28, COUNT, DESIGNED | {SOLVE}),
     Row("st1", None, "design", _matrix, None,
         (lambda m: m.shape[1] >= 3 and FINITE[0](m), "finite, 3 columns per arm"), DESIGNED),
@@ -136,40 +154,38 @@ TABLE = (
     Row("mu", "--mu-csv", "design", _matrix, None, FINITE, DESIGNED),
     Row("mu_scalar_per_path", "--mu-scalar", "design", _floats, None, FINITE, DESIGNED),
     Row("stage1_mode", "--stage1-mode", "design", Stage1Mode, Stage1Mode.BALANCED, None, DESIGNED),
-    Row("tau", "--tau", "model", float, 0.85, POSITIVE, MODELLED),
-    Row("rho", "--rho", "model", float, 0.975, (lambda x: 0 <= x < 1, "in [0, 1)"), MODELLED),
-    Row("sigma1", "--sigma1", "model", float, 0.95, POSITIVE, MODELLED),
-    Row("lambda", "--lambda", "model", float, 0.0, FINITE, MODELLED),
+    Row("tau", "--tau", "model", _float, 0.85, POSITIVE, MODELLED),
+    Row("rho", "--rho", "model", _float, 0.975, (lambda x: 0 <= x < 1, "in [0, 1)"), MODELLED),
+    Row("sigma1", "--sigma1", "model", _float, 0.95, POSITIVE, MODELLED),
+    Row("lambda", "--lambda", "model", _float, 0.0, FINITE, MODELLED),
     # float reads "Inf", the normal-error limit; nu alone may be infinite
-    Row("nu", "--nu", "model", float, math.inf, (lambda x: x > 0, "positive or Inf"), MODELLED),
-    Row("sigma0", "--sigma0", "model", float, 1.0, POSITIVE, MODELLED),
-    Row("cutoff", "--cutoff", "model", float, 0.0, FINITE, MODELLED),
-    Row("a0", "--a0", "model", float, -1.0, FINITE, SIMULATED),
-    Row("b0", "--b0", "model", float, 0.5, FINITE, SIMULATED),
-    Row("p_i", "--p-i", "model", float, None, UNIT, MODELLED),
-    Row("c_i", "--c-i", "model", float, None, FINITE, MODELLED),
+    Row("nu", "--nu", "model", _float, math.inf, (lambda x: x > 0, "positive or Inf"), MODELLED),
+    Row("sigma0", "--sigma0", "model", _float, 1.0, POSITIVE, MODELLED),
+    Row("cutoff", "--cutoff", "model", _float, 0.0, FINITE, MODELLED),
+    Row("a0", "--a0", "model", _float, -1.0, FINITE, SIMULATED),
+    Row("b0", "--b0", "model", _float, 0.5, FINITE, SIMULATED),
+    Row("p_i", "--p-i", "model", _float, None, UNIT, MODELLED),
+    Row("c_i", "--c-i", "model", _float, None, FINITE, MODELLED),
     Row("graph", "--graph", "model", str, None, None, MODELLED),
     # by default the built-in chain counts each tooth as its own neighbour; an edge list does not
-    Row("self_adjacent", "--self-adjacent", "model", bool, None, None, MODELLED),
-    Row("delta_std", "--delta-std", None, float, None, POSITIVE, {DELTA_STD}),
+    Row("self_adjacent", "--self-adjacent", "model", _bool, None, None, MODELLED),
+    Row("delta_std", "--delta-std", None, _float, None, POSITIVE, {DELTA_STD}),
     Row("regime", "--regime", "test", _ints, (1,), None, SIMULATED),
-    Row("alpha", "--alpha", "test", float, 0.05, (alpha_in_range, ALPHA_RANGE), SIZED),
-    Row("beta", "--beta", "test", float, 0.2, UNIT, SIZED),
-    Row("power", "--power", "test", float, None,
+    Row("alpha", "--alpha", "test", _float, 0.05, (alpha_in_range, ALPHA_RANGE), SIZED),
+    Row("beta", "--beta", "test", _float, 0.2, UNIT, SIZED),
+    Row("power", "--power", "test", _float, None,
         (lambda x: 0 < 1 - x < 1, "in (0, 1) and above 5.6e-17, so beta < 1"), SIZED),
     # a run at the size caps would take minutes; a mistyped size is refused, not run for hours
-    Row("num", "--num", "mc", _int, 1_000_000, _count(1, 10**9), SIMULATED),
+    Row("num", "--num", "mc", _int, 1_000_000, _count(1, MAX_DRAWS), SIMULATED),
     Row("reps", "--reps", "mc", _int, 5000, _count(2, 10**6), {POWER}),
     Row("seed", "--seed", "mc", _int, 0, (lambda s: s >= 0, "non-negative"), SIMULATED),
     # results do not depend on workers; the cap bounds the threads a run starts
     Row("workers", "--workers", "mc", _int, 1, _count(1, 64), SIMULATED),
-    Row("n", "--n", None, _int, None, COUNT, {POWER}),
-    Row("empirical_variance", "--empirical-variance", None, bool, False, None, {POWER}),
+    Row("n", "--n", None, _int, None, _count(1, MAX_N), {POWER}),
+    Row("empirical_variance", "--empirical-variance", None, _bool, False, None, {POWER}),
     Row("sigma_csv", "--sigma-csv", None, str, None, None, {SAMPLESIZE}),
     Row("dump_trials", "--dump-trials", None, str, None, None, {POWER}),
 )
-#: rows whose flags exclude each other: two ways to give one quantity, or one row with two flags
-EXCLUSIVE = (("beta", "power"), ("mu", "mu_scalar_per_path"), ("self_adjacent",))
 #: rows the ``inputs`` echo leaves out besides the design: workers does not change the result,
 #: power is echoed as beta, n is reported as N, and the rest name output files
 NOT_ECHOED = {"workers", "power", "n", "sigma_csv", "dump_trials"}
@@ -255,14 +271,12 @@ def _resolve(args, cfg: dict, command: str) -> tuple[dict, dict]:
         if command not in row.commands:
             continue
         raw, where = _lookup(args, cfg, row)
-        if raw is None and row.name == "seed" and "SMARTP_SEED" in os.environ:
-            raw, where = os.environ["SMARTP_SEED"], "SMARTP_SEED"
         if raw is None:
             values[row.name] = row.default
             continue
         try:
             value = row.parse(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{row.name} ({where}): cannot read {raw!r}") from None
         if row.check and not row.check[0](value):
             raise ConfigError(f"{row.name} ({where}) must be {row.check[1]}, got {raw}")
@@ -286,8 +300,6 @@ def _build_design(v: dict) -> SmartDesign:
     if (st1 is None) != (dtr is None):
         raise ConfigError("custom designs need both st1 and dtr")
     if st1 is None:
-        if v["name"] != "periodontitis-default":
-            raise ConfigError(f"unknown design {v['name']!r}; built-ins: periodontitis-default")
         st1, dtr = periodontitis_matrices()
     if gamma is not None:
         if len(gamma) != st1.shape[0]:
@@ -516,14 +528,20 @@ def plan_power(v: dict, given: dict, dump_trials=None) -> tuple[dict, dict, list
     from .simtrial import mc_power, require_power_n  # imported here: only power runs trials
 
     design, model, model_echo, regime_ids = _setup(v, given)
-    alpha, beta, seed, workers = v["alpha"], v["beta"], v["seed"], v["workers"]
+    alpha, beta, seed, workers, reps = v["alpha"], v["beta"], v["seed"], v["workers"], v["reps"]
     if v["n"] is not None:
         require_power_n(v["n"], v["empirical_variance"])
+        if v["n"] * reps > MAX_DRAWS:
+            raise ConfigError(f"n ({given['n']}) x reps must be at most {MAX_DRAWS}, "
+                              f"got {v['n']} x {reps}")
     eff = compute_effect(design, estimate_path_moments(model, v["num"], seed, workers), regime_ids)
-    n = v["n"] if v["n"] is not None else required_n(eff.delta, eff.sigma_sq, alpha, beta)
+    n = v["n"] or required_n(eff.delta, eff.sigma_sq, alpha, beta)
+    if n > MAX_N or n * reps > MAX_DRAWS:  # only the formula's: --n is checked above
+        raise ValueError(f"the formula's N = {n} is too large to simulate: power takes at most "
+                         f"{MAX_N} clusters per trial and {MAX_DRAWS} in all (reps x N)")
     with _trial_writer(dump_trials, design, n) if dump_trials else nullcontext() as on_chunk:
         est = mc_power(design, model, alpha, regime_ids, n, eff.sigma_sq,
-                       reps=v["reps"], seed=seed, workers=workers,
+                       reps=reps, seed=seed, workers=workers,
                        empirical_variance=v["empirical_variance"], on_chunk=on_chunk)
     result = {"N": n, "power": est.power, "se_power": est.se_power,
               "mean_abs_delta": est.mean_abs_delta, "MCSD": est.mcsd, "sigma_sq": eff.sigma_sq,
@@ -569,17 +587,14 @@ PLANS = {SAMPLESIZE: plan_samplesize, DELTA_STD: plan_delta_std, POWER: plan_pow
 def _add_flags(parser: argparse.ArgumentParser, reads: set[str]) -> None:
     """Register the flag of every row that one of ``reads`` reads."""
     parser.add_argument("--config", help="JSON config file (schema 1)")
-    groups = {}
     for row in TABLE:
         if row.flag is None or not row.commands & reads:
             continue
-        exclusive = next((names for names in EXCLUSIVE if row.name in names), None)
-        if exclusive and exclusive not in groups:
-            groups[exclusive] = parser.add_mutually_exclusive_group()
-        target = groups[exclusive] if exclusive else parser
-        kw = {"action": "store_true", "default": None} if row.parse is bool else {}
+        kw = {"action": "store_true", "default": None} if row.parse is _bool else {}
         if row.name == "mu":
             kw["type"] = _csv_rows
+        # one row with two flags: they exclude each other; two rows for one quantity are _pick's
+        target = parser.add_mutually_exclusive_group() if row.name == "self_adjacent" else parser
         target.add_argument(row.flag, dest=row.name,
                             help=f"config {row.block}.{row.name}" if row.block else None, **kw)
         if row.name == "self_adjacent":

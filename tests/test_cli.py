@@ -13,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartp import cli, engine, simtrial
 from smartp import car_covariance, default_car_model, periodontitis_default
+from smartp.errors import ConfigError, InfeasibleTargetError
 from smartp.moments import estimate_path_moments
 from smartp.power import required_n
 from smartp.simtrial import PowerEstimate, TrialDataset
@@ -37,7 +40,6 @@ SKEWT_SPARSE = [
 
 def run_cli(*args, env_extra=None, check=True, timeout=None):
     env = dict(os.environ)
-    env.pop("SMARTP_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -168,14 +170,16 @@ def test_cli_determinism_across_runs_and_workers(tmp_path):
         assert outs[0] == outs[1] == outs[2], name
 
 
-def test_env_seed_fallback(tmp_path):
-    j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
-    run_cli("samplesize", *WORKED, "--num", "20000", "--seed", "5", "--json", str(j1))
-    run_cli(
-        "samplesize", *WORKED, "--num", "20000", "--json", str(j2),
-        env_extra={"SMARTP_SEED": "5"},
-    )
-    assert j1.read_bytes() == j2.read_bytes()
+def test_env_seed_is_ignored(tmp_path):
+    """The seed comes from --seed, else mc.seed, else 0: an environment variable that once gave
+    it changes nothing, and a malformed one is not read."""
+    j0, j1, j2 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    args = ["samplesize", *WORKED, "--num", "20000"]
+    default = run_cli(*args, "--json", str(j0)).stdout
+    assert run_cli(*args, "--json", str(j1), env_extra={"SMARTP_SEED": "5"}).stdout == default
+    assert run_cli(*args, "--json", str(j2), env_extra={"SMARTP_SEED": "abc"}).stdout == default
+    assert j0.read_bytes() == j1.read_bytes() == j2.read_bytes()
+    assert json.loads(j1.read_text())["inputs"]["seed"] == 0
 
 
 def test_solve_missing_golden():
@@ -185,6 +189,29 @@ def test_solve_missing_golden():
     vals = {line.split()[0]: float(line.split()[1]) for line in out}
     assert vals["a0"] == pytest.approx(-1.0, abs=1e-3)
     assert vals["b0"] == pytest.approx(0.5, abs=1e-3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+       c=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+       rho=st.floats(0.0, 0.999, exclude_max=True), tau=st.floats(1e-2, 1e2),
+       sigma1=st.floats(1e-2, 1e2), lam=st.floats(-30.0, 30.0),
+       nu=st.sampled_from(["2.5", "3", "5", "30", "1000", "Inf"]))
+def test_solve_missing_meets_its_targets_or_names_one(p, c, rho, tau, sigma1, lam, nu):
+    """Over the model's working ranges ``solve-missing`` either meets both targets to 1e-8 or
+    exits 3 (an infeasible target, not a config error) with a message that names a target, and
+    never emits a RuntimeWarning."""
+    argv = ["solve-missing", f"--p-i={p!r}", f"--c-i={c!r}", f"--rho={rho!r}", f"--tau={tau!r}",
+            f"--sigma1={sigma1!r}", f"--lambda={lam!r}", f"--nu={nu}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _, result, _ = cli.plan(argv)
+        except InfeasibleTargetError as exc:
+            assert not isinstance(exc, ConfigError) and "target" in str(exc), argv
+        else:
+            assert abs(result["p_i"] - p) <= 1e-8 and abs(result["c_i"] - c) <= 1e-8, argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
 
 
 def test_conflicting_missingness_inputs_exit_2():
@@ -427,12 +454,14 @@ def test_numeric_edge_exit_3(args, message):
     assert proc.stderr.count("\n") == 1
 
 
-def test_an_allocation_that_fails_exits_3(capsys):
-    """An --n whose trial array numpy cannot allocate (7.11 PiB for the path uniforms) ends in
-    one error line and exit 3, where it gave a traceback and exit 1, the closed-pipe code."""
-    argv = ["power", *WORKED, "--num", "20000", "--reps", "2", "--n", str(10**15)]
-    with pytest.warns(UserWarning, match="reps=2 is small"):
-        assert cli.main(argv) == 3
+def test_an_allocation_that_fails_exits_3(tmp_path, capsys):
+    """An array numpy cannot allocate ends in one error line and exit 3, where it gave a
+    traceback and exit 1, the closed-pipe code.  Here it is the path means of a design with
+    10**15 sub-units (71.1 PiB); an --n that large, which once failed so, is now refused at its
+    cap."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"design": {"n_units": 10**15}}))
+    assert cli.main(["describe-design", "--config", str(p)]) == 3
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith("error: out of memory: Unable to allocate ")
@@ -507,20 +536,36 @@ def test_model_scalar_out_of_range_exit_2(flags):
     assert flags[0] in proc.stderr
 
 
-@pytest.mark.parametrize("args,cfg,env,named", [
-    (["--gamma", "a,b", "--num", "20000"], None, None, "--gamma"),
-    (["--mu-scalar", "0,x,0,0,0,0,0,0,0,0", "--num", "20000"], None, None, "--mu-scalar"),
-    (["--num", "20000"], {"model": {"nu": "abc"}}, None, "model.nu"),
-    ([], {"mc": {"num": "x"}}, None, "mc.num"),
-    (["--num", "20000"], None, {"SMARTP_SEED": "abc"}, "SMARTP_SEED"),
-], ids=["gamma", "mu-scalar", "config-nu", "config-num", "env-seed"])
-def test_malformed_value_exit_2(tmp_path, args, cfg, env, named):
+@pytest.mark.parametrize("args,cfg,named", [
+    (["--gamma", "a,b", "--num", "20000"], None, "--gamma"),
+    (["--mu-scalar", "0,x,0,0,0,0,0,0,0,0", "--num", "20000"], None, "--mu-scalar"),
+    (["--num", "20000"], {"model": {"nu": "abc"}}, "model.nu"),
+    ([], {"mc": {"num": "x"}}, "mc.num"),
+    # a JSON boolean is not a number, and a switch takes nothing else: they ran as 1, 0 or True
+    ([], {"model": {"tau": True, "rho": False}}, "tau (config model.tau): cannot read"),
+    ([], {"test": {"alpha": True}}, "alpha (config test.alpha): cannot read"),
+    ([], {"design": {"gamma": [True, False]}}, "gamma (config design.gamma): cannot read"),
+    ([], {"design": {"mu_scalar_per_path": [0, True] + [0] * 8}},
+     "mu_scalar_per_path (config design.mu_scalar_per_path): cannot read"),
+    ([], {"design": {"mu": [[True] * 28] * 10}}, "mu (config design.mu): cannot read"),
+    ([], {"design": {"st1": [[1, 4, True]], "dtr": [[1, 1, 2, 1]]}},
+     "st1 (config design.st1): cannot read"),
+    ([], {"model": {"self_adjacent": "false"}},
+     "self_adjacent (config model.self_adjacent): cannot read"),
+    ([], {"model": {"self_adjacent": 1.5}},
+     "self_adjacent (config model.self_adjacent): cannot read"),
+    # a JSON integer past the largest double: it ended in exit 3, "the computation overflowed"
+    ([], {"model": {"tau": 10**400}}, "tau (config model.tau): cannot read"),
+], ids=["gamma", "mu-scalar", "config-nu", "config-num", "tau-true", "alpha-true", "gamma-bools",
+        "mu-scalar-bool", "mu-bools", "st1-bool", "self-adjacent-string", "self-adjacent-float",
+        "tau-past-double"])
+def test_malformed_value_exit_2(tmp_path, args, cfg, named):
     """A value that does not parse is a configuration error that names where it came from."""
     if cfg is not None:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"schema": 1, **cfg}))
         args = [*args, "--config", str(p)]
-    proc = run_cli("samplesize", "--regime", "1", *args, env_extra=env, check=False, timeout=120)
+    proc = run_cli("samplesize", "--regime", "1", *args, check=False, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stdout == ""
     assert named in proc.stderr
@@ -594,7 +639,7 @@ def test_infinite_error_variance_exit_3(command, nu):
 def test_power_n_zero_exit_2():
     proc = run_cli("power", "--regime", "1", "--n", "0", "--num", "20000", check=False)
     assert proc.returncode == 2
-    assert "must be positive" in proc.stderr
+    assert proc.stderr == "config error: n (--n) must be in [1, 1000000], got 0\n"
 
 
 def test_mu_csv_and_mu_scalar_together_exit_2(tmp_path):
@@ -605,7 +650,8 @@ def test_mu_csv_and_mu_scalar_together_exit_2(tmp_path):
         "--num", "20000", check=False,
     )
     assert proc.returncode == 2
-    assert "not allowed with argument" in proc.stderr
+    assert proc.stderr == "config error: give --mu-csv or --mu-scalar, not both\n"
+    assert proc.stdout == ""
 
 
 def test_cli_import_does_not_load_scipy():
@@ -731,8 +777,8 @@ def test_power_plug_in_variance_needs_two_clusters():
     (["solve-missing", "--p-i", "0.8"], 2, "config error: solve-missing needs p_i and c_i\n"),
     (["describe-design", "--config", "ST1"], 2,
      "config error: custom designs need both st1 and dtr\n"),
-    (["samplesize", *SIZED, "--design", "other"], 2,
-     "config error: unknown design 'other'; built-ins: periodontitis-default\n"),
+    (["samplesize", *SIZED, "--config", "NAME"], 2,
+     "config error: unknown key(s) in config block 'design': name\n"),
     (["samplesize", *SIZED[:2], "--num", "20000", "--mu-csv", "MU27"], 2,
      "config error: mu has 27 columns but the design has 28 sub-units\n"),
     (["samplesize", *SIZED, "--config", "LIST"], 2,
@@ -755,8 +801,10 @@ def test_refused_before_any_monte_carlo_work(tmp_path, monkeypatch, capsys, args
         monkeypatch.setattr(module, "estimate_path_moments", moments_pass)
     paths = {"OUT": str(tmp_path / "missing" / "out"), "SAME": str(tmp_path / "same"),
              "ALIAS": f"{tmp_path}/./same", "ST1": str(tmp_path / "st1.json"),
-             "MU27": str(tmp_path / "mu.csv"), "LIST": str(tmp_path / "list.json")}
+             "MU27": str(tmp_path / "mu.csv"), "LIST": str(tmp_path / "list.json"),
+             "NAME": str(tmp_path / "name.json")}
     (tmp_path / "st1.json").write_text(json.dumps({"schema": 1, "design": {"st1": [[1, 4, 0.3]]}}))
+    (tmp_path / "name.json").write_text(json.dumps({"design": {"name": "periodontitis-default"}}))
     (tmp_path / "mu.csv").write_text("\n".join([",".join(["0"] * 27)] * 10) + "\n")
     (tmp_path / "list.json").write_text("[1]")
     assert cli.main([paths.get(a, a) for a in args]) == code
@@ -988,6 +1036,63 @@ def test_monte_carlo_sizes_and_workers_are_capped(tmp_path, monkeypatch, capsys,
             assert printed.out == ""
 
 
+def test_power_trial_size_is_capped(monkeypatch, capsys):
+    """``--n`` past 10**6 clusters, or past 10**9 clusters over all reps, exits 2 naming n before
+    the moments pass (which here fails the test if it runs); such a run took its arrays from the
+    machine's memory.  At the cap the moments pass is reached.  Nothing runs at a cap."""
+    def moments_pass(*_, **__):
+        raise AssertionError("the moments pass ran")
+
+    monkeypatch.setattr(cli, "estimate_path_moments", moments_pass)
+    power = ["power", *SIZED]
+    for n in (10**6 + 1, 10**30):
+        assert cli.main([*power, "--n", str(n)]) == 2
+        assert capsys.readouterr() == ("", f"config error: n (--n) must be in [1, 1000000], "
+                                           f"got {n}\n")
+    for n, reps in ((10**6, 1001), (200_001, 5000)):
+        argv = [*power, "--n", str(n)] + (["--reps", str(reps)] if reps != 5000 else [])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: n (--n) x reps must be at most "
+                                           f"1000000000, got {n} x {reps}\n")
+    for n, reps in ((10**6, 1000), (200_000, 5000)):
+        with pytest.raises(AssertionError, match="the moments pass ran"):
+            cli.main([*power, "--n", str(n), "--reps", str(reps)])
+
+
+@pytest.mark.parametrize("mu, reps", [
+    ("0,0,0.001,0,0,0,0,0,0,0", 2), ("0,0.2,0,0,0,0,0,0,0,0", 10**6),
+], ids=["N", "reps-x-N"])
+def test_power_refuses_a_formula_n_too_large_to_simulate(monkeypatch, capsys, mu, reps):
+    """Without --n, a formula N past 10**6, or past 10**9 clusters over all reps, exits 3 naming
+    N after the moments pass and before any trial (which here fails the test if it runs): the
+    first ran until it was killed, at N = 56,938,974."""
+    def trials(*_, **__):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simtrial, "mc_power", trials)
+    argv = ["power", "--regime", "1,2" if reps == 2 else "1", *WORKED[2:6], "--mu-scalar", mu,
+            "--num", "20000", "--reps", str(reps)]
+    assert cli.main(argv) == 3
+    printed = capsys.readouterr()
+    big = re.fullmatch(r"error: the formula's N = (\d+) is too large to simulate: power takes at "
+                       r"most 1000000 clusters per trial and 1000000000 in all \(reps x N\)\n",
+                       printed.err)
+    assert big and printed.out == ""
+    n = int(big[1])
+    assert n > 10**6 if reps == 2 else n <= 10**6 and n * reps > 10**9
+
+
+def test_self_adjacent_key_is_the_switch_of_its_flags(tmp_path):
+    """``model.self_adjacent`` true or false solves as --self-adjacent or --no-self-adjacent."""
+    p, base = tmp_path / "c.json", ["solve-missing", "--p-i", "0.8", "--c-i", "0.4"]
+    solved = {}
+    for value, flag in ((True, "--self-adjacent"), (False, "--no-self-adjacent")):
+        p.write_text(json.dumps({"model": {"self_adjacent": value}}))
+        solved[value] = cli.plan([*base, "--config", str(p)])[1]
+        assert solved[value] == cli.plan([*base, flag])[1]
+    assert solved[True]["b0"] != solved[False]["b0"]
+
+
 def test_power_refuses_coinciding_regimes_before_any_trial(monkeypatch, capsys):
     """At gamma 1, 1 every cluster responds, so regimes 2 and 3 (arm 1, one responder path) have
     one estimator and the design-stage sigma^2 is 0.  In both variance modes power exits 3 naming
@@ -1165,7 +1270,6 @@ def test_full_config_file_with_flag_override(tmp_path):
     cfg = {
         "schema": 1,
         "design": {
-            "name": "periodontitis-default",
             "gamma": [0.25, 0.5],
             "mu_scalar_per_path": [0, 0.5, 0, 2, 0, 0, 5, 0, 0, 0],
         },

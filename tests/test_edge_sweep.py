@@ -52,7 +52,7 @@ BASE = {
     cli.DESCRIBE: ("describe-design", {}),
     cli.DELTA_STD: ("samplesize", {"--delta-std": "0.45"}),
 }
-NUMERIC = {float, cli._int, cli._floats, cli._ints}
+NUMERIC = {cli._float, cli._int, cli._floats, cli._ints}
 
 
 def _values(row: cli.Row) -> list[str]:
