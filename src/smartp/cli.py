@@ -160,8 +160,6 @@ TABLE = (
     Row("lambda", "--lambda", "model", _float, 0.0, FINITE, MODELLED),
     # float reads "Inf", the normal-error limit; nu alone may be infinite
     Row("nu", "--nu", "model", _float, math.inf, (lambda x: x > 0, "positive or Inf"), MODELLED),
-    Row("sigma0", "--sigma0", "model", _float, 1.0, POSITIVE, MODELLED),
-    Row("cutoff", "--cutoff", "model", _float, 0.0, FINITE, MODELLED),
     Row("a0", "--a0", "model", _float, -1.0, FINITE, SIMULATED),
     Row("b0", "--b0", "model", _float, 0.5, FINITE, SIMULATED),
     Row("p_i", "--p-i", "model", _float, None, UNIT, MODELLED),
@@ -321,6 +319,9 @@ def _build_model(v: dict, given: dict) -> tuple[OutcomeModel, dict]:
         graph = load_edge_list(v["graph"]) if v["graph"] else tooth_chain(v["n_units"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"graph ({v['graph']}): {exc}") from exc
+    if graph.size != v["n_units"]:
+        raise ConfigError(f"graph ({v['graph']}) has {graph.size} sub-units "
+                          f"but design.n_units is {v['n_units']}")
     car = CarModel(graph, v["tau"], v["rho"], self_adj)
     st = SkewTParams(0.0, v["sigma1"], v["lambda"], v["nu"])
     direct, targets = {"a0", "b0"} & given.keys(), {"p_i", "c_i"} & given.keys()
@@ -329,11 +330,9 @@ def _build_model(v: dict, given: dict) -> tuple[OutcomeModel, dict]:
     if targets:
         if len(targets) < 2:
             raise ConfigError("the target form needs both p_i and c_i")
-        mp = solve_missingness(
-            v["p_i"], v["c_i"], car_covariance(car), st, v["sigma0"], v["cutoff"]
-        )
+        mp = solve_missingness(v["p_i"], v["c_i"], car_covariance(car), st)
     else:
-        mp = MissingnessParams(v["a0"], v["b0"], v["sigma0"], v["cutoff"])
+        mp = MissingnessParams(v["a0"], v["b0"])
     resolved = {**v, "a0": mp.intercept, "b0": mp.loading, "self_adjacent": self_adj}
     echo = {row.name: resolved[row.name] for row in TABLE
             if row.block == "model" and row.name not in ("p_i", "c_i")}
@@ -348,9 +347,6 @@ def _setup(v: dict, given: dict):
     """What ``samplesize`` and ``power`` simulate: (design, model, model echo, regime ids)."""
     design = _build_design(v)
     model, model_echo = _build_model(v, given)
-    if model.sigma.dim != design.n_units:
-        raise ConfigError(f"graph ({v['graph']}) has {model.sigma.dim} sub-units "
-                          f"but design.n_units is {design.n_units}")
     ids = tuple(r - 1 for r in v["regime"])
     try:
         contrast_weights(design, ids)

@@ -1,12 +1,13 @@
 """Shared-parameter probit missingness model.
 
-A sub-unit is missing when ``a0 + b0*Q + eps0 > cutoff`` with
-``eps0 ~ N(0, sigma0^2)`` and Q the latent spatial effect.  Closed forms:
+A sub-unit is missing when ``a0 + b0*Q + eps0 > 0`` with ``eps0 ~ N(0, 1)``
+and Q the latent spatial effect: a probit sees only (a0 - cutoff) / sigma0 and
+b0 / sigma0, so the noise scale is 1 and the threshold 0.  Closed forms:
 
 * expected fraction of available sub-units
-  ``p = mean_t Phi((cutoff - a0) / sqrt(b0^2 Sigma_tt + sigma0^2))``
+  ``p = mean_t Phi(-a0 / sqrt(b0^2 Sigma_tt + 1))``
 * mean Pearson correlation between the outcome and the latent missingness
-  score ``c = mean_t b0 Sigma_tt / sqrt((Sigma_tt + var_eps1)(b0^2 Sigma_tt + sigma0^2))``
+  score ``c = mean_t b0 Sigma_tt / sqrt((Sigma_tt + var_eps1)(b0^2 Sigma_tt + 1))``
 
 ``solve_missingness`` inverts the pair (p, c) for (a0, b0): c depends on b0
 only and is monotone on b0 >= 0, then p is monotone in a0, so two bracketed
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .dists import SkewTParams, st_variance
-from .errors import InfeasibleTargetError, named_overflow
+from .errors import InfeasibleTargetError
 from .spatial import SpdMatrix
 
 _A0_BRACKET = 20.0
@@ -32,12 +34,9 @@ _MAX_DOUBLINGS = 200
 class MissingnessParams:
     intercept: float  # a0
     loading: float  # b0, couples missingness to the spatial effect
-    sigma0: float = 1.0
-    cutoff: float = 0.0
-
-    def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be > 0, got {self.sigma0}")
+    # the index's noise scale and threshold, fixed; read by callers of _backend.ybar_and_count
+    sigma0: ClassVar[float] = 1.0
+    cutoff: ClassVar[float] = 0.0
 
 
 def normal_cdf(x: float) -> float:
@@ -56,17 +55,15 @@ def normal_quantile(u: float) -> float:
 
 def prob_available(mp: MissingnessParams, sigma: SpdMatrix) -> float:
     """Expected fraction of available sub-units, in (0,1)."""
-    z = (mp.cutoff - mp.intercept) / np.sqrt(mp.loading**2 * sigma.diagonal + mp.sigma0**2)
+    z = -mp.intercept / np.sqrt(mp.loading**2 * sigma.diagonal + 1.0)
     return float(np.mean([normal_cdf(v) for v in z]))
 
 
 def corr_y_m(mp: MissingnessParams, sigma: SpdMatrix, st: SkewTParams) -> float:
     """Mean per-unit Pearson correlation between outcome and latent missingness score."""
-    if mp.loading == 0.0:  # 0 without 0/0 where sigma0^2 underflows
-        return 0.0
     var1 = st_variance(st)
     diag = sigma.diagonal
-    c = mp.loading * diag / np.sqrt((diag + var1) * (mp.loading**2 * diag + mp.sigma0**2))
+    c = mp.loading * diag / np.sqrt((diag + var1) * (mp.loading**2 * diag + 1.0))
     return float(np.mean(c))
 
 
@@ -102,14 +99,8 @@ def _bracket_root(f, centre: float, lo: float, hi: float, what: str) -> float:
             hi = mid
 
 
-def solve_missingness(
-    p_target: float,
-    c_target: float,
-    sigma: SpdMatrix,
-    st: SkewTParams,
-    sigma0: float = 1.0,
-    cutoff: float = 0.0,
-) -> MissingnessParams:
+def solve_missingness(p_target: float, c_target: float, sigma: SpdMatrix,
+                      st: SkewTParams) -> MissingnessParams:
     """Recover (a0, b0) from targets (p, c), each matched to ~1e-8, or raise
     InfeasibleTargetError."""
     if not 0.0 < p_target < 1.0:
@@ -121,9 +112,7 @@ def solve_missingness(
             f"{bound:.6g}, and it falls as the error variance (sigma1, lambda, nu) grows"
         )
 
-    if not sigma0 * sigma0 >= np.finfo(float).tiny:  # a huge sigma0 fails below, named
-        raise InfeasibleTargetError(f"sigma0={sigma0} is too small: sigma0^2 underflows")
-    # c and p see b0 and a0 - cutoff only over sigma0; c is 0 at b0 = 0 and rises with b0 >= 0
+    # c is 0 at b0 = 0 and rises with b0 >= 0
     c_abs = abs(c_target)
     b = 0.0 if c_abs == 0.0 else math.copysign(_bracket_root(
         lambda b: corr_y_m(MissingnessParams(0.0, b), sigma, st) - c_abs, 0.0, 0.0, 1.0,
@@ -131,10 +120,9 @@ def solve_missingness(
     # p decreases in a0
     a = _bracket_root(lambda a: prob_available(MissingnessParams(a, b), sigma) - p_target, 0.0,
                       -_A0_BRACKET, _A0_BRACKET, f"the intercept for p={p_target}")
-    mp = MissingnessParams(cutoff + a * sigma0, b * sigma0, sigma0, cutoff)
-    with named_overflow(f"the index variance b0^2 Sigma + sigma0^2 at sigma0={sigma0}"):
-        got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a huge cutoff rounds a away
+    mp = MissingnessParams(a, b)
+    got = prob_available(mp, sigma), corr_y_m(mp, sigma, st)  # a tiny b0 (huge tau) is coarse at 1e-13
     if not max(abs(got[0] - p_target), abs(got[1] - c_target)) <= 1e-8:
-        raise InfeasibleTargetError(f"the targets are lost to rounding at cutoff={cutoff}, "
-                                    f"sigma0={sigma0}: p={got[0]:.6g}, c={got[1]:.6g}")
+        raise InfeasibleTargetError(
+            f"the targets are lost to rounding: p={got[0]:.6g}, c={got[1]:.6g}")
     return mp

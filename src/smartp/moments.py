@@ -1,14 +1,14 @@
 """Monte Carlo path moments and the IPW regime mean/covariance formula.
 
-A sub-unit is observed when its missingness index ``v = b0*Q + sigma0*eps0``
-is at most the cutoff.  With ``w = mask / k`` the availability weights of
+A sub-unit is observed when its missingness index ``v = b0*Q + eps0``
+is at most ``-a0``.  With ``w = mask / k`` the availability weights of
 one replicate (k sub-units available), a path with per-sub-unit mean ``mu``
 has cluster mean ``ybar = w . (mu + Q + eps1)``.  ``estimate_path_moments``
 simulates an outcome model once for every path (common random numbers) and
 draws only the index, ``v = L_v zeta`` with ``zeta ~ N(0, I_T)`` and ``L_v L_v' =
-Sigma_v = b0^2 Sigma + sigma0^2 I``, in mirrored pairs (zeta, -zeta), so T/2 normals per
+Sigma_v = b0^2 Sigma + I``, in mirrored pairs (zeta, -zeta), so T/2 normals per
 replicate.  The rest is integrated out given v (conditional Monte Carlo): Q ~ N(b0 K v,
-sigma0^2 K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
+K) with ``K = Sigma Sigma_v^-1``, and eps1 adds mean ``st_mean`` and
 variance ``st_variance / k``, so dof must exceed 2.  Each path's moments are
 quadratic forms in ``a = [mu, 1]`` over the scatter of ``z = [w, w . E[Q|v]]``.
 ``_index_sweep`` draws the index rows in fixed blocks of BLOCK = 1024 rows, whose
@@ -69,15 +69,15 @@ class OutcomeModel:
     def index_projection(self) -> tuple[np.ndarray, np.ndarray]:
         """``(P, Cov(Q|v))``: for ``zeta ~ N(0, I)``, ``zeta @ P`` is ``[v, E[Q|v]]``.
 
-        ``P = [L_v' | (b0 K L_v)']``; ``Cov(Q|v) = sigma0^2 K`` keeps the positive
+        ``P = [L_v' | (b0 K L_v)']``; ``Cov(Q|v) = K`` keeps the positive
         definiteness that ``Sigma - b0^2 Sigma Sigma_v^-1 Sigma`` can lose to rounding."""
-        mp, sig = self.mp, self.sigma.matrix
-        name = f"Sigma_v = b0^2 Sigma + sigma0^2 I at b0={mp.loading}, sigma0={mp.sigma0}"
+        b0, sig = self.mp.loading, self.sigma.matrix
+        name = f"Sigma_v = b0^2 Sigma + I at b0={b0}"
         with named_overflow(name):
-            sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(sig.shape[0])
+            sigma_v = b0**2 * sig + np.eye(sig.shape[0])
         chol_v = SpdMatrix(sigma_v, name).chol
         k = np.linalg.solve(sigma_v, sig)  # symmetric: Sigma and Sigma_v commute
-        return np.hstack([chol_v.T, (mp.loading * k @ chol_v).T]), mp.sigma0**2 * k
+        return np.hstack([chol_v.T, (b0 * k @ chol_v).T]), k
 
     @cached_property
     def cond_cov(self) -> np.ndarray:
@@ -150,12 +150,12 @@ def _index_sweep(model: OutcomeModel, n: int, rng: np.random.Generator, paired: 
     those are all that is missing: numpy sends a one-row block to its matrix-vector product
     instead, which rounds differently.  ``paired`` (mirrored pairs) draws and projects
     ceil(m/2) rows zeta of a block of m; the other m // 2 rows are those of -zeta for the first
-    rows drawn, whose index is the product negated: each is masked by ``v >= -(cutoff - a0)``
+    rows drawn, whose index is the product negated: each is masked by ``v >= a0``
     and takes the masked sum of E[Q|v] negated as its r.  Negation is exact, so the rows are
     bit for bit those of [zeta, -zeta] projected whole.  k is one matrix-vector product, and
     each row is scaled by 1/k."""
-    mp, proj = model.mp, model.index_projection[0]
-    t_dim, rows, c = model.sigma.dim, min(n, BLOCK + 1), mp.cutoff - mp.intercept
+    proj, c = model.index_projection[0], -model.mp.intercept
+    t_dim, rows = model.sigma.dim, min(n, BLOCK + 1)
     zeta, v_and_q = np.empty((rows, t_dim)), np.empty((rows, 2 * t_dim))
     k, inv_k, ones = np.empty(rows), np.empty(rows), np.ones(t_dim)
     block, kept, dropped = np.empty((rows, t_dim + 1)), 0, 0

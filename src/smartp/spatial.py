@@ -79,8 +79,8 @@ def dental_arches(size: int = 28) -> AdjacencyGraph:
     return AdjacencyGraph.from_pairs(size, pairs)
 
 
-def load_edge_list(path: str | Path, size: int | None = None) -> AdjacencyGraph:
-    """Read an edge list ("t t'" per line, 1-based; blank lines and # comments skipped)."""
+def load_edge_list(path: str | Path) -> AdjacencyGraph:
+    """Read an edge list on vertices 1..largest id ("t t'" per line; blank, # lines skipped)."""
     pairs = []
     hi = 0
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -93,7 +93,7 @@ def load_edge_list(path: str | Path, size: int | None = None) -> AdjacencyGraph:
         a, b = int(parts[0]), int(parts[1])
         pairs.append((a, b))
         hi = max(hi, a, b)
-    return AdjacencyGraph.from_pairs(size if size is not None else hi, pairs)
+    return AdjacencyGraph.from_pairs(hi, pairs)
 
 
 class SpdMatrix:

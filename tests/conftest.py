@@ -25,14 +25,14 @@ def default_cov():
 
 @pytest.fixture(scope="session")
 def default_mp():
-    return MissingnessParams(-1.0, 0.5, 1.0, 0.0)
+    return MissingnessParams(-1.0, 0.5)
 
 
 def make_model(lam=0.0, nu=math.inf, sigma1=0.95, a0=-1.0, b0=0.5, n_units=28):
     return OutcomeModel(
         default_car_model(size=n_units),
         SkewTParams(0.0, sigma1, lam, nu),
-        MissingnessParams(a0, b0, 1.0, 0.0),
+        MissingnessParams(a0, b0),
     )
 
 

@@ -75,10 +75,9 @@ def index_rows_reference(model, n, rng):
 
 def index_rows_of(model, zeta):
     """``index_rows_reference``'s (z, k) for the given (n, T) index normals ``zeta``."""
-    mp = model.mp
     n, t_dim = zeta.shape
     v_and_q = zeta @ model.index_projection[0]
-    avail = mp.intercept + v_and_q[:, :t_dim] <= mp.cutoff
+    avail = model.mp.intercept + v_and_q[:, :t_dim] <= 0.0
     k = avail.sum(axis=1)
     z = np.empty((n, t_dim + 1))
     z[:, :-1] = avail
@@ -415,7 +414,7 @@ def qe0_model_moments(model, num, seed):
             rng = substream(seed, MOMENTS, chunk, round_no)
             zq, e0 = rng.standard_normal((size, chol.shape[0])), rng.standard_normal((size, chol.shape[0]))
             q = zq @ chol.T
-            avail = (mp.intercept + mp.loading * q + mp.sigma0 * e0) <= mp.cutoff
+            avail = (mp.intercept + mp.loading * q + e0) <= 0.0
             k = avail.sum(axis=1)
             keep = k > 0
             w = avail[keep] / k[keep, None]

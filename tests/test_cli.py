@@ -402,11 +402,14 @@ def test_graph_override(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["samplesize", "power"])
+@pytest.mark.parametrize("command", ["samplesize", "power", "solve-missing"])
 def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
+    """The graph must have design.n_units sub-units, also for solve-missing, which solved the
+    targets on any graph it was given."""
     edges = tmp_path / "six_teeth.txt"
     edges.write_text("".join(f"{t} {t + 1}\n" for t in range(1, 6)))
-    proc = run_cli(command, "--graph", str(edges), "--num", "20000", check=False)
+    args = ["--p-i", "0.8", "--c-i", "0.4"] if command == "solve-missing" else ["--num", "20000"]
+    proc = run_cli(command, "--graph", str(edges), *args, check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (
         f"config error: graph ({edges}) has 6 sub-units but design.n_units is 28\n"
@@ -424,27 +427,20 @@ def test_graph_and_design_unit_counts_differ_exit_2(tmp_path, command):
      "Sigma = tau^2 (C - rho D)^-1 at tau=1e+200 overflows"),
     (["samplesize", "--sigma1", "1e154", "--num", "20000"],
      "the conditional outcome variance (sigma1, lambda, nu, tau) overflows"),
-    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--sigma0", "1e154"],
-     "the index variance b0^2 Sigma + sigma0^2 at sigma0=1e+154 overflows"),
     (["samplesize", "--rho", "0.9999999999999999"], "Cholesky factorization failed"),
     (["samplesize", "--mu-scalar", "1e200,0.5,0,2,0,0,5,0,0,0", "--num", "20000"],
      "the IPW regime variance at path means up to 1e+200 in size overflows"),
     # b0^2 Sigma overflows in numpy, not in Python: it used to warn and end in "got nan"
     (["samplesize", "--b0", "1e154", "--num", "20000"],
-     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=1e+154, sigma0=1.0 overflows"),
-    (["samplesize", "--sigma0", "1e300", "--num", "20000"],
-     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=0.5, sigma0=1e+300 overflows"),
-    # squares that underflow to 0: a ZeroDivisionError traceback, numpy's RuntimeWarning and a
-    # message about the loading, and numpy's bare "Matrix is not positive definite"
+     "Sigma_v = b0^2 Sigma + I at b0=1e+154 overflows"),
+    # a square that underflows to 0: it was a ZeroDivisionError traceback
     (["samplesize", "--delta-std", "1e-300"],
      "N is not finite: the effect size 1e-300 is too small for sigma^2 = 1.0"),
-    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--sigma0", "1e-300"],
-     "sigma0=1e-300 is too small: sigma0^2 underflows"),
-    (["samplesize", "--sigma0", "1e-300", "--b0", "0", "--num", "20000"],
-     "Sigma_v = b0^2 Sigma + sigma0^2 I at b0=0.0, sigma0=1e-300: Cholesky factorization failed"),
-], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "sigma1-1e154",
-        "solve-missing-sigma0-1e154", "rho-below-1", "mu-1e200", "b0-1e154", "sigma0-1e300",
-        "delta-std-1e-300", "solve-missing-sigma0-1e-300", "sigma-v-singular"])
+    # a huge tau leaves b0 too small for its bisection's absolute tolerance
+    (["solve-missing", "--p-i", "0.8", "--c-i", "0.4", "--tau", "1e8"],
+     "the targets are lost to rounding: p=0.8, c=0.4"),
+], ids=["sigma1", "tau", "power-sigma1", "solve-missing-tau", "sigma1-1e154", "rho-below-1",
+        "mu-1e200", "b0-1e154", "delta-std-1e-300", "solve-missing-tau-1e8"])
 def test_numeric_edge_exit_3(args, message):
     """Inputs at the edge of the arithmetic end in one error line, never a traceback or a numpy
     RuntimeWarning."""
@@ -469,8 +465,8 @@ def test_an_allocation_that_fails_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--mu-scalar", "-1,0.5,0,2,0,0,5,0,0,0"), ("--a0", "-1e-3"), ("--cutoff", "-.5"),
-], ids=["mu-scalar-list", "a0-exponent", "cutoff-leading-dot"])
+    ("--mu-scalar", "-1,0.5,0,2,0,0,5,0,0,0"), ("--a0", "-1e-3"), ("--a0", "-.5"),
+], ids=["mu-scalar-list", "a0-exponent", "a0-leading-dot"])
 def test_negative_value_parses_as_with_equals(flag, value):
     """A negative value that is not a plain decimal is read as the flag's value: the output is
     byte-identical to that of ``flag=value``."""
@@ -494,6 +490,29 @@ def test_pi1_literal_flag_in_describe(tmp_path):
         proc = run_cli("describe-design", *args, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "pi1-literal" in proc.stderr or "pi1_literal" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["samplesize", "power", "solve-missing"])
+def test_probit_scale_and_threshold_are_not_inputs(tmp_path, command):
+    """The index's noise scale and threshold are fixed at 1 and 0, since a probit sees only
+    (a0 - cutoff) / sigma0 and b0 / sigma0: --sigma0, --cutoff and their model keys are refused
+    like any unknown flag or key, exit 2, and the ``inputs`` echo does not list them."""
+    base = {"samplesize": ["--num", "2000"],
+            "power": ["--num", "2000", "--n", "20", "--reps", "20"],
+            "solve-missing": ["--p-i", "0.8", "--c-i", "0.4"]}[command]
+    for name, value in (("sigma0", 2), ("cutoff", 0.5)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"model": {name: value}}))
+        for args, named in (([f"--{name}", str(value)], f"--{name}"),
+                            (["--config", str(cfg)], name)):
+            proc = run_cli(command, *base, *args, check=False)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert named in proc.stderr
+    if command != "solve-missing":
+        out = tmp_path / "r.json"
+        run_cli(command, *base, "--json", str(out))
+        model = json.loads(out.read_text())["inputs"]["model"]
+        assert "a0" in model and not {"sigma0", "cutoff"} & model.keys()
 
 
 def test_identical_regimes_rejected():
@@ -521,12 +540,11 @@ def test_regime_out_of_range_exit_2(tmp_path, regime, message):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--tau", "0"], ["--rho", "1"], ["--sigma1", "0"], ["--sigma0", "0"],
-    ["--p-i", "1", "--c-i", "0.4"], ["--sigma0", "0", "--p-i", "0.5", "--c-i", "0.3"],
-    ["--lambda", "nan"], ["--b0", "inf"], ["--a0", "nan"], ["--cutoff", "nan"], ["--cutoff", "inf"],
-    ["--c-i", "nan", "--p-i", "0.5"],
-], ids=["tau", "rho", "sigma1", "sigma0", "p-i", "sigma0-targets", "lambda-nan", "b0-inf",
-        "a0-nan", "cutoff-nan", "cutoff-inf", "c-i-nan"])
+    ["--tau", "0"], ["--rho", "1"], ["--sigma1", "0"],
+    ["--p-i", "1", "--c-i", "0.4"], ["--tau", "0", "--p-i", "0.5", "--c-i", "0.3"],
+    ["--lambda", "nan"], ["--b0", "inf"], ["--a0", "nan"], ["--c-i", "nan", "--p-i", "0.5"],
+], ids=["tau", "rho", "sigma1", "p-i", "tau-targets", "lambda-nan", "b0-inf", "a0-nan",
+        "c-i-nan"])
 def test_model_scalar_out_of_range_exit_2(flags):
     """Each float must be finite (only nu may be Inf) and in range; the message names the flag."""
     proc = run_cli("samplesize", "--regime", "1", *flags, "--num", "20000", check=False,

@@ -22,13 +22,13 @@ EXTREMES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "1e154", "-1e154", "nan
             "-1e-3")
 #: the boundaries of each row's range check; the sweep adds the nearest value on each side
 BOUNDS = {
-    "tau": (0.0, math.inf), "sigma1": (0.0, math.inf), "sigma0": (0.0, math.inf),
+    "tau": (0.0, math.inf), "sigma1": (0.0, math.inf),
     "delta_std": (0.0, math.inf), "rho": (0.0, 1.0), "nu": (0.0,), "p_i": (0.0, 1.0),
     "beta": (0.0, 1.0), "power": (0.0, 2.0**-54, 1.0), "gamma": (0.0, 1.0),
     "alpha": (0.0, 1.0, 2.0**-53), "num": (1,), "workers": (1,), "n": (1,), "reps": (2,), "seed": (0,),
 }
 #: rows with a FINITE check: their boundaries are the infinities, which EXTREMES holds
-UNBOUNDED = {"lambda", "cutoff", "a0", "b0", "c_i", "mu_scalar_per_path"}
+UNBOUNDED = {"lambda", "a0", "b0", "c_i", "mu_scalar_per_path"}
 #: list rows take the value once per arm or per path of the built-in design
 COPIES = {"gamma": 2, "mu_scalar_per_path": 10}
 #: what a message may name instead of the parameter: the quantity that failed

@@ -9,7 +9,9 @@ from smartp import (
     InfeasibleTargetError,
     MissingnessParams,
     SkewTParams,
+    car_covariance,
     corr_y_m,
+    default_car_model,
     max_corr,
     normal_cdf,
     normal_quantile,
@@ -65,36 +67,17 @@ def test_corr_trivials(default_cov):
     assert -1.0 < c_neg < 0.0 < c_pos < 1.0
 
 
-def test_corr_is_zero_at_loading_zero_whatever_sigma0(default_cov):
-    """At b0 = 0 with sigma0^2 underflowing to 0, corr_y_m used to divide 0 by 0 (a numpy
-    RuntimeWarning and NaN)."""
-    assert corr_y_m(MissingnessParams(-1.0, 0.0, 1e-300), default_cov, NORMAL_ST) == 0.0
-
-
-@pytest.mark.parametrize("sigma0, cutoff", [(1e-8, 0.3), (1e-100, 0.0), (1e3, 0.3)])
-def test_solve_meets_its_targets_at_any_sigma0(default_cov, sigma0, cutoff):
-    """c and p depend on b0 / sigma0 and (a0 - cutoff) / sigma0 alone, which the solve finds;
-    bisecting b0 itself to 1e-13 gave c = 0.400001 at sigma0 1e-8, and the supremum of c at
-    sigma0 1e-100."""
-    mp = solve_missingness(0.8, 0.4, default_cov, NORMAL_ST, sigma0=sigma0, cutoff=cutoff)
-    assert prob_available(mp, default_cov) == pytest.approx(0.8, abs=1e-8)
-    assert corr_y_m(mp, default_cov, NORMAL_ST) == pytest.approx(0.4, abs=1e-8)
-    assert mp.loading / sigma0 == pytest.approx(0.479242, abs=1e-6)
-
-
-@pytest.mark.parametrize("sigma0, cutoff, message", [
-    (1e-300, 0.0, "sigma0=1e-300 is too small: sigma0^2 underflows"),
-    (1.0, 1e20, "the targets are lost to rounding at cutoff=1e+20, sigma0=1.0: p=0.5, c=0.4"),
-], ids=["sigma0-underflows", "huge-cutoff"])
-def test_solve_refuses_targets_it_cannot_meet(default_cov, sigma0, cutoff, message):
+def test_solve_refuses_targets_it_cannot_meet():
+    """At tau 1e8 the loading is near 3e-9: a bracket 1e-13 wide misses c by more than 1e-8."""
+    cov = car_covariance(default_car_model(tau=1e8))
     with pytest.raises(InfeasibleTargetError) as err:
-        solve_missingness(0.8, 0.4, default_cov, NORMAL_ST, sigma0=sigma0, cutoff=cutoff)
-    assert str(err.value) == message
+        solve_missingness(0.8, 0.4, cov, NORMAL_ST)
+    assert str(err.value) == "the targets are lost to rounding: p=0.8, c=0.4"
 
 
 def test_prob_available_limit(default_cov):
     assert prob_available(MissingnessParams(-30.0, 0.5), default_cov) == pytest.approx(1.0)
-    assert prob_available(MissingnessParams(0.0, 0.0, 1.0, 0.0), default_cov) == 0.5
+    assert prob_available(MissingnessParams(0.0, 0.0), default_cov) == 0.5
 
 
 def test_monotonicity(default_cov):
@@ -114,9 +97,9 @@ def test_solve_golden_pair(default_cov):
 
 
 def test_solve_zero_corr_closed_form(default_cov):
-    mp = solve_missingness(0.73, 0.0, default_cov, NORMAL_ST, sigma0=1.3, cutoff=0.4)
+    mp = solve_missingness(0.73, 0.0, default_cov, NORMAL_ST)
     assert mp.loading == 0.0
-    assert mp.intercept == pytest.approx(0.4 - 1.3 * normal_quantile(0.73), abs=1e-9)
+    assert mp.intercept == pytest.approx(-normal_quantile(0.73), abs=1e-9)
 
 
 def test_solve_round_trip_random(default_cov):
@@ -187,10 +170,10 @@ def test_mc_validation(default_cov, default_mp):
     for _ in range(n_total // chunk):
         q = sample_mvn(default_cov, chunk, rng)
         e0 = rng.standard_normal((chunk, 28))
-        m0 = default_mp.intercept + default_mp.loading * q + default_mp.sigma0 * e0
+        m0 = default_mp.intercept + default_mp.loading * q + e0
         e1 = sample_st(NORMAL_ST, chunk * 28, rng).reshape(chunk, 28)
         y = q + e1
-        frac = np.mean(m0 <= default_mp.cutoff, axis=1)
+        frac = np.mean(m0 <= 0.0, axis=1)
         frac_sum += frac.sum()
         frac_sq_sum += (frac**2).sum()
         for t in teeth:
@@ -214,7 +197,7 @@ def test_mc_validation(default_cov, default_mp):
         r_emp = cov / math.sqrt((syy / n - (sy / n) ** 2) * (smm / n - (sm / n) ** 2))
         s_tt = default_cov.matrix[t, t]
         r_true = default_mp.loading * s_tt / math.sqrt(
-            (s_tt + var1) * (default_mp.loading**2 * s_tt + default_mp.sigma0**2)
+            (s_tt + var1) * (default_mp.loading**2 * s_tt + 1.0)
         )
         se_r = (1 - r_true**2) / math.sqrt(n)
         assert abs(r_emp - r_true) < 3 * se_r
@@ -223,7 +206,7 @@ def test_mc_validation(default_cov, default_mp):
 def test_corr_stays_inside_unit_interval(default_cov):
     rng = np.random.default_rng(9)
     for _ in range(50):
-        mp = MissingnessParams(rng.normal(0, 2), rng.normal(0, 4), rng.uniform(0.2, 3))
+        mp = MissingnessParams(rng.normal(0, 2), rng.normal(0, 4))
         c = corr_y_m(mp, default_cov, NORMAL_ST)
         assert -1.0 < c < 1.0
         assert (c == 0.0) == (mp.loading == 0.0)

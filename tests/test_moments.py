@@ -114,7 +114,7 @@ def reference_ybar(model, mu_vec, num, seed):
             v = rs.standard_gamma(model.st.dof / 2, (m, t_dim)) * 2 / model.st.dof
             e1 = model.st.scale * x / np.sqrt(v)
         mp = model.mp
-        avail = (mp.intercept + mp.loading * q + mp.sigma0 * e0) <= mp.cutoff
+        avail = (mp.intercept + mp.loading * q + e0) <= 0.0
         n_avail = avail.sum(axis=1)
         keep = n_avail > 0
         ybar = ((mu_vec + q + e1) * avail).sum(axis=1)[keep] / n_avail[keep]
@@ -189,7 +189,7 @@ def test_conditional_moments_match_kernel_given_index():
     mu_vec = np.random.default_rng(3).uniform(-1.0, 5.0, t_dim)
     # the pass's first rows and, from the same draws, their index v = L_v zeta
     z, k, _ = sweep_rows(model, rows, np.random.default_rng(5))
-    sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
+    sigma_v = mp.loading**2 * sig + np.eye(t_dim)
     v = np.random.default_rng(5).standard_normal((rows, t_dim)) @ np.linalg.cholesky(sigma_v).T
     # Q | v by the Schur complement of the joint covariance [[S, b0 S], [b0 S, S_v]]
     cross = mp.loading * sig
@@ -203,7 +203,7 @@ def test_conditional_moments_match_kernel_given_index():
     ybar = []
     for _ in range(batches):
         q = np.repeat(cond_mean, batch, axis=0) + rng.standard_normal((batch * rows, t_dim)) @ root.T
-        e0 = (np.repeat(v, batch, axis=0) - mp.loading * q) / mp.sigma0
+        e0 = np.repeat(v, batch, axis=0) - mp.loading * q
         zq = np.linalg.solve(chol, q.T).T
         e1 = sample_st(st, batch * rows * t_dim, rng).reshape(batch * rows, t_dim)
         y, k_ker = ybar_and_count(zq, e0, e1, chol, np.tile(mu_vec, (batch * rows, 1)), *params)
@@ -226,13 +226,11 @@ def test_conditional_moments_match_kernel_given_index():
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["worked", "skewt-sparse"])
 def test_index_conditioned_pass_matches_q_draws_oracle(sparse):
-    """Over 8 seeds, each path's mu and sigma2 agree with the pass that draws Q and eps0.
-
-    The sparse model has sigma0 = 0.7, so that Cov(Q|v) = sigma0^2 K differs from K."""
+    """Over 8 seeds, each path's mu and sigma2 agree with the pass that draws Q and eps0."""
     model = make_model()
     if sparse:
         st = SkewTParams(0.0, 0.95, 10.0, 5.0)
-        mp = solve_missingness(0.3, 0.4, model.sigma, st, sigma0=0.7)
+        mp = solve_missingness(0.3, 0.4, model.sigma, st)
         model = OutcomeModel(default_car_model(), st, mp)
     paths = [np.zeros(28), np.linspace(-1.0, 5.0, 28)]
     stats = {"new": [], "oracle": []}
@@ -302,11 +300,10 @@ def _var_se(x):
 def test_conditional_trial_kernel_matches_brute_force(lam, nu, sparse):
     """The trial kernel, which draws w . Q | v (and normal errors) as one normal, against the
     kernel that draws every tooth: mean, variance and mean k within 4 joint SE, and the same
-    distribution (KS).  The sparse cases have sigma0 = 0.7, so Cov(Q|v) differs from K, and
-    redraws."""
+    distribution (KS).  The sparse cases, at 30% availability, redraw all-missing rows."""
     st = SkewTParams(0.0, 0.95, lam, nu)
     sigma = car_covariance(default_car_model())
-    mp = (solve_missingness(0.3, 0.4, sigma, st, sigma0=0.7) if sparse
+    mp = (solve_missingness(0.3, 0.4, sigma, st) if sparse
           else solve_missingness(GOLDEN_P, GOLDEN_C, sigma, st))
     model = OutcomeModel(default_car_model(), st, mp)
     mu_vec = np.linspace(-1.0, 5.0, 28)
@@ -330,8 +327,7 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     the one normal instead."""
     st = SkewTParams(0.0, 0.95, lam, nu)
     model = OutcomeModel(default_car_model(), st,
-                         solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st,
-                                           sigma0=0.7))
+                         solve_missingness(0.3, 0.4, car_covariance(default_car_model()), st))
     mp, sig, n, t_dim = model.mp, model.sigma.matrix, 5_000, 28
     path_mu = np.random.default_rng(3).uniform(-1.0, 5.0, (10, t_dim))
     path = np.random.default_rng(4).integers(0, 10, n)
@@ -349,7 +345,7 @@ def test_trial_kernel_stream_and_law_given_the_index(lam, nu):
     assert np.array_equal(k, want_k) and (k >= 1).all()
     assert n_redrawn == want_redrawn > 0
 
-    sigma_v = mp.loading**2 * sig + mp.sigma0**2 * np.eye(t_dim)
+    sigma_v = mp.loading**2 * sig + np.eye(t_dim)
     cross = mp.loading * sig
     cond_cov = sig - cross @ np.linalg.solve(sigma_v, cross)
     if normal:
@@ -544,7 +540,7 @@ class ScriptedNormals:
 
 #: one sub-unit with v = E[Q|v] = zeta: a row is available (k = 1, z = [1, zeta]) at zeta <= 0
 ONE_UNIT = SimpleNamespace(
-    mp=SimpleNamespace(cutoff=0.0, intercept=0.0),
+    mp=SimpleNamespace(intercept=0.0),
     index_projection=(np.ones((1, 2)), None),
     sigma=SimpleNamespace(dim=1),
 )
@@ -603,12 +599,12 @@ def test_index_sweep_refuses_a_degenerate_model_after_one_block():
 
 
 def _closed_form_without_loading(model, mu_vec):
-    """At b0 = 0 teeth are missing independently with p = Phi((cutoff - a0) / sigma0), so
+    """At b0 = 0 teeth are missing independently with p = Phi(-a0), so
     k ~ Bin(T, p) given k >= 1, and E[w w'] = E[1/k]/T I + E[(k-1)/k]/(T(T-1)) (11' - I).
     Then E[ybar] = mean(mu) + st_mean and Var(ybar) = mu'E[ww']mu - mean(mu)^2
     + tr((Sigma + st_variance I) E[ww']).  Returns (E[ybar], Var(ybar), P(k), k)."""
     mp, t_dim = model.mp, model.sigma.dim
-    p = 0.5 * math.erfc((mp.intercept - mp.cutoff) / (mp.sigma0 * math.sqrt(2)))
+    p = 0.5 * math.erfc(mp.intercept / math.sqrt(2))
     pk = np.array([math.comb(t_dim, k) * p**k * (1 - p) ** (t_dim - k) for k in range(1, t_dim + 1)])
     pk /= pk.sum()
     ks = np.arange(1, t_dim + 1)

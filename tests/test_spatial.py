@@ -39,8 +39,9 @@ def test_chain_structure():
 def test_graph_validation():
     with pytest.raises(ValueError, match="self-loop"):
         AdjacencyGraph.from_pairs(3, [(1, 1), (2, 3)])
-    with pytest.raises(ValueError, match="isolated"):
-        AdjacencyGraph.from_pairs(3, [(1, 2)])
+    for size, pairs in ((3, [(1, 2)]), (4, [(1, 2), (2, 3)])):
+        with pytest.raises(ValueError, match="isolated"):
+            AdjacencyGraph.from_pairs(size, pairs)
     with pytest.raises(ValueError, match="out of range"):
         AdjacencyGraph.from_pairs(2, [(1, 5)])
 
@@ -133,10 +134,3 @@ def test_default_model_diag_spread():
     assert diag.max() == pytest.approx(diag[0])
     assert diag.argmin() in (13, 14)
 
-
-def test_edge_list_explicit_size(tmp_path):
-    f = tmp_path / "e.txt"
-    f.write_text("1 2\n2 3\n")
-    with pytest.raises(ValueError, match="isolated"):
-        load_edge_list(f, size=4)  # vertex 4 has no edges
-    assert load_edge_list(f, size=3).size == 3
