@@ -134,3 +134,13 @@ def test_default_model_diag_spread():
     assert diag.max() == pytest.approx(diag[0])
     assert diag.argmin() in (13, 14)
 
+
+
+def test_edge_list_explicit_size(tmp_path):
+    # the size is the largest vertex id in the file
+    f = tmp_path / "e.txt"
+    f.write_text("1 2\n2 3\n")
+    assert load_edge_list(f).size == 3
+    f.write_text("1 2\n2 4\n")
+    with pytest.raises(ValueError, match="isolated"):
+        load_edge_list(f)  # vertex 3 has no edges
